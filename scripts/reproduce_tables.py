@@ -34,9 +34,7 @@ def main(argv=None) -> int:
     )
     ex.write_convergence_csv(rows, outdir / "table1_convergence.csv")
     for r in rows:
-        flag = "ok" if r["within_bound"] else "EXCEEDS BOUND"
-        print(f"  a={r['a']:>6d} eps={r['epsilon']:<7g} delta={r['delta']:<8g}"
-              f" max|error|={r['max_abs_error']:.6g} {flag}")
+        print("  " + ex.convergence_line(r))
 
     print("== hypothesis tests (table 2, experiments 1-5) ==")
     for i in range(1, 6):

@@ -86,9 +86,6 @@ class ApproxCdf:
         self.probs = probs
         self.quantiles = quantiles
 
-    def evaluate(self, x):
-        return eval_cdf(self, x)
-
 
 def eps45(delta: float, n: int) -> float:
     """Quantile-query error at the unit-slope point of the trade-off curve.
@@ -113,7 +110,7 @@ def num_probs(n: int, delta: float, epsilon: float) -> int:
 def plan_from_phi(phi: float, n: int) -> CdfPlan:
     """Plan a CDF whose contribution to a KS-distance error stays under phi/2."""
     if not 0 < phi < 2:
-        raise ValueError(f"phi must be in (0, 2), got {phi}")
+        raise ValueError(f"phi must be in (0, 2) (delta = phi/2 in (0, 1)), got {phi}")
     delta = phi / 2.0
     epsilon = eps45(delta, n)
     a = num_probs(n, delta, epsilon)

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, ks
-from .approx_cdf import CdfPlan, build_cdf, empirical_cdf, eps45, num_probs, plan_from_phi
+from .approx_cdf import build_cdf, empirical_cdf, plan_from_phi
+from .ks import fmt17
 
 __all__ = ["main", "ingest"]
 
@@ -56,10 +57,6 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
     return np.asarray(values, dtype=float), skipped
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _cmd_ks2(args) -> int:
     x, _ = ingest(args.file_x, skip_header=args.skip_header,
                   skip_invalid=args.skip_invalid)
@@ -67,20 +64,17 @@ def _cmd_ks2(args) -> int:
                   skip_invalid=args.skip_invalid)
     if args.phi is not None:
         precision = ks.TestPrecision(alpha=args.alpha, phi=args.phi)
+    elif args.beta is not None:
+        precision = ks.TestPrecision.from_alpha_beta(args.alpha, args.beta, x.size, y.size)
     else:
-        if args.beta is None:
-            raise ValueError("provide either --phi or --beta")
-        precision = ks.TestPrecision.from_alpha_beta(
-            args.alpha, args.beta, x.size, y.size
-        )
+        raise ValueError("provide either --phi or --beta")
     outcome = ks.run_test(x, y, precision)
-    plan_x = plan_from_phi(precision.phi, x.size)
-    plan_y = plan_from_phi(precision.phi, y.size)
+    plan_x, plan_y = outcome.plans
     params = ", ".join([
-        f'"phi": {_fmt(precision.phi)}',
-        f'"delta": {_fmt(precision.phi / 2)}',
-        f'"epsilon_x": {_fmt(plan_x.epsilon)}',
-        f'"epsilon_y": {_fmt(plan_y.epsilon)}',
+        f'"phi": {fmt17(precision.phi)}',
+        f'"delta": {fmt17(plan_x.delta)}',
+        f'"epsilon_x": {fmt17(plan_x.epsilon)}',
+        f'"epsilon_y": {fmt17(plan_y.epsilon)}',
         f'"a_x": {plan_x.a}',
         f'"a_y": {plan_y.a}',
     ])
@@ -118,14 +112,15 @@ def _cmd_convergence(args) -> int:
         replications=args.replications, master_seed=args.seed
     )
     experiments.write_convergence_csv(rows, args.out)
-    bad = [r for r in rows if not r["within_bound"]]
     for r in rows:
-        print(
-            f"a={r['a']:>6d} eps={r['epsilon']:<7g} delta={r['delta']:<8g} "
-            f"max|error|={r['max_abs_error']:.6g} "
-            f"{'ok' if r['within_bound'] else 'EXCEEDS BOUND'}"
-        )
-    return 1 if bad else 0
+        print(experiments.convergence_line(r))
+    return 0 if all(r["within_bound"] for r in rows) else 1
+
+
+def _write_knots(path: Path, probs, quantiles) -> None:
+    lines = ["prob,quantile"]
+    lines += [f"{fmt17(p)},{fmt17(q)}" for p, q in zip(probs, quantiles)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _cmd_cdf(args) -> int:
@@ -135,24 +130,17 @@ def _cmd_cdf(args) -> int:
     if args.phi is not None:
         plan = plan_from_phi(args.phi, n)
     elif args.delta is not None:
-        eps = eps45(args.delta, n)
-        plan = CdfPlan(n=n, delta=args.delta, epsilon=eps,
-                       a=num_probs(n, args.delta, eps))
+        plan = plan_from_phi(2 * args.delta, n)  # doubling is exact: delta is kept
     else:
         raise ValueError("provide either --delta or --phi")
     cdf = build_cdf(data, plan)
     out = Path(args.out)
-    lines = ["prob,quantile"]
-    lines += [f"{_fmt(p)},{_fmt(q)}" for p, q in zip(cdf.probs, cdf.quantiles)]
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_knots(out, cdf.probs, cdf.quantiles)
     print(f"wrote {plan.a} knots (delta={plan.delta:g}, eps={plan.epsilon:g}) -> {out}")
     if args.with_exact:
         exact_path = out.with_suffix(".exact.csv")
         ordered = np.sort(data)
-        probs = empirical_cdf(ordered, ordered)
-        lines = ["prob,quantile"]
-        lines += [f"{_fmt(p)},{_fmt(v)}" for p, v in zip(probs, ordered)]
-        exact_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_knots(exact_path, empirical_cdf(ordered, ordered), ordered)
         print(f"wrote {n} exact CDF rows -> {exact_path}")
     return 0
 

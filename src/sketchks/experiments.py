@@ -20,12 +20,12 @@ the CDF bound at precision/2 and the comparison sketches at precision/6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import ks
-from .approx_cdf import CdfPlan, build_cdf, empirical_cdf, error_bound, eval_cdf, plan_from_phi
+from .approx_cdf import CdfPlan, build_cdf, empirical_cdf, error_bound, eval_cdf
 from .gk_sketch import QuantileSketch
 from .synth import DistributionSpec, gamma, normal, sample, uniform
 
@@ -36,6 +36,7 @@ __all__ = [
     "experiment_spec",
     "run_experiment",
     "run_convergence",
+    "convergence_line",
     "CONVERGENCE_ROWS",
     "DEFAULT_SEED",
 ]
@@ -90,6 +91,11 @@ class ExperimentSpec:
     sketch_epsilon: float | None = None
     replications: int = 20
     master_seed: int = DEFAULT_SEED
+
+    def __post_init__(self) -> None:
+        if self.replications < 1:
+            raise ValueError(
+                f"replications must be at least 1, got {self.replications}")
 
     @property
     def with_sketch(self) -> bool:
@@ -149,6 +155,10 @@ class ReplicationRecord:
     sketch_tuples_y: int | None = None
 
 
+# record fields with min / max aggregates; d_sketch last, as only ids 6-10 have it
+_RANGED = ("d_exact", "d_approx", "p_exact", "p_approx", "d_sketch")
+
+
 @dataclass
 class ExperimentResult:
     spec: ExperimentSpec
@@ -156,32 +166,34 @@ class ExperimentResult:
 
     def aggregates(self) -> dict:
         recs = self.records
-        agg = {
-            "d_exact_min": min(r.d_exact for r in recs),
-            "d_exact_max": max(r.d_exact for r in recs),
-            "d_approx_min": min(r.d_approx for r in recs),
-            "d_approx_max": max(r.d_approx for r in recs),
-            "p_exact_min": min(r.p_exact for r in recs),
-            "p_exact_max": max(r.p_exact for r in recs),
-            "p_approx_min": min(r.p_approx for r in recs),
-            "p_approx_max": max(r.p_approx for r in recs),
-            "max_abs_err": max(r.abs_err for r in recs),
-            "rejections_exact": sum(r.reject_exact for r in recs),
-            "rejections_approx": sum(r.reject_approx for r in recs),
-            "decision_agreements": sum(
-                r.reject_exact == r.reject_approx for r in recs
-            ),
-        }
+        ranged = _RANGED if self.spec.with_sketch else _RANGED[:-1]
+        agg = {}
+        for k in ranged:
+            values = [getattr(r, k) for r in recs]
+            agg[f"{k}_min"], agg[f"{k}_max"] = min(values), max(values)
+        agg["max_abs_err"] = max(r.abs_err for r in recs)
+        agg["rejections_exact"] = sum(r.reject_exact for r in recs)
+        agg["rejections_approx"] = sum(r.reject_approx for r in recs)
+        agg["decision_agreements"] = sum(r.reject_exact == r.reject_approx for r in recs)
         if self.spec.with_sketch:
-            agg["d_sketch_min"] = min(r.d_sketch for r in recs)
-            agg["d_sketch_max"] = max(r.d_sketch for r in recs)
-            agg["max_sketch_err"] = max(
-                abs(r.d_sketch - r.d_exact) for r in recs
-            )
+            agg["max_sketch_err"] = max(abs(r.d_sketch - r.d_exact) for r in recs)
         return agg
 
     def to_csv(self, path) -> None:
-        write_experiment_csv(self, path)
+        """Per-replication rows, then min / max / summary aggregate rows."""
+        agg = self.aggregates()
+        rows = [asdict(r) for r in self.records]
+        for stat in ("min", "max"):
+            rows.append({"replication": stat,
+                         **{k: agg.get(f"{k}_{stat}") for k in _RANGED}})
+        rows.append({
+            "replication": "summary",
+            "d_sketch": agg.get("max_sketch_err"),
+            "reject_exact": agg["rejections_exact"],
+            "reject_approx": agg["rejections_approx"],
+            "abs_err": agg["max_abs_err"],
+        })
+        _write_csv(path, _CSV_FIELDS, rows)
 
 
 def _rep_seeds(master_seed: int, rep: int) -> tuple[int, int]:
@@ -196,13 +208,8 @@ def run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
     y = sample(spec.dist2, spec.m, seed_y)
 
     d_exact = ks.exact_ks_distance(x, y)
-    plan_x = plan_from_phi(spec.phi, spec.n)
-    plan_y = plan_from_phi(spec.phi, spec.m)
-    cdf_x = build_cdf(x, plan_x)
-    cdf_y = build_cdf(y, plan_y)
-    d_approx = ks.approx_two_sample_ks(cdf_x, cdf_y)
     p_exact = ks.p_value(d_exact, spec.n, spec.m)
-    p_approx = ks.p_value(d_approx, spec.n, spec.m)
+    approx = ks.run_test(x, y, ks.TestPrecision(alpha=spec.alpha, phi=spec.phi))
 
     extra: dict = {}
     if spec.with_sketch:
@@ -214,8 +221,8 @@ def run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
         s2.seal()
         extra = {
             "d_sketch": ks.lall_ks(s1, s2),
-            "cdf_knots_x": plan_x.a,
-            "cdf_knots_y": plan_y.a,
+            "cdf_knots_x": approx.plans[0].a,
+            "cdf_knots_y": approx.plans[1].a,
             "sketch_tuples_x": s1.tuple_count,
             "sketch_tuples_y": s2.tuple_count,
         }
@@ -223,12 +230,12 @@ def run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
         replication=rep,
         seed=spec.master_seed + rep,
         d_exact=d_exact,
-        d_approx=d_approx,
+        d_approx=approx.d,
         p_exact=p_exact,
-        p_approx=p_approx,
+        p_approx=approx.p_value,
         reject_exact=p_exact <= spec.alpha,
-        reject_approx=p_approx <= spec.alpha,
-        abs_err=abs(d_approx - d_exact),
+        reject_approx=approx.reject,
+        abs_err=abs(approx.d - d_exact),
         **extra,
     )
 
@@ -243,6 +250,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 def _csv_num(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -251,7 +260,7 @@ def _csv_num(x) -> str:
     # underflow) print as 0.0
     if 0 <= x < ks.P_VALUE_FLOOR:
         return "0.0"
-    return format(float(x), ".17g")
+    return ks.fmt17(x)
 
 
 _CSV_FIELDS = [
@@ -261,42 +270,10 @@ _CSV_FIELDS = [
 ]
 
 
-def write_experiment_csv(result: ExperimentResult, path) -> None:
-    """Per-replication rows, then min / max / summary aggregate rows."""
-    recs = result.records
-    agg = result.aggregates()
-    lines = [",".join(_CSV_FIELDS)]
-    for r in recs:
-        row = [
-            str(r.replication), str(r.seed), _csv_num(r.d_exact),
-            _csv_num(r.d_approx), _csv_num(r.d_sketch), _csv_num(r.p_exact),
-            _csv_num(r.p_approx), _csv_num(r.reject_exact),
-            _csv_num(r.reject_approx), _csv_num(r.abs_err),
-            _csv_num(r.cdf_knots_x), _csv_num(r.cdf_knots_y),
-            _csv_num(r.sketch_tuples_x), _csv_num(r.sketch_tuples_y),
-        ]
-        lines.append(",".join(row))
-    sk = result.spec.with_sketch
-    lines.append(",".join([
-        "min", "", _csv_num(agg["d_exact_min"]), _csv_num(agg["d_approx_min"]),
-        _csv_num(agg["d_sketch_min"]) if sk else "",
-        _csv_num(agg["p_exact_min"]), _csv_num(agg["p_approx_min"]),
-        "", "", "", "", "", "", "",
-    ]))
-    lines.append(",".join([
-        "max", "", _csv_num(agg["d_exact_max"]), _csv_num(agg["d_approx_max"]),
-        _csv_num(agg["d_sketch_max"]) if sk else "",
-        _csv_num(agg["p_exact_max"]), _csv_num(agg["p_approx_max"]),
-        "", "", "", "", "", "", "",
-    ]))
-    lines.append(",".join([
-        "summary", "", "", "",
-        _csv_num(agg["max_sketch_err"]) if sk else "",
-        "", "",
-        str(agg["rejections_exact"]), str(agg["rejections_approx"]),
-        _csv_num(agg["max_abs_err"]),
-        "", "", "", "",
-    ]))
+def _write_csv(path, fields: list[str], rows: list[dict]) -> None:
+    """Header plus one line per row; a field missing from a row is blank."""
+    lines = [",".join(fields)]
+    lines += [",".join(_csv_num(row.get(f)) for f in fields) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -314,6 +291,8 @@ def run_convergence(
     is the degenerate exact-quantile plan (a = n, epsilon = 0) whose error
     collapses to the knot spacing.
     """
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications}")
     rows = []
     configs = [(a, eps) for a, eps in CONVERGENCE_ROWS if a <= n]
     if include_exact_row:
@@ -337,12 +316,15 @@ def run_convergence(
     return rows
 
 
+_CONVERGENCE_FIELDS = ["a", "epsilon", "delta", "max_abs_error", "within_bound"]
+
+
 def write_convergence_csv(rows: list[dict], path) -> None:
-    lines = ["a,epsilon,delta,max_abs_error,within_bound"]
-    for r in rows:
-        lines.append(",".join([
-            str(r["a"]), _csv_num(r["epsilon"]), _csv_num(r["delta"]),
-            _csv_num(r["max_abs_error"]), "1" if r["within_bound"] else "0",
-        ]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, _CONVERGENCE_FIELDS, rows)
+
+
+def convergence_line(row: dict) -> str:
+    """Console summary of one convergence-study row."""
+    flag = "ok" if row["within_bound"] else "EXCEEDS BOUND"
+    return (f"a={row['a']:>6d} eps={row['epsilon']:<7g} delta={row['delta']:<8g}"
+            f" max|error|={row['max_abs_error']:.6g} {flag}")

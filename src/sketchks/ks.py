@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_cdf import ApproxCdf, build_cdf, eval_cdf, plan_from_phi
+from .approx_cdf import ApproxCdf, CdfPlan, build_cdf, eval_cdf, plan_from_phi
 from .gk_sketch import QuantileSketch, SketchStateError
 
 __all__ = [
@@ -36,13 +36,18 @@ __all__ = [
 P_VALUE_FLOOR = 1e-300
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def fmt17(x: float) -> str:
+    """Round-trip text of a float: 17 significant digits."""
+    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
 class KsOutcome:
-    """Result of one two-sample test."""
+    """Result of one two-sample test.
+
+    `plans` holds the CDF plans built for the two samples, in argument
+    order; it is not part of `to_json()`.
+    """
 
     d: float
     d_error_bound: float
@@ -51,6 +56,7 @@ class KsOutcome:
     m: int
     alpha: float
     reject: bool
+    plans: tuple[CdfPlan, CdfPlan] | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.d <= 1:
@@ -63,12 +69,12 @@ class KsOutcome:
     def to_json(self) -> str:
         """JSON with 17 significant digit decimals, fixed key order."""
         fields = [
-            ("d_ks", _fmt(self.d)),
-            ("d_error_bound", _fmt(self.d_error_bound)),
-            ("p_value", _fmt(self.p_value)),
+            ("d_ks", fmt17(self.d)),
+            ("d_error_bound", fmt17(self.d_error_bound)),
+            ("p_value", fmt17(self.p_value)),
             ("n", str(self.n)),
             ("m", str(self.m)),
-            ("alpha", _fmt(self.alpha)),
+            ("alpha", fmt17(self.alpha)),
             ("reject", "true" if self.reject else "false"),
         ]
         return "{" + ", ".join(f'"{k}": {v}' for k, v in fields) + "}"
@@ -242,15 +248,15 @@ def run_test(x, y, precision: TestPrecision) -> KsOutcome:
 
     Plans one CDF per sample with error budget phi/2, estimates the
     distance, and converts it to a significance decision at
-    precision.alpha.
+    precision.alpha.  The outcome carries the two plans it used.
     """
     xs = np.asarray(x, dtype=float).ravel()
     ys = np.asarray(y, dtype=float).ravel()
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be non-empty")
-    cdf1 = build_cdf(xs, plan_from_phi(precision.phi, xs.size))
-    cdf2 = build_cdf(ys, plan_from_phi(precision.phi, ys.size))
-    d = approx_two_sample_ks(cdf1, cdf2)
+    plans = (plan_from_phi(precision.phi, xs.size),
+             plan_from_phi(precision.phi, ys.size))
+    d = approx_two_sample_ks(build_cdf(xs, plans[0]), build_cdf(ys, plans[1]))
     p = p_value(d, xs.size, ys.size)
     return KsOutcome(
         d=d,
@@ -260,4 +266,5 @@ def run_test(x, y, precision: TestPrecision) -> KsOutcome:
         m=ys.size,
         alpha=precision.alpha,
         reject=p <= precision.alpha,
+        plans=plans,
     )

@@ -146,6 +146,13 @@ class TestConvergenceCommand:
         assert len(lines) == 11
         assert all(line.endswith(",1") for line in lines[1:])
 
+    def test_zero_replications_fails(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        rc = main(["convergence", "--replications", "0", "--out", str(out)])
+        assert rc == 1
+        assert "replications" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCdfCommand:
     def test_constant_file(self, tmp_path, capsys):

@@ -40,6 +40,10 @@ class TestPresets:
         with pytest.raises(ValueError):
             ex.experiment_spec(11)
 
+    def test_zero_replications(self):
+        with pytest.raises(ValueError, match="replications"):
+            ex.experiment_spec(1, replications=0)
+
 
 class TestReplications:
     def test_desk_scale_error_bound(self):
@@ -131,3 +135,7 @@ class TestConvergence:
         assert lines[0] == "a,epsilon,delta,max_abs_error,within_bound"
         # the a=501 study row is skipped at n=500; exact row appended
         assert len(lines) == 1 + 8 + 1
+
+    def test_zero_replications(self):
+        with pytest.raises(ValueError, match="replications"):
+            ex.run_convergence(n=500, replications=0)

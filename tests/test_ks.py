@@ -263,6 +263,8 @@ class TestRunTest:
         assert out.p_value > 0.9
         assert not out.reject
         assert out.d_error_bound == 0.01
+        uneven = ks.run_test(data, data[:1000], precision)
+        assert uneven.plans == (plan_from_phi(0.01, 4000), plan_from_phi(0.01, 1000))
 
     def test_variance_shift_rejects(self):
         # N(0,1) vs N(0, var 2): true distance 0.0829, observed near 0.09
