@@ -11,7 +11,7 @@ from .approx_cdf import (
     num_probs,
     plan_from_phi,
 )
-from .gk_sketch import QuantileSketch, SketchStateError, SketchTuple
+from .gk_sketch import QuantileSketch, SketchStateError
 from .ks import (
     KsOutcome,
     TestPrecision,
@@ -35,7 +35,6 @@ __all__ = [
     "KsOutcome",
     "QuantileSketch",
     "SketchStateError",
-    "SketchTuple",
     "TestPrecision",
     "approx_two_sample_ks",
     "build_cdf",

@@ -114,7 +114,7 @@ def plan_from_phi(phi: float, n: int) -> CdfPlan:
     delta = phi / 2.0
     epsilon = eps45(delta, n)
     a = num_probs(n, delta, epsilon)
-    if 1.0 / (a - 1) + epsilon > delta + _EQ_TOL:
+    if a < 3 or 1.0 / (a - 1) + epsilon > delta + _EQ_TOL:
         raise ValueError(
             f"sample of {n} points cannot reach a CDF error bound of {delta}"
         )
@@ -151,7 +151,7 @@ def build_cdf(data, plan: CdfPlan) -> ApproxCdf:
         sketch = QuantileSketch(plan.epsilon)
         sketch.extend(values.tolist())
         sketch.seal()
-        quantiles = np.asarray(sketch.query_quantiles(probs.tolist()))
+        quantiles = sketch.query_quantiles(probs)
     return ApproxCdf(plan, probs, quantiles)
 
 

@@ -57,17 +57,21 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
     return np.asarray(values, dtype=float), skipped
 
 
+def _require_one(args, first: str, second: str) -> None:
+    if (getattr(args, first) is None) == (getattr(args, second) is None):
+        raise ValueError(f"provide exactly one of --{first} or --{second}")
+
+
 def _cmd_ks2(args) -> int:
+    _require_one(args, "phi", "beta")
     x, _ = ingest(args.file_x, skip_header=args.skip_header,
                   skip_invalid=args.skip_invalid)
     y, _ = ingest(args.file_y, skip_header=args.skip_header,
                   skip_invalid=args.skip_invalid)
     if args.phi is not None:
         precision = ks.TestPrecision(alpha=args.alpha, phi=args.phi)
-    elif args.beta is not None:
-        precision = ks.TestPrecision.from_alpha_beta(args.alpha, args.beta, x.size, y.size)
     else:
-        raise ValueError("provide either --phi or --beta")
+        precision = ks.TestPrecision.from_alpha_beta(args.alpha, args.beta, x.size, y.size)
     outcome = ks.run_test(x, y, precision)
     plan_x, plan_y = outcome.plans
     params = ", ".join([
@@ -124,15 +128,14 @@ def _write_knots(path: Path, probs, quantiles) -> None:
 
 
 def _cmd_cdf(args) -> int:
+    _require_one(args, "phi", "delta")
     data, _ = ingest(args.file, skip_header=args.skip_header,
                      skip_invalid=args.skip_invalid)
     n = data.size
     if args.phi is not None:
         plan = plan_from_phi(args.phi, n)
-    elif args.delta is not None:
-        plan = plan_from_phi(2 * args.delta, n)  # doubling is exact: delta is kept
     else:
-        raise ValueError("provide either --delta or --phi")
+        plan = plan_from_phi(2 * args.delta, n)  # doubling is exact: delta is kept
     cdf = build_cdf(data, plan)
     out = Path(args.out)
     _write_knots(out, cdf.probs, cdf.quantiles)

@@ -20,22 +20,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
-__all__ = ["SketchTuple", "QuantileSketch", "SketchStateError"]
+import numpy as np
+
+__all__ = ["QuantileSketch", "SketchStateError"]
 
 
 class SketchStateError(RuntimeError):
     """Operation applied to a sketch in the wrong state (sealed/empty)."""
-
-
-@dataclass(frozen=True)
-class SketchTuple:
-    """One stored observation with its rank-tracking counters."""
-
-    value: float
-    g: int
-    delta: int
 
 
 def _band(delta: int, threshold: int) -> int:
@@ -52,11 +44,10 @@ class QuantileSketch:
     """Streaming epsilon-approximate quantile summary.
 
     Single-writer while inserting; immutable (and freely shareable) once
-    sealed.  `auto_compress=False` disables the periodic COMPRESS schedule,
-    which is only useful for inspecting the raw summary.
+    sealed.  Every read goes through `summary()`.
     """
 
-    def __init__(self, epsilon: float, auto_compress: bool = True):
+    def __init__(self, epsilon: float):
         if not 0 < epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
         self.epsilon = epsilon
@@ -65,10 +56,8 @@ class QuantileSketch:
         self._delta: list[int] = []
         self._count = 0
         self._sealed = False
-        self._auto_compress = auto_compress
         # compress every floor(1/(2*eps)) insertions
         self._period = max(1, math.floor(1.0 / (2.0 * epsilon)))
-        self._ranks: tuple[list[int], list[int]] | None = None
 
     @property
     def count(self) -> int:
@@ -79,19 +68,8 @@ class QuantileSketch:
         return self._sealed
 
     @property
-    def tuples(self) -> tuple[SketchTuple, ...]:
-        return tuple(
-            SketchTuple(v, g, d)
-            for v, g, d in zip(self._values, self._g, self._delta)
-        )
-
-    @property
     def tuple_count(self) -> int:
         return len(self._values)
-
-    @property
-    def stored_values(self) -> tuple[float, ...]:
-        return tuple(self._values)
 
     def insert(self, value: float) -> None:
         """Add one observation; triggers COMPRESS on the periodic schedule."""
@@ -109,8 +87,7 @@ class QuantileSketch:
         self._values.insert(pos, value)
         self._g.insert(pos, 1)
         self._delta.insert(pos, delta)
-        self._ranks = None
-        if self._auto_compress and self._count % self._period == 0:
+        if self._count % self._period == 0:
             self.compress()
 
     def extend(self, values) -> None:
@@ -151,86 +128,72 @@ class QuantileSketch:
         kept_g.reverse()
         kept_d.reverse()
         self._values, self._g, self._delta = kept_v, kept_g, kept_d
-        self._ranks = None
 
     def seal(self) -> "QuantileSketch":
         """Freeze the sketch; queries remain available, insertion does not."""
         self._sealed = True
         return self
 
-    def _rank_arrays(self) -> tuple[list[int], list[int]]:
-        if self._ranks is None:
-            rmin: list[int] = []
-            rmax: list[int] = []
-            acc = 0
-            for g, d in zip(self._g, self._delta):
-                acc += g
-                rmin.append(acc)
-                rmax.append(acc + d)
-            self._ranks = (rmin, rmax)
-        return self._ranks
+    def summary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stored values with their rank bounds: (values, r_min, r_max).
+
+        r_min = cumsum(g) and r_max = r_min + delta, as fresh arrays.
+        """
+        rmin = np.cumsum(np.asarray(self._g, dtype=np.int64))
+        return (np.asarray(self._values, dtype=float), rmin,
+                rmin + np.asarray(self._delta, dtype=np.int64))
 
     def query_quantile(self, p: float) -> float:
-        """Value whose rank satisfies the eps-approximate quantile contract.
+        """One-probability form of `query_quantiles`."""
+        return float(self.query_quantiles([p])[0])
 
-        Scans the cumulative rank intervals and returns the first stored
-        value whose [r_min, r_max] fits inside
-        [floor((p-eps)n), ceil((p+eps)n)].  Requests below 1/n are answered
-        as p = 1/n; p = 1 returns the maximum.
+    def query_quantiles(self, probs) -> np.ndarray:
+        """Quantile answers for a non-decreasing grid of p in (0, 1].
+
+        Each p is answered by the first stored value with r_min >= lo =
+        floor((p-eps)n); p = 1 returns the maximum.  That value also has
+        r_max <= hi = ceil((p+eps)n), so its rank satisfies the
+        eps-approximate contract: every tuple keeps g + delta <=
+        floor(2*eps*n) + 1 and its left neighbour has r_min <= lo - 1, so
+        r_max <= lo + floor(2*eps*n) <= hi.  The first tuple is the minimum
+        with r_max = 1 <= hi; it answers every p <= 1/n, as lo <= 1 there.
+        A summary that fails the check raises SketchStateError.  Answers are
+        non-decreasing because the targets are.
         """
+        probs = np.asarray(probs, dtype=float)
+        if probs.ndim != 1 or probs.size == 0:
+            raise ValueError("probs must be a non-empty 1-d sequence")
+        if np.any(probs[1:] < probs[:-1]):
+            raise ValueError("probs must be non-decreasing")
         if self._count == 0:
             raise SketchStateError("cannot query an empty sketch")
-        if not 0 < p <= 1:
-            raise ValueError(f"p must be in (0, 1], got {p}")
-        if p == 1.0:
-            return self._values[-1]
+        bad = probs[~((probs > 0) & (probs <= 1))]
+        if bad.size:
+            raise ValueError(f"p must be in (0, 1], got {bad[0]}")
         n = self._count
-        p = max(p, 1.0 / n)
-        lo = math.floor((p - self.epsilon) * n)
-        hi = math.ceil((p + self.epsilon) * n)
-        rmin, rmax = self._rank_arrays()
-        start = bisect.bisect_left(rmin, lo)
-        for i in range(start, len(rmin)):
-            if rmax[i] <= hi:
-                return self._values[i]
-        return self._values[-1]
+        values, rmin, rmax = self.summary()
+        lo = np.floor((probs - self.epsilon) * n)
+        hi = np.ceil((probs + self.epsilon) * n)
+        idx = np.searchsorted(rmin, lo, side="left")
+        idx[probs == 1.0] = values.size - 1
+        if np.any(rmax[idx] > hi):
+            raise SketchStateError("summary breaks the GK rank contract")
+        return values[idx]
 
-    def query_quantiles(self, probs) -> list[float]:
-        """Element-wise quantile queries for a non-decreasing probability grid.
+    def rank_bounds(self, x):
+        """Interval [r_min, r_max] containing the exact rank of x.
 
-        Results are clamped to be non-decreasing; GK answers already are for
-        monotone targets, the clamp is a defensive guarantee.
-        """
-        probs = list(probs)
-        if not probs:
-            raise ValueError("probs must be non-empty")
-        if any(b < a for a, b in zip(probs, probs[1:])):
-            raise ValueError("probs must be non-decreasing")
-        out: list[float] = []
-        for p in probs:
-            q = self.query_quantile(p)
-            if out and q < out[-1]:
-                q = out[-1]
-            out.append(q)
-        return out
-
-    def rank_bounds(self, value: float) -> tuple[int, int]:
-        """Interval [r_min, r_max] containing the exact rank of `value`.
-
-        Rank means the number of stream items <= value, so anything below
-        the minimum maps to (0, 0) and anything at or above the maximum to
-        (n, n).  Interval width is at most 2*eps*n + 1.
+        Rank means the number of stream items <= x, so anything below the
+        minimum maps to (0, 0) and anything at or above the maximum to
+        (n, n).  Interval width is at most 2*eps*n + 1.  x may be a scalar
+        or an array; the bounds have its shape.
         """
         if not self._sealed:
             raise SketchStateError("rank_bounds requires a sealed sketch")
         if self._count == 0:
             raise SketchStateError("cannot query an empty sketch")
-        if value < self._values[0]:
-            return (0, 0)
-        if value > self._values[-1]:
-            return (self._count, self._count)
-        i = bisect.bisect_right(self._values, value) - 1
-        rmin, rmax = self._rank_arrays()
-        if i == len(self._values) - 1:
-            return (self._count, self._count)
-        return (rmin[i], rmax[i + 1] - 1)
+        values, rmin, rmax = self.summary()
+        i = np.searchsorted(values, x, side="right")
+        lower = np.concatenate(([0], rmin))
+        upper = np.concatenate(([0], rmax[1:] - 1, [self._count]))
+        return lower[i], upper[i]

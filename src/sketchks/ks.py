@@ -231,16 +231,11 @@ def lall_ks(sketch1: QuantileSketch, sketch2: QuantileSketch) -> float:
             raise SketchStateError("lall_ks requires sealed sketches")
         if s.count == 0:
             raise SketchStateError("lall_ks requires non-empty sketches")
-    values = sorted(set(sketch1.stored_values) | set(sketch2.stored_values))
+    values = np.union1d(sketch1.summary()[0], sketch2.summary()[0])
+    lo1, hi1 = sketch1.rank_bounds(values)
+    lo2, hi2 = sketch2.rank_bounds(values)
     n, m = sketch1.count, sketch2.count
-    best = 0.0
-    for v in values:
-        lo1, hi1 = sketch1.rank_bounds(v)
-        lo2, hi2 = sketch2.rank_bounds(v)
-        diff = abs((lo1 + hi1) / (2.0 * n) - (lo2 + hi2) / (2.0 * m))
-        if diff > best:
-            best = diff
-    return best
+    return float(np.max(np.abs((lo1 + hi1) / (2.0 * n) - (lo2 + hi2) / (2.0 * m))))
 
 
 def run_test(x, y, precision: TestPrecision) -> KsOutcome:

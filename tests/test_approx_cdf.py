@@ -76,6 +76,9 @@ class TestPlanFromPhi:
         for bad in (0.0, 2.0, -0.1):
             with pytest.raises(ValueError):
                 plan_from_phi(bad, 1000)
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="cannot reach"):
+                plan_from_phi(0.5, n)
 
     def test_impossible_precision_raises(self):
         with pytest.raises(ValueError, match="cannot reach"):

@@ -97,6 +97,35 @@ class TestKs2Command:
         assert rc == 1
         assert "phi" in capsys.readouterr().err
 
+    def test_one_line_file_fails(self, tmp_path, capsys):
+        f = tmp_path / "one.txt"
+        f.write_text("1.5\n")
+        rc = main(["ks2", "--file-x", str(f), "--file-y", str(f), "--phi", "0.05"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sketchks: error:")
+        assert "cannot reach" in err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("ks2", ["--phi", "0.05", "--beta", "0.025"]),
+    ("ks2", []),
+    ("cdf", ["--phi", "0.05", "--delta", "0.2"]),
+    ("cdf", []),
+])
+def test_exactly_one_precision_flag(tmp_path, normal_files, capsys, command, flags):
+    f = str(normal_files("x.txt", 0, 500, 4))
+    out = tmp_path / "knots.csv"
+    files = (["--file-x", f, "--file-y", f] if command == "ks2"
+             else ["--file", f, "--out", str(out)])
+    rc = main([command, *files, *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    other = "--beta" if command == "ks2" else "--delta"
+    assert f"provide exactly one of --phi or {other}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_runs_and_is_deterministic(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Greenwald-Khanna summary: rank guarantees, invariants, maintenance."""
 
+import bisect
 import math
 
 import numpy as np
@@ -22,15 +23,37 @@ def eq4_holds(stream, eps, p, answer):
 
 
 def check_invariants(sketch):
-    tuples = sketch.tuples
-    assert sum(t.g for t in tuples) == sketch.count
-    values = [t.value for t in tuples]
-    assert values == sorted(values)
+    values, rmin, rmax = sketch.summary()
+    g = np.diff(rmin, prepend=0)
+    delta = rmax - rmin
+    assert g.sum() == sketch.count
+    assert values.tolist() == sorted(values.tolist())
     threshold = math.floor(2 * sketch.epsilon * sketch.count)
-    for t in tuples:
-        assert t.g >= 1
-        assert t.delta >= 0
-        assert t.g + t.delta <= threshold + 1
+    assert np.all(g >= 1)
+    assert np.all(delta >= 0)
+    assert np.all(g + delta <= threshold + 1)
+
+
+def reference_quantiles(sketch, probs):
+    """Scalar read path kept as an oracle: per p, bisect on r_min, then the
+    first stored value with r_max <= hi (the maximum if none), clamped to be
+    non-decreasing."""
+    values, rmin, rmax = (a.tolist() for a in sketch.summary())
+    n, eps = sketch.count, sketch.epsilon
+    out = []
+    for p in probs:
+        q = values[-1]
+        if p != 1.0:
+            p = max(p, 1.0 / n)
+            lo = math.floor((p - eps) * n)
+            hi = math.ceil((p + eps) * n)
+            start = bisect.bisect_left(rmin, lo)
+            q = next((values[i] for i in range(start, len(rmin)) if rmax[i] <= hi),
+                     values[-1])
+        if out and q < out[-1]:
+            q = out[-1]
+        out.append(q)
+    return out
 
 
 class TestInsert:
@@ -39,15 +62,16 @@ class TestInsert:
         for v in [5, 1, 3, 2, 4, 6, 0]:
             s.insert(v)
         s.seal()
-        assert sum(t.g for t in s.tuples) == 7
+        assert s.summary()[1][-1] == 7
         assert s.count == 7
 
     def test_extremes_retained(self):
         s = QuantileSketch(0.1)
         s.extend(range(1, 101))
         assert s.tuple_count <= 100
-        assert s.tuples[0].value == 1
-        assert s.tuples[-1].value == 100
+        values = s.summary()[0]
+        assert values[0] == 1
+        assert values[-1] == 100
 
     def test_identity_permutation_rank_bounds(self):
         # sorted integers: value == rank, so every query is directly checkable
@@ -88,17 +112,17 @@ class TestCompress:
         assert s.tuple_count == 0 and s.count == 0
 
     def test_compress_shrinks_uncompressed_stream(self):
-        s = QuantileSketch(0.05, auto_compress=False)
+        s = QuantileSketch(0.05)
         s.extend(float(v) for v in range(1, 1001))
-        assert s.tuple_count == 1000
+        before = s.tuple_count
         s.compress()
-        assert s.tuple_count < 1000
+        assert s.tuple_count <= before < 1000
         check_invariants(s)
 
     def test_post_compress_rank_bounds(self):
         rng = np.random.default_rng(7)
         stream = rng.normal(size=1000).tolist()
-        s = QuantileSketch(0.05, auto_compress=False)
+        s = QuantileSketch(0.05)
         s.extend(stream)
         s.compress()
         s.seal()
@@ -146,13 +170,13 @@ class TestQuantileQueries:
     def test_query_quantiles_p1_is_max(self):
         s = QuantileSketch(0.1)
         s.extend([3.0, 9.0, 1.0])
-        assert s.query_quantiles([1.0]) == [9.0]
+        assert s.query_quantiles([1.0]).tolist() == [9.0]
 
     def test_query_quantiles_monotone(self):
         stream = list(range(1, 101))
         s = QuantileSketch(0.1)
         s.extend(stream)
-        out = s.query_quantiles([0.25, 0.5, 0.75])
+        out = s.query_quantiles([0.25, 0.5, 0.75]).tolist()
         assert out == sorted(out)
         for p, v in zip([0.25, 0.5, 0.75], out):
             assert eq4_holds(stream, 0.1, p, v)
@@ -166,7 +190,7 @@ class TestQuantileQueries:
         s.seal()
         n = 10000
         probs = [1 / n + i * (1 - 1 / n) / 10 for i in range(11)]
-        out = s.query_quantiles(probs)
+        out = s.query_quantiles(probs).tolist()
         assert len(out) == 11
         assert out == sorted(out)
         for p, v in zip(probs, out):
@@ -226,7 +250,8 @@ class TestDeterminismAndSpace:
         a.extend(stream)
         b = QuantileSketch(0.02)
         b.extend(stream)
-        assert a.tuples == b.tuples
+        for x, y in zip(a.summary(), b.summary()):
+            assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("eps,n", [(0.1, 5000), (0.01, 20000), (0.001, 20000)])
     def test_space_soft_bound(self, eps, n):
@@ -270,6 +295,45 @@ def test_conservation_after_every_insert(values, eps):
     s = QuantileSketch(eps)
     for v in values:
         s.insert(v)
-        assert sum(t.g for t in s.tuples) == s.count
+        assert s.summary()[1][-1] == s.count
     s.compress()
     check_invariants(s)
+
+
+def _stream(kind, n, seed):
+    data = np.random.default_rng(seed).normal(size=n).round(1)  # ties
+    if kind == "sorted":
+        data = np.sort(data)
+    elif kind == "reversed":
+        data = np.sort(data)[::-1]
+    return data.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["as drawn", "sorted", "reversed"]),
+    n=st.integers(min_value=1, max_value=4000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    eps=st.sampled_from([0.1, 0.01, 0.001]),
+    probs=st.lists(st.floats(min_value=0, max_value=1, exclude_min=True),
+                   min_size=1, max_size=40).map(sorted),
+)
+def test_query_quantiles_matches_scalar_reference(kind, n, seed, eps, probs):
+    s = QuantileSketch(eps)
+    s.extend(_stream(kind, n, seed))
+    s.seal()
+    knots = [1 / n + i * (1 - 1 / n) / 49 for i in range(49)] + [1.0]
+    for grid in (probs, knots):
+        assert s.query_quantiles(grid).tolist() == reference_quantiles(s, grid)
+
+
+def test_broken_rank_contract_raises():
+    s = QuantileSketch(0.01)
+    s.extend(float(v) for v in range(1, 10001))
+    s.seal()
+    s._delta[1:-1] = [s.count] * (s.tuple_count - 2)
+    assert reference_quantiles(s, [0.5]) == [10000.0]  # the silent maximum
+    with pytest.raises(SketchStateError, match="rank contract"):
+        s.query_quantiles([0.5])
+    with pytest.raises(SketchStateError, match="rank contract"):
+        s.query_quantile(0.5)

@@ -1,5 +1,6 @@
 """KS distances, significance function, critical values, sketch-direct test."""
 
+import bisect
 import json
 import math
 
@@ -26,6 +27,34 @@ def brute_force_ks(x, y):
         f1 = sum(1 for v in x if v <= t) / len(x)
         f2 = sum(1 for v in y if v <= t) / len(y)
         best = max(best, abs(f1 - f2))
+    return best
+
+
+def reference_rank_bounds(sketch, v):
+    """Scalar rank interval kept as an oracle: four branches on one value."""
+    values, rmin, rmax = (a.tolist() for a in sketch.summary())
+    n = sketch.count
+    if v < values[0]:
+        return (0, 0)
+    if v > values[-1]:
+        return (n, n)
+    i = bisect.bisect_right(values, v) - 1
+    if i == len(values) - 1:
+        return (n, n)
+    return (rmin[i], rmax[i + 1] - 1)
+
+
+def reference_lall(sketch1, sketch2):
+    """Per-value loop kept as an oracle for lall_ks."""
+    stored = set(sketch1.summary()[0].tolist()) | set(sketch2.summary()[0].tolist())
+    n, m = sketch1.count, sketch2.count
+    best = 0.0
+    for v in sorted(stored):
+        lo1, hi1 = reference_rank_bounds(sketch1, v)
+        lo2, hi2 = reference_rank_bounds(sketch2, v)
+        diff = abs((lo1 + hi1) / (2.0 * n) - (lo2 + hi2) / (2.0 * m))
+        if diff > best:
+            best = diff
     return best
 
 
@@ -323,3 +352,31 @@ class TestKsOutcomeJson:
 )
 def test_exact_distance_equals_brute_force(x, y):
     assert ks.exact_ks_distance(x, y) == pytest.approx(brute_force_ks(x, y), abs=1e-12)
+
+
+def _sealed_stream(kind, n, seed, eps):
+    data = np.random.default_rng(seed).normal(size=n).round(1)  # ties
+    if kind == "sorted":
+        data = np.sort(data)
+    elif kind == "reversed":
+        data = np.sort(data)[::-1]
+    s = QuantileSketch(eps)
+    s.extend(data.tolist())
+    return s.seal()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kinds=st.tuples(*[st.sampled_from(["as drawn", "sorted", "reversed"])] * 2),
+    sizes=st.tuples(*[st.integers(min_value=1, max_value=3000)] * 2),
+    seed=st.integers(min_value=0, max_value=2**32 - 2),
+    eps=st.sampled_from([0.1, 0.01, 0.001]),
+)
+def test_lall_and_rank_bounds_match_scalar_reference(kinds, sizes, seed, eps):
+    s1 = _sealed_stream(kinds[0], sizes[0], seed, eps)
+    s2 = _sealed_stream(kinds[1], sizes[1], seed + 1, eps)
+    assert ks.lall_ks(s1, s2) == reference_lall(s1, s2)
+    probes = np.concatenate((s2.summary()[0], [-10.0, 10.0, 0.05, 0.0]))
+    lo, hi = s1.rank_bounds(probes)
+    assert list(zip(lo.tolist(), hi.tolist())) == [
+        reference_rank_bounds(s1, v) for v in probes.tolist()]
