@@ -1,9 +1,9 @@
 """Command-line front end: single tests, data ingestion, experiment harness.
 
-Commands: ks2 (one test, JSON to stdout), experiment / lall-compare
-(replicated synthetic runs, CSV), convergence (CDF error study, CSV), cdf
-(knot export for plotting).  All commands are deterministic given --seed
-(default: env SKETCHKS_SEED, then 1729).
+Commands: ks2 (one test, JSON to stdout), experiment (replicated synthetic
+runs, CSV), convergence (CDF error study, CSV), cdf (knot export for
+plotting).  Every command is byte-deterministic; experiment and convergence
+draw their samples from --seed (default: env SKETCHKS_SEED, then 1729).
 """
 
 from __future__ import annotations
@@ -57,13 +57,9 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
     return np.asarray(values, dtype=float), skipped
 
 
-def _require_one(args, first: str, second: str) -> None:
-    if (getattr(args, first) is None) == (getattr(args, second) is None):
-        raise ValueError(f"provide exactly one of --{first} or --{second}")
-
-
 def _cmd_ks2(args) -> int:
-    _require_one(args, "phi", "beta")
+    if (args.phi is None) == (args.beta is None):
+        raise ValueError("provide exactly one of --phi or --beta")
     x, _ = ingest(args.file_x, skip_header=args.skip_header,
                   skip_invalid=args.skip_invalid)
     y, _ = ingest(args.file_y, skip_header=args.skip_header,
@@ -89,9 +85,7 @@ def _cmd_ks2(args) -> int:
     return 0
 
 
-def _cmd_experiment(args, *, lall_only: bool = False) -> int:
-    if lall_only and args.id not in range(6, 11):
-        raise ValueError("lall-compare supports experiment ids 6-10 only")
+def _cmd_experiment(args) -> int:
     spec = experiments.experiment_spec(
         args.id,
         replications=args.replications,
@@ -128,14 +122,10 @@ def _write_knots(path: Path, probs, quantiles) -> None:
 
 
 def _cmd_cdf(args) -> int:
-    _require_one(args, "phi", "delta")
     data, _ = ingest(args.file, skip_header=args.skip_header,
                      skip_invalid=args.skip_invalid)
     n = data.size
-    if args.phi is not None:
-        plan = plan_from_phi(args.phi, n)
-    else:
-        plan = plan_from_phi(2 * args.delta, n)  # doubling is exact: delta is kept
+    plan = plan_from_phi(2 * args.delta, n)  # doubling is exact: delta is kept
     cdf = build_cdf(data, plan)
     out = Path(args.out)
     _write_knots(out, cdf.probs, cdf.quantiles)
@@ -148,11 +138,6 @@ def _cmd_cdf(args) -> int:
     return 0
 
 
-def _default_seed() -> int:
-    env = os.environ.get(_SEED_ENV)
-    return int(env) if env else experiments.DEFAULT_SEED
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sketchks",
@@ -160,8 +145,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=_default_seed(),
+    def add_seed(p):
+        # a string default is converted by type=int only when the flag is
+        # absent, so a bad environment value fails just the commands that read it
+        p.add_argument("--seed", type=int,
+                       default=os.environ.get(_SEED_ENV) or experiments.DEFAULT_SEED,
                        help=f"master seed (default: ${_SEED_ENV} or "
                             f"{experiments.DEFAULT_SEED})")
 
@@ -182,42 +170,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exit-on-reject", action="store_true",
                    help="exit with status 2 when the null is rejected")
     add_file_flags(p)
-    add_common(p)
     p.set_defaults(func=_cmd_ks2)
 
-    for name, lall in (("experiment", False), ("lall-compare", True)):
-        p = sub.add_parser(
-            name,
-            help="run one synthetic experiment to CSV"
-            if not lall else "experiment restricted to the sketch-comparison ids 6-10",
-        )
-        p.add_argument("--id", type=int, required=True, choices=range(1, 11))
-        p.add_argument("--replications", type=int, default=20)
-        p.add_argument("--n", type=int, default=None,
-                       help="override sample-1 size (re-derives phi for ids 1-5)")
-        p.add_argument("--m", type=int, default=None,
-                       help="override sample-2 size (re-derives phi for ids 1-5)")
-        p.add_argument("--out", required=True)
-        add_common(p)
-        p.set_defaults(func=lambda a, _l=lall: _cmd_experiment(a, lall_only=_l))
+    p = sub.add_parser("experiment", help="run one synthetic experiment to CSV")
+    p.add_argument("--id", type=int, required=True, choices=range(1, 11))
+    p.add_argument("--replications", type=int, default=20)
+    p.add_argument("--n", type=int, default=None,
+                   help="override sample-1 size (re-derives phi for ids 1-5)")
+    p.add_argument("--m", type=int, default=None,
+                   help="override sample-2 size (re-derives phi for ids 1-5)")
+    p.add_argument("--out", required=True)
+    add_seed(p)
+    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("convergence", help="CDF approximation error study")
     p.add_argument("--replications", type=int, default=20)
     p.add_argument("--out", required=True)
-    add_common(p)
+    add_seed(p)
     p.set_defaults(func=_cmd_convergence)
 
     p = sub.add_parser("cdf", help="export approximate CDF knots as CSV")
     p.add_argument("--file", required=True)
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--delta", type=float, required=True,
                    help="CDF error bound; epsilon and knot count follow")
-    p.add_argument("--phi", type=float, default=None,
-                   help="KS precision; equivalent to --delta phi/2")
     p.add_argument("--out", required=True)
     p.add_argument("--with-exact", action="store_true",
                    help="also write the full empirical CDF next to --out")
     add_file_flags(p)
-    add_common(p)
     p.set_defaults(func=_cmd_cdf)
     return parser
 

@@ -88,7 +88,7 @@ class ExperimentSpec:
     alpha: float
     phi: float
     beta: float | None = None
-    sketch_epsilon: float | None = None
+    with_sketch: bool = False
     replications: int = 20
     master_seed: int = DEFAULT_SEED
 
@@ -98,8 +98,9 @@ class ExperimentSpec:
                 f"replications must be at least 1, got {self.replications}")
 
     @property
-    def with_sketch(self) -> bool:
-        return self.sketch_epsilon is not None
+    def sketch_epsilon(self) -> float | None:
+        """GK accuracy of the lall_ks sketches: phi/6, where its precision holds."""
+        return self.phi / 6.0 if self.with_sketch else None
 
 
 def experiment_spec(
@@ -131,7 +132,7 @@ def experiment_spec(
         m = size if m is None else m
         return ExperimentSpec(
             id=exp_id, dist1=d1, dist2=d2, n=n, m=m, alpha=0.05,
-            phi=precision, sketch_epsilon=precision / 6.0,
+            phi=precision, with_sketch=True,
             replications=replications, master_seed=master_seed,
         )
     raise ValueError(f"experiment id must be 1..10, got {exp_id}")
@@ -283,37 +284,33 @@ def run_convergence(
     n: int = 10000,
     replications: int = 20,
     master_seed: int = DEFAULT_SEED,
-    include_exact_row: bool = True,
 ) -> list[dict]:
     """Max CDF approximation error over seeded standard-normal samples.
 
-    One output row per (a, epsilon) configuration; the optional final row
-    is the degenerate exact-quantile plan (a = n, epsilon = 0) whose error
-    collapses to the knot spacing.
+    One output row per (a, epsilon) configuration; the final row is the
+    degenerate exact-quantile plan (a = n, epsilon = 0) whose error
+    collapses to the knot spacing.  Each replication's sample and exact
+    CDF are computed once and shared by every configuration.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
-    rows = []
-    configs = [(a, eps) for a, eps in CONVERGENCE_ROWS if a <= n]
-    if include_exact_row:
-        configs.append((n, 0.0))
-    for a, eps in configs:
-        delta = 1.0 / (a - 1) + eps
-        plan = CdfPlan(n=n, delta=delta, epsilon=eps, a=a)
-        worst = 0.0
-        for rep in range(replications):
-            data = sample(normal(0, 1), n, master_seed + rep)
-            cdf = build_cdf(data, plan)
-            err = np.max(np.abs(eval_cdf(cdf, data) - empirical_cdf(data, data)))
-            worst = max(worst, float(err))
-        rows.append({
-            "a": a,
-            "epsilon": eps,
-            "delta": delta,
-            "max_abs_error": worst,
-            "within_bound": worst <= error_bound(plan),
-        })
-    return rows
+    configs = [(a, eps) for a, eps in CONVERGENCE_ROWS if a <= n] + [(n, 0.0)]
+    plans = [CdfPlan(n=n, delta=1.0 / (a - 1) + eps, epsilon=eps, a=a)
+             for a, eps in configs]
+    worst = [0.0] * len(plans)
+    for rep in range(replications):
+        data = sample(normal(0, 1), n, master_seed + rep)
+        exact = empirical_cdf(data, data)
+        for i, plan in enumerate(plans):
+            err = np.max(np.abs(eval_cdf(build_cdf(data, plan), data) - exact))
+            worst[i] = max(worst[i], float(err))
+    return [{
+        "a": plan.a,
+        "epsilon": plan.epsilon,
+        "delta": plan.delta,
+        "max_abs_error": w,
+        "within_bound": w <= error_bound(plan),
+    } for plan, w in zip(plans, worst)]
 
 
 _CONVERGENCE_FIELDS = ["a", "epsilon", "delta", "max_abs_error", "within_bound"]

@@ -85,29 +85,25 @@ class TestPrecision:
     """Significance level plus the precision budget for the distance estimate.
 
     `phi` is the required precision in the KS distance; each of the two CDFs
-    gets an error budget of phi/2.  When derived from a p-value precision
-    `beta`, phi is the smaller shift of the critical distance between alpha
-    and alpha +/- beta.
+    gets an error budget of phi/2.  `from_alpha_beta` derives phi from a
+    p-value precision beta: the smaller shift of the critical distance
+    between alpha and alpha +/- beta.
     """
 
     alpha: float
     phi: float
-    beta: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0 < self.phi < 2:
             raise ValueError(f"phi must be in (0, 2), got {self.phi}")
-        if self.beta is not None:
-            if not 0 < self.alpha - self.beta < 1 or not 0 < self.alpha + self.beta < 1:
-                raise ValueError("alpha +/- beta must both be in (0, 1)")
 
     @classmethod
     def from_alpha_beta(
         cls, alpha: float, beta: float, n: int, m: int
     ) -> "TestPrecision":
-        return cls(alpha=alpha, phi=phi_for_test(alpha, beta, n, m), beta=beta)
+        return cls(alpha=alpha, phi=phi_for_test(alpha, beta, n, m))
 
 
 def exact_ks_distance(x, y) -> float:
@@ -184,6 +180,8 @@ def d_crit(alpha: float, n: int, m: int) -> float:
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if n < 1 or m < 1:
+        raise ValueError("sample sizes must be positive")
     lo, hi = 1e-6, 10.0
     lam = 0.5 * (lo + hi)
     for _ in range(200):

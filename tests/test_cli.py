@@ -110,21 +110,55 @@ class TestKs2Command:
 @pytest.mark.parametrize("command,flags", [
     ("ks2", ["--phi", "0.05", "--beta", "0.025"]),
     ("ks2", []),
-    ("cdf", ["--phi", "0.05", "--delta", "0.2"]),
-    ("cdf", []),
 ])
-def test_exactly_one_precision_flag(tmp_path, normal_files, capsys, command, flags):
+def test_exactly_one_precision_flag(normal_files, capsys, command, flags):
+    f = str(normal_files("x.txt", 0, 500, 4))
+    rc = main([command, "--file-x", f, "--file-y", f, *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "provide exactly one of --phi or --beta" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("ks2", ["--phi", "0.05"]),
+    ("cdf", ["--delta", "0.2"]),
+])
+def test_seed_only_on_sampling_commands(tmp_path, normal_files, capsys, command, flags):
     f = str(normal_files("x.txt", 0, 500, 4))
     out = tmp_path / "knots.csv"
     files = (["--file-x", f, "--file-y", f] if command == "ks2"
              else ["--file", f, "--out", str(out)])
-    rc = main([command, *files, *flags])
-    assert rc == 1
-    captured = capsys.readouterr()
-    other = "--beta" if command == "ks2" else "--delta"
-    assert f"provide exactly one of --phi or {other}" in captured.err
-    assert captured.out == ""
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, *flags, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestBadSeedEnvironment:
+    @pytest.fixture(autouse=True)
+    def bad_seed(self, monkeypatch):
+        monkeypatch.setenv("SKETCHKS_SEED", "abc")
+
+    def test_file_commands_ignore_it(self, tmp_path, normal_files, capsys):
+        f = str(normal_files("x.txt", 0, 500, 4))
+        out = tmp_path / "knots.csv"
+        assert main(["ks2", "--file-x", f, "--file-y", f, "--phi", "0.05"]) == 0
+        assert main(["cdf", "--file", f, "--delta", "0.2", "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["experiment", "--id", "3"],
+        ["convergence"],
+    ])
+    def test_sampling_commands_reject_it(self, tmp_path, capsys, args):
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExperimentCommand:
@@ -148,14 +182,18 @@ class TestExperimentCommand:
                      "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_lall_compare_restricted(self, tmp_path, capsys):
-        rc = main(["lall-compare", "--id", "2", "--out", str(tmp_path / "x.csv")])
+    def test_zero_sample_size_fails(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["experiment", "--id", "1", "--n", "0", "--out", str(out)])
         assert rc == 1
-        assert "6-10" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("sketchks: error:")
+        assert "sample sizes must be positive" in err
+        assert not out.exists()
 
     def test_lall_compare_runs(self, tmp_path, capsys):
         out = tmp_path / "l.csv"
-        rc = main(["lall-compare", "--id", "6", "--replications", "1",
+        rc = main(["experiment", "--id", "6", "--replications", "1",
                    "--n", "1500", "--m", "1500", "--seed", "3",
                    "--out", str(out)])
         assert rc == 0
@@ -220,5 +258,9 @@ class TestCdfCommand:
     def test_requires_delta_or_phi(self, tmp_path, capsys):
         f = tmp_path / "d.txt"
         f.write_text("1\n2\n3\n4\n")
-        rc = main(["cdf", "--file", str(f), "--out", str(tmp_path / "o.csv")])
-        assert rc == 1
+        out = tmp_path / "o.csv"
+        for flags in ([], ["--phi", "0.05"], ["--phi", "0.05", "--delta", "0.2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["cdf", "--file", str(f), "--out", str(out), *flags])
+            assert exc.value.code == 2
+        assert not out.exists()

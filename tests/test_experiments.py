@@ -4,6 +4,7 @@ import pytest
 
 import sketchks.ks as ks
 from sketchks import experiments as ex
+from sketchks.synth import sample
 
 
 class TestPresets:
@@ -27,6 +28,15 @@ class TestPresets:
         assert (s10.n, s10.m) == (84000, 84000)
         assert s10.phi == 0.002
         assert s10.sketch_epsilon == pytest.approx(0.002 / 6)
+
+    @pytest.mark.parametrize("exp_id", range(1, 11))
+    def test_sketch_epsilon_is_phi_over_six(self, exp_id):
+        spec = ex.experiment_spec(exp_id)
+        if exp_id >= 6:
+            assert spec.with_sketch
+            assert spec.sketch_epsilon == spec.phi / 6
+        else:
+            assert not spec.with_sketch and spec.sketch_epsilon is None
 
     def test_size_override_rederives_phi(self):
         desk = ex.experiment_spec(1, n=2000, m=2000)
@@ -139,3 +149,15 @@ class TestConvergence:
     def test_zero_replications(self):
         with pytest.raises(ValueError, match="replications"):
             ex.run_convergence(n=500, replications=0)
+
+    def test_one_sample_per_replication(self, monkeypatch):
+        calls = []
+
+        def counting_sample(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(ex, "sample", counting_sample)
+        rows = ex.run_convergence(n=500, replications=3)
+        assert len(rows) == 9
+        assert [seed for *_, seed in calls] == [ex.DEFAULT_SEED + rep for rep in range(3)]

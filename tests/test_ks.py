@@ -219,6 +219,9 @@ class TestDCrit:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 ks.d_crit(bad, 10, 10)
+        for n, m in ((0, 10), (10, 0), (-3, 10)):
+            with pytest.raises(ValueError, match="sample sizes must be positive"):
+                ks.d_crit(0.05, n, m)
 
 
 class TestPhiForTest:
@@ -239,6 +242,8 @@ class TestPhiForTest:
             ks.phi_for_test(0.05, 0.06, 100, 100)
         with pytest.raises(ValueError):
             ks.phi_for_test(0.97, 0.05, 100, 100)
+        with pytest.raises(ValueError, match="sample sizes must be positive"):
+            ks.phi_for_test(0.05, 0.025, 0, 10)
 
 
 class TestLallKs:
@@ -297,7 +302,7 @@ class TestRunTest:
 
     def test_variance_shift_rejects(self):
         # N(0,1) vs N(0, var 2): true distance 0.0829, observed near 0.09
-        precision = ks.TestPrecision(alpha=0.05, phi=0.000399, beta=0.025)
+        precision = ks.TestPrecision(alpha=0.05, phi=0.000399)
         for rep in range(3):
             x = sample(normal(0, 1), 10000, 100 + 2 * rep)
             y = sample(normal(0, math.sqrt(2)), 10000, 101 + 2 * rep)
@@ -311,7 +316,7 @@ class TestRunTest:
 
     def test_precision_validation(self):
         with pytest.raises(ValueError):
-            ks.TestPrecision(alpha=0.05, phi=0.01, beta=0.06)
+            ks.TestPrecision.from_alpha_beta(0.05, 0.06, 10**4, 10**4)
         with pytest.raises(ValueError):
             ks.TestPrecision(alpha=1.5, phi=0.01)
 
