@@ -149,7 +149,7 @@ def build_cdf(data, plan: CdfPlan) -> ApproxCdf:
         quantiles = ordered[ranks - 1]
     else:
         sketch = QuantileSketch(plan.epsilon)
-        sketch.extend(values.tolist())
+        sketch.extend(values)
         sketch.seal()
         quantiles = sketch.query_quantiles(probs)
     return ApproxCdf(plan, probs, quantiles)

@@ -85,7 +85,15 @@ def _cmd_ks2(args) -> int:
     return 0
 
 
+def _check_out(path) -> None:
+    """Fail before a study runs when its --out file cannot be written."""
+    target = Path(path)
+    if target.is_dir() or not os.access(target.parent, os.W_OK):
+        raise OSError(f"cannot write --out {path}")
+
+
 def _cmd_experiment(args) -> int:
+    _check_out(args.out)
     spec = experiments.experiment_spec(
         args.id,
         replications=args.replications,
@@ -106,6 +114,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    _check_out(args.out)
     rows = experiments.run_convergence(
         replications=args.replications, master_seed=args.seed
     )

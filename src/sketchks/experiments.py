@@ -215,9 +215,9 @@ def run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
     extra: dict = {}
     if spec.with_sketch:
         s1 = QuantileSketch(spec.sketch_epsilon)
-        s1.extend(x.tolist())
+        s1.extend(x)
         s2 = QuantileSketch(spec.sketch_epsilon)
-        s2.extend(y.tolist())
+        s2.extend(y)
         s1.seal()
         s2.seal()
         extra = {

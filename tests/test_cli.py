@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sketchks import experiments
 from sketchks.cli import ingest, main
 from sketchks.synth import normal, sample
 
@@ -219,6 +220,25 @@ class TestConvergenceCommand:
         assert rc == 1
         assert "replications" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["convergence", "--replications", "1"],
+    ["experiment", "--id", "3", "--replications", "1"],
+])
+def test_bad_out_fails_before_sampling(tmp_path, monkeypatch, capsys, command):
+    out = tmp_path / "missing" / "x.csv"
+    calls = []
+
+    def counting_sample(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample", counting_sample)
+    rc = main([*command, "--out", str(out)])
+    assert rc == 1
+    assert f"cannot write --out {out}" in capsys.readouterr().err
+    assert calls == []
 
 
 class TestCdfCommand:

@@ -2,12 +2,14 @@
 
 import bisect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchks import gk_sketch
 from sketchks.gk_sketch import QuantileSketch, SketchStateError
 
 
@@ -20,18 +22,6 @@ def eq4_holds(stream, eps, p, answer):
     lo = math.floor((p - eps) * n)
     hi = math.ceil((p + eps) * n)
     return lo_rank <= hi and hi_rank >= lo
-
-
-def check_invariants(sketch):
-    values, rmin, rmax = sketch.summary()
-    g = np.diff(rmin, prepend=0)
-    delta = rmax - rmin
-    assert g.sum() == sketch.count
-    assert values.tolist() == sorted(values.tolist())
-    threshold = math.floor(2 * sketch.epsilon * sketch.count)
-    assert np.all(g >= 1)
-    assert np.all(delta >= 0)
-    assert np.all(g + delta <= threshold + 1)
 
 
 def reference_quantiles(sketch, probs):
@@ -99,6 +89,32 @@ class TestInsert:
         with pytest.raises(SketchStateError):
             s.insert(2.0)
 
+    def test_non_finite_batch_rejected_whole(self):
+        s = QuantileSketch(0.1)
+        s.extend(np.arange(50.0))
+        before = s.summary()
+        with pytest.raises(ValueError, match="finite"):
+            s.extend([1.0, 2.0, float("nan"), 3.0])
+        assert s.count == 50
+        for x, y in zip(before, s.summary()):
+            assert np.array_equal(x, y)
+
+    def test_sealed_sketch_rejects_extend(self):
+        s = QuantileSketch(0.1)
+        s.extend([1.0, 2.0])
+        s.seal()
+        with pytest.raises(SketchStateError):
+            s.extend([3.0])
+
+    def test_extend_accepts_generator(self):
+        a = QuantileSketch(0.01)
+        a.extend(float(v) for v in range(1000, 0, -1))
+        b = QuantileSketch(0.01)
+        b.extend(np.arange(1000.0, 0.0, -1.0))
+        assert a.count == 1000
+        for x, y in zip(a.summary(), b.summary()):
+            assert np.array_equal(x, y)
+
     def test_bad_epsilon(self):
         for eps in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError):
@@ -117,7 +133,7 @@ class TestCompress:
         before = s.tuple_count
         s.compress()
         assert s.tuple_count <= before < 1000
-        check_invariants(s)
+        s.check_invariants()
 
     def test_post_compress_rank_bounds(self):
         rng = np.random.default_rng(7)
@@ -281,7 +297,7 @@ def test_rank_guarantee_property(values, eps, pk):
     s.extend(values)
     s.seal()
     assert eq4_holds(values, eps, p, s.query_quantile(p))
-    check_invariants(s)
+    s.check_invariants()
 
 
 @settings(max_examples=25, deadline=None)
@@ -297,16 +313,21 @@ def test_conservation_after_every_insert(values, eps):
         s.insert(v)
         assert s.summary()[1][-1] == s.count
     s.compress()
-    check_invariants(s)
+    s.check_invariants()
 
 
 def _stream(kind, n, seed):
-    data = np.random.default_rng(seed).normal(size=n).round(1)  # ties
+    if kind == "constant":
+        return np.full(n, 2.5)
+    data = np.random.default_rng(seed).normal(size=n)
+    if kind == "distinct":
+        return data
+    data = data.round(1)  # ties
     if kind == "sorted":
         data = np.sort(data)
     elif kind == "reversed":
         data = np.sort(data)[::-1]
-    return data.tolist()
+    return data
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,3 +358,76 @@ def test_broken_rank_contract_raises():
         s.query_quantiles([0.5])
     with pytest.raises(SketchStateError, match="rank contract"):
         s.query_quantile(0.5)
+
+
+@pytest.mark.parametrize("field,index,value,message", [
+    ("_values", 1, 1e9, "non-decreasing"),
+    ("_g", 2, -10**6, "g < 1"),
+    ("_delta", 2, -10**6, "delta < 0"),
+    ("_g", -1, 2, "sum of g"),
+    ("_delta", 3, 10000, "g [+] delta >"),
+    ("_delta", 0, 1, "first tuple"),
+])
+def test_check_invariants_detects_broken_tuples(field, index, value, message):
+    s = QuantileSketch(0.01)
+    s.extend(np.arange(1.0, 10001.0))
+    s.check_invariants()
+    getattr(s, field)[index] += value
+    with pytest.raises(SketchStateError, match=message):
+        s.check_invariants()
+
+
+def _assert_stored_ranks(s, stream):
+    """A stored value's rank lies somewhere in its run of ties."""
+    ordered = np.sort(stream)
+    values, rmin, rmax = s.summary()
+    assert np.all(rmin <= np.searchsorted(ordered, values, side="right"))
+    assert np.all(rmax >= np.searchsorted(ordered, values, side="left") + 1)
+
+
+def test_tie_order_across_batches():
+    # the stored 1.0 ranks before the second batch's 1.0s, so its r_max must
+    # cover every item of that batch below 1.0 (the tie-heavy reversed case)
+    first = [2.0, 2.0, 1.0]
+    second = [1.0] * 8 + [0.0] * 11 + [-1.0] * 9 + [-2.0] * 2
+    s = QuantileSketch(0.1)
+    s.extend(first)
+    s.extend(second)
+    s.check_invariants()
+    _assert_stored_ranks(s, np.array(first + second))
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["as drawn", "constant", "sorted", "reversed", "distinct"]),
+    n=st.integers(min_value=1, max_value=2000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    eps=st.sampled_from([0.1, 0.03, 0.01, 0.001]),
+    chunk=st.sampled_from([1, 3, 17, "n"]),
+    cuts=st.lists(st.integers(min_value=0, max_value=2000), max_size=6),
+)
+def test_batch_ingest_matches_exact_ranks(kind, n, seed, eps, chunk, cuts):
+    stream = _stream(kind, n, seed)
+    bounds = sorted({0, n} | {min(c, n) for c in cuts})
+    s = QuantileSketch(eps)
+    with mock.patch.object(gk_sketch, "_CHUNK", n if chunk == "n" else chunk):
+        for lo, hi in zip(bounds, bounds[1:]):
+            s.extend(stream[lo:hi])
+    s.check_invariants()
+    s.seal()
+    _assert_stored_ranks(s, stream)
+    ordered = np.sort(stream)
+    values = s.summary()[0]
+    probes = np.concatenate([
+        values,
+        (values[1:] + values[:-1]) / 2,
+        np.random.default_rng(seed).normal(size=30).round(1),
+        [ordered[0] - 1, ordered[-1] + 1],
+    ])
+    lower, upper = s.rank_bounds(probes)
+    true = np.searchsorted(ordered, probes, side="right")
+    assert np.all(lower <= true) and np.all(true <= upper)
+    probs = [k / 100 for k in range(1, 101)]
+    for p, v in zip(probs, s.query_quantiles(probs)):
+        assert eq4_holds(stream.tolist(), eps, p, v)
