@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gk_sketch import QuantileSketch
+from .gk_sketch import QuantileSketch, _check_finite
 
 __all__ = [
     "CdfPlan",
@@ -193,10 +193,13 @@ def error_bound(plan: CdfPlan) -> float:
 def empirical_cdf(sample, x):
     """Exact right-continuous empirical CDF: F(x) = #{v <= x} / n.
 
-    `sample` may be pre-sorted or not; x scalar or array.
+    `sample` may be pre-sorted or not; x scalar or array.  Both must be
+    finite.
     """
     ordered = np.sort(np.asarray(sample, dtype=float).ravel())
     xs = np.asarray(x, dtype=float)
+    _check_finite(ordered, "sample")
+    _check_finite(xs, "x")
     scalar = xs.ndim == 0
     ranks = np.searchsorted(ordered, np.atleast_1d(xs), side="right")
     out = ranks / ordered.size

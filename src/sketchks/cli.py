@@ -32,9 +32,10 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
     unparsable or non-finite line raises with its line number; blank lines
     are always ignored.
     """
-    values: list[float] = []
     skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
+
+    def parsed(fh):
+        nonlocal skipped
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -51,10 +52,13 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
                     skipped += 1
                     continue
                 raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
-            values.append(v)
-    if not values:
+            yield v
+
+    with open(path, "r", encoding="utf-8") as fh:
+        values = np.fromiter(parsed(fh), dtype=float)
+    if not values.size:
         raise ValueError(f"{path}: no data values found")
-    return np.asarray(values, dtype=float), skipped
+    return values, skipped
 
 
 def _cmd_ks2(args) -> int:

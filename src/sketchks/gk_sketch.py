@@ -1,49 +1,66 @@
 """Greenwald-Khanna summary for epsilon-approximate quantile queries.
 
-The summary keeps an ordered list of (value, g, delta) tuples where g is the
-gap between the minimum ranks of consecutive stored values and delta is the
-rank uncertainty of a stored value: r_min = cumsum(g), r_max = r_min +
-delta, and the true rank of every stored value lies in [r_min, r_max].  For
-a stream of n items it answers any quantile query at probability p with a
-value whose true rank r satisfies
+The summary keeps an ordered list of stored values with their rank bounds
+(value, r_min, r_max): the true rank of every stored value lies in
+[r_min, r_max].  Greenwald-Khanna's gap form is the same information:
+g = r_min minus the previous tuple's r_min (0 before the first) and
+delta = r_max - r_min.  For a stream of n items it answers any quantile
+query at probability p with a value whose true rank r satisfies
 
     floor((p - eps) * n) <= r <= ceil((p + eps) * n).
 
 Ingestion is by batch, the buffered scheme of Spark's QuantileSummaries on
 top of Greenwald-Khanna (SIGMOD 2001): each chunk of a batch is sorted,
 thinned to an exact summary of itself and merged into the stored tuples,
-the one-sided case of merging summaries (Agarwal et al., PODS 2012).  Ranks
-are 1-based.  Ties are ordered by arrival: an item ranks after every equal
-item of an earlier chunk, and within a chunk by its sorted position.
+the one-sided case of merging summaries (Agarwal et al., PODS 2012), where
+rank bounds add.  Ranks are 1-based.  Ties are ordered by arrival: an item
+ranks after every equal item of an earlier chunk, and within a chunk by its
+sorted position.
+
+One rule gives the rank interval of a probe x in a summary of N items.
+Let i count the stored values <= x (or < x, when x ranks before its equal
+stored values).  Then at least r_min of the i-th stored value (0 when
+i = 0) and at most r_max of the (i+1)-th less one (N when i counts every
+stored value) items rank before x.  `rank_bounds` and both halves of a
+merge use it.
 
 Why the rank bounds and the size bound hold.  A sorted chunk c_1 <= ... <=
 c_k is thinned to the order statistics at ranks j_1 = 1, 1 + s, 1 + 2s, ...
-and always k, each kept with g = j_t - j_{t-1} (j_0 = 0), so sum g = k and
-every gap is at most the stride s = floor(eps*k/2) + 1.  That is an exact
-summary of the chunk (delta = 0).  Merging it into the stored tuples of n
+and always k, so every gap j_t - j_{t-1} (j_0 = 0) is at most the stride
+s = floor(eps*k/2) + 1.  The kept values with r_min = r_max = j_t are an
+exact summary of the chunk.  Merging it into the stored tuples of n
 earlier items:
 
 - A kept w_t goes after the stored values <= w_t, between pred and succ.
-  Earlier items ranked before it number at least r_min(pred) and at most
-  r_max(succ) - 1, so it gets delta = g_succ + delta_succ - 1; with no pred
-  or no succ that count is exact (0 or n) and delta = 0.
-- A stored v with t = #{kept < v} has between j_t and j_{t+1} - 1 chunk
-  items before it (chunk items equal to v rank after it), so its delta
-  grows by g_{t+1} - 1, and by 0 past the chunk's maximum (t = m).
-- sum g grows by k, so sum g = n + k = count after the merge.
-- With floor(a + b) >= floor(a) + floor(b) and s <= floor(2*eps*k) + 1,
-  both cases keep g + delta <= floor(2*eps*n) + (s - 1) + 1 <=
-  floor(2*eps*(n + k)) + 1, and a tuple kept past an extreme has g + delta
-  = g <= s.  COMPRESS folds tuple i into its right neighbour only when
-  g_i + g_next + delta_next <= floor(2*eps*n), which keeps the bound.
+  It gets its interval in the stored summary plus its chunk rank:
+  [r_min(pred) + j_t, r_max(succ) - 1 + j_t].  With no pred that is
+  [j_t, j_t], as the first tuple has r_max = 1; with no succ it is
+  [n + j_t, n + j_t].
+- A stored v gets the chunk's interval at v added, with the chunk items
+  equal to v ranked after it: with t = #{kept < v}, between j_t and
+  j_{t+1} - 1 chunk items rank before it, and exactly k past the chunk's
+  maximum (t = m).
+- The last tuple is the maximum of both and gets r_min = n + k = count
+  after the merge (sum g = count in the gap form).
+- After the merge the left neighbour of a kept w_t has r_min >= r_min(pred)
+  + j_{t-1}, and that of a stored v has r_min >= r_min(u) + j_t, with u
+  the stored value before v (r_min 0 when there is no pred or no u).  So
+  r_max minus the left neighbour's r_min (g + delta in the gap form) is at
+  most the stored r_max(succ) - r_min(pred), or r_max(v) - r_min(u), plus
+  s - 1.  With floor(a + b) >= floor(a) + floor(b) and s <=
+  floor(2*eps*k) + 1 it stays <= floor(2*eps*n) + 1 + (s - 1) <=
+  floor(2*eps*(n + k)) + 1.
 - The first tuple is the minimum with r_max = 1: a chunk minimum below the
-  stored one enters with g = 1, delta = 0; otherwise the stored first tuple
-  sits before every kept value (t = 0) and gains g_1 - 1 = 0.  COMPRESS
-  never removes the first or the last tuple.
+  stored one enters with [1, 1]; otherwise the stored first tuple ranks
+  before every kept value (t = 0) and gains [0, j_1 - 1] = [0, 0].
+- COMPRESS deletes tuples and moves no rank bound.  It deletes tuple i
+  only when r_max of its right neighbour minus r_min of its left one is
+  <= floor(2*eps*n), which keeps the bound for the right neighbour, and
+  it never deletes the first or the last tuple.
 
 s = floor(eps*k/2) + 1 rather than the largest legal floor(2*eps*k) + 1
 leaves three quarters of the chunk's slack to COMPRESS.  The largest stride
-leaves it none: merged tuples sit at the size bound, so COMPRESS can fold
+leaves it none: merged tuples sit at the size bound, so COMPRESS can delete
 few of them and the summary grows.
 """
 
@@ -63,11 +80,32 @@ class SketchStateError(RuntimeError):
     """Operation applied to a sketch in the wrong state (sealed/empty/broken)."""
 
 
+def _check_finite(a: np.ndarray, name: str) -> None:
+    # the extremes are NaN or infinite iff some value is; no mask is built
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        bad = a[~np.isfinite(a)].flat[0]
+        raise ValueError(f"{name} must be finite, got {bad}")
+
+
+def _bounds(values, r_min, r_max, n, x, side):
+    """Rank interval of x in the summary (values, r_min, r_max) of n items.
+
+    With i stored values <= x (side="right") or < x (side="left"), at least
+    r_min[i-1] and at most r_max[i] - 1 items rank before x; 0 and n past
+    the ends.
+    """
+    i = np.searchsorted(values, x, side=side)
+    lower = np.concatenate(([0], r_min))
+    upper = np.concatenate(([0], r_max[1:] - 1, [n]))
+    return lower[i], upper[i]
+
+
 class QuantileSketch:
     """Streaming epsilon-approximate quantile summary.
 
     Single-writer while inserting; immutable (and freely shareable) once
-    sealed.  Every read goes through `summary()`.
+    sealed.  Every read uses the stored rank bounds; `summary()` copies
+    them out.
     """
 
     def __init__(self, epsilon: float):
@@ -75,8 +113,8 @@ class QuantileSketch:
             raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
         self.epsilon = epsilon
         self._values = np.empty(0, dtype=np.float64)
-        self._g = np.empty(0, dtype=np.int64)
-        self._delta = np.empty(0, dtype=np.int64)
+        self._rmin = np.empty(0, dtype=np.int64)
+        self._rmax = np.empty(0, dtype=np.int64)
         self._count = 0
         self._sealed = False
         # compress whenever count crosses a multiple of floor(1/(2*eps))
@@ -114,10 +152,7 @@ class QuantileSketch:
             batch = np.fromiter(values, dtype=np.float64)
         if batch.ndim != 1:
             raise ValueError("values must be a 1-d sequence")
-        # the extremes are NaN or infinite iff some value is
-        if batch.size and not (np.isfinite(batch.min()) and np.isfinite(batch.max())):
-            bad = batch[~np.isfinite(batch)][0]
-            raise ValueError(f"values must be finite, got {bad}")
+        _check_finite(batch, "values")
         for start in range(0, batch.size, _CHUNK):
             chunk = np.sort(batch[start:start + _CHUNK])
             self._merge_sorted(chunk)
@@ -131,51 +166,39 @@ class QuantileSketch:
         if ranks[-1] != k:
             ranks = np.append(ranks, k)
         kept = chunk[ranks - 1]
-        gaps = np.diff(ranks, prepend=0)
-        values, g, delta = self._values, self._g, self._delta
-        if values.size == 0:
-            self._values, self._g = kept, gaps
-            self._delta = np.zeros(kept.size, dtype=np.int64)
-            return
+        values, rmin, rmax = self._values, self._rmin, self._rmax
+        # a kept value ranks after the stored values <= it, a stored value
+        # after the chunk items < it: each side's interval in the other adds
+        kept_lo, kept_hi = _bounds(values, rmin, rmax, self._count, kept, "right")
+        grow_lo, grow_hi = _bounds(kept, ranks, ranks, k, values, "left")
         pos = np.searchsorted(values, kept, side="right")
-        succ = np.minimum(pos, values.size - 1)
-        interior = (pos > 0) & (pos < values.size)
-        kept_delta = np.where(interior, g[succ] + delta[succ] - 1, 0)
-        grown = np.append(gaps - 1, 0)[np.searchsorted(kept, values, side="left")]
         self._values = np.insert(values, pos, kept)
-        self._g = np.insert(g, pos, gaps)
-        self._delta = np.insert(delta + grown, pos, kept_delta)
+        self._rmin = np.insert(rmin + grow_lo, pos, kept_lo + ranks)
+        self._rmax = np.insert(rmax + grow_hi, pos, kept_hi + ranks)
 
     def compress(self) -> None:
-        """Merge adjacent tuples while the GK maintenance condition allows.
+        """Delete tuples while the GK maintenance condition allows.
 
-        Right-to-left pass; tuple i is folded into its current right
-        neighbour when g_i + g_next + delta_next <= floor(2*eps*n).  The
-        extreme tuples are never removed, so the exact minimum and maximum
-        stay queryable.
+        Right-to-left pass; tuple i is deleted when r_max of the nearest
+        kept tuple to its right minus r_min of tuple i-1 is at most
+        floor(2*eps*n).  No rank bound moves.  The extreme tuples are never
+        removed, so the exact minimum and maximum stay queryable.
         """
         if self._values.size < 3:
             return
         threshold = math.floor(2.0 * self.epsilon * self._count)
         if threshold < 2:
             return
-        gs = self._g.tolist()
-        deltas = self._delta.tolist()
-        last = len(gs) - 1
-        keep = [last]
-        kept_g = [gs[last]]
-        for i in range(last - 1, 0, -1):
-            if gs[i] + kept_g[-1] + deltas[keep[-1]] <= threshold:
-                kept_g[-1] += gs[i]
-            else:
+        rmin, rmax = self._rmin.tolist(), self._rmax.tolist()
+        keep = [len(rmin) - 1]
+        for i in range(len(rmin) - 2, 0, -1):
+            if rmax[keep[-1]] - rmin[i - 1] > threshold:
                 keep.append(i)
-                kept_g.append(gs[i])
         keep.append(0)
-        kept_g.append(gs[0])
         idx = np.array(keep[::-1])
         self._values = self._values[idx]
-        self._g = np.array(kept_g[::-1], dtype=np.int64)
-        self._delta = self._delta[idx]
+        self._rmin = self._rmin[idx]
+        self._rmax = self._rmax[idx]
 
     def seal(self) -> "QuantileSketch":
         """Freeze the sketch; queries remain available, insertion does not."""
@@ -185,10 +208,14 @@ class QuantileSketch:
     def check_invariants(self) -> None:
         """Raise SketchStateError unless the stored tuples form a valid summary.
 
-        Checks non-decreasing values, g >= 1, delta >= 0, sum g = count,
+        With g = r_min minus the previous tuple's r_min (0 before the first)
+        and delta = r_max - r_min, checks non-decreasing values, g >= 1,
+        delta >= 0, sum g = count (r_min = count on the last tuple),
         g + delta <= floor(2*eps*count) + 1 and r_max = 1 on the first tuple.
         """
-        values, g, delta = self._values, self._g, self._delta
+        values, rmin, rmax = self._values, self._rmin, self._rmax
+        g = np.diff(rmin, prepend=0)
+        delta = rmax - rmin
         if np.any(values[1:] < values[:-1]):
             raise SketchStateError("stored values are not non-decreasing")
         if np.any(g < 1) or np.any(delta < 0):
@@ -197,16 +224,15 @@ class QuantileSketch:
             raise SketchStateError(f"sum of g is {int(g.sum())}, count is {self._count}")
         if np.any(g + delta > math.floor(2.0 * self.epsilon * self._count) + 1):
             raise SketchStateError("a tuple has g + delta > floor(2*eps*n) + 1")
-        if values.size and g[0] + delta[0] != 1:
+        if values.size and rmax[0] != 1:
             raise SketchStateError("the first tuple does not have r_max = 1")
 
     def summary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stored values with their rank bounds: (values, r_min, r_max).
 
-        r_min = cumsum(g) and r_max = r_min + delta, as fresh arrays.
+        Fresh copies of the stored arrays.
         """
-        rmin = np.cumsum(self._g)
-        return self._values.copy(), rmin, rmin + self._delta
+        return self._values.copy(), self._rmin.copy(), self._rmax.copy()
 
     def query_quantile(self, p: float) -> float:
         """One-probability form of `query_quantiles`."""
@@ -236,14 +262,13 @@ class QuantileSketch:
         if bad.size:
             raise ValueError(f"p must be in (0, 1], got {bad[0]}")
         n = self._count
-        values, rmin, rmax = self.summary()
         lo = np.floor((probs - self.epsilon) * n)
         hi = np.ceil((probs + self.epsilon) * n)
-        idx = np.searchsorted(rmin, lo, side="left")
-        idx[probs == 1.0] = values.size - 1
-        if np.any(rmax[idx] > hi):
+        idx = np.searchsorted(self._rmin, lo, side="left")
+        idx[probs == 1.0] = self._values.size - 1
+        if np.any(self._rmax[idx] > hi):
             raise SketchStateError("summary breaks the GK rank contract")
-        return values[idx]
+        return self._values[idx]
 
     def rank_bounds(self, x):
         """Interval [r_min, r_max] containing the exact rank of x.
@@ -251,14 +276,12 @@ class QuantileSketch:
         Rank means the number of stream items <= x, so anything below the
         minimum maps to (0, 0) and anything at or above the maximum to
         (n, n).  Interval width is at most 2*eps*n + 1.  x may be a scalar
-        or an array; the bounds have its shape.
+        or an array of finite numbers; the bounds have its shape.
         """
         if not self._sealed:
             raise SketchStateError("rank_bounds requires a sealed sketch")
         if self._count == 0:
             raise SketchStateError("cannot query an empty sketch")
-        values, rmin, rmax = self.summary()
-        i = np.searchsorted(values, x, side="right")
-        lower = np.concatenate(([0], rmin))
-        upper = np.concatenate(([0], rmax[1:] - 1, [self._count]))
-        return lower[i], upper[i]
+        xs = np.asarray(x, dtype=np.float64)
+        _check_finite(xs, "x")
+        return _bounds(self._values, self._rmin, self._rmax, self._count, xs, "right")

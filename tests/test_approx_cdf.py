@@ -169,6 +169,18 @@ class TestEvalCdf:
             eval_cdf(self._simple(), float("nan"))
 
 
+class TestEmpiricalCdf:
+    @pytest.mark.parametrize("sample,x", [
+        ([1.0, 2.0], float("nan")),
+        ([1.0, 2.0], [1.0, float("inf")]),
+        ([1.0, float("nan")], 2.0),
+        ([-float("inf"), 1.0], 2.0),
+    ])
+    def test_non_finite_rejected(self, sample, x):
+        with pytest.raises(ValueError, match="finite"):
+            empirical_cdf(sample, x)
+
+
 class TestErrorBound:
     def test_values(self):
         assert error_bound(CdfPlan(n=10000, delta=0.2, epsilon=0.1, a=11)) == pytest.approx(0.2)

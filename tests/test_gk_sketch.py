@@ -352,7 +352,7 @@ def test_broken_rank_contract_raises():
     s = QuantileSketch(0.01)
     s.extend(float(v) for v in range(1, 10001))
     s.seal()
-    s._delta[1:-1] = [s.count] * (s.tuple_count - 2)
+    s._rmax[1:-1] += s.count
     assert reference_quantiles(s, [0.5]) == [10000.0]  # the silent maximum
     with pytest.raises(SketchStateError, match="rank contract"):
         s.query_quantiles([0.5])
@@ -362,11 +362,11 @@ def test_broken_rank_contract_raises():
 
 @pytest.mark.parametrize("field,index,value,message", [
     ("_values", 1, 1e9, "non-decreasing"),
-    ("_g", 2, -10**6, "g < 1"),
-    ("_delta", 2, -10**6, "delta < 0"),
-    ("_g", -1, 2, "sum of g"),
-    ("_delta", 3, 10000, "g [+] delta >"),
-    ("_delta", 0, 1, "first tuple"),
+    ("_rmin", 2, -10**6, "g < 1"),
+    ("_rmax", 2, -10**6, "delta < 0"),
+    ("_rmin", -1, -2, "sum of g"),
+    ("_rmax", 3, 10000, "g [+] delta >"),
+    ("_rmax", 0, 1, "first tuple"),
 ])
 def test_check_invariants_detects_broken_tuples(field, index, value, message):
     s = QuantileSketch(0.01)
@@ -431,3 +431,86 @@ def test_batch_ingest_matches_exact_ranks(kind, n, seed, eps, chunk, cuts):
     probs = [k / 100 for k in range(1, 101)]
     for p, v in zip(probs, s.query_quantiles(probs)):
         assert eq4_holds(stream.tolist(), eps, p, v)
+
+
+def reference_ingest(batches, eps, chunk):
+    """Batch ingest in the gap form (value, g, delta), kept as an oracle.
+
+    Each chunk of each batch is sorted, thinned at the stride
+    floor(eps*k/2) + 1 and merged with per-tuple gap formulas; COMPRESS
+    folds tuple i into its right neighbour while g_i + g_next + delta_next
+    <= floor(2*eps*n).  Returns (values, r_min, r_max) with r_min =
+    cumsum(g) and r_max = r_min + delta.
+    """
+    values = np.empty(0)
+    g = np.empty(0, dtype=np.int64)
+    delta = np.empty(0, dtype=np.int64)
+    count, period = 0, max(1, math.floor(1.0 / (2.0 * eps)))
+    for batch in batches:
+        for start in range(0, len(batch), chunk):
+            part = np.sort(batch[start:start + chunk])
+            k = part.size
+            ranks = np.arange(1, k + 1, math.floor(eps * k / 2) + 1)
+            if ranks[-1] != k:
+                ranks = np.append(ranks, k)
+            kept, gaps = part[ranks - 1], np.diff(ranks, prepend=0)
+            if values.size == 0:
+                values, g, delta = kept, gaps, np.zeros(kept.size, dtype=np.int64)
+            else:
+                pos = np.searchsorted(values, kept, side="right")
+                succ = np.minimum(pos, values.size - 1)
+                interior = (pos > 0) & (pos < values.size)
+                kept_delta = np.where(interior, g[succ] + delta[succ] - 1, 0)
+                grown = np.append(gaps - 1, 0)[np.searchsorted(kept, values, side="left")]
+                values = np.insert(values, pos, kept)
+                g = np.insert(g, pos, gaps)
+                delta = np.insert(delta + grown, pos, kept_delta)
+            before, count = count, count + k
+            threshold = math.floor(2.0 * eps * count)
+            if count // period == before // period or values.size < 3 or threshold < 2:
+                continue
+            keep, kept_g = [values.size - 1], [int(g[-1])]
+            for i in range(values.size - 2, 0, -1):
+                if g[i] + kept_g[-1] + delta[keep[-1]] <= threshold:
+                    kept_g[-1] += int(g[i])
+                else:
+                    keep.append(i)
+                    kept_g.append(int(g[i]))
+            keep.append(0)
+            kept_g.append(int(g[0]))
+            idx = np.array(keep[::-1])
+            values, g, delta = values[idx], np.array(kept_g[::-1], dtype=np.int64), delta[idx]
+    rmin = np.cumsum(g)
+    return values, rmin, rmin + delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["as drawn", "constant", "sorted", "reversed", "distinct"]),
+    n=st.integers(min_value=1, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    eps=st.sampled_from([0.3, 0.1, 0.03, 0.01, 0.001, 5e-5]),
+    chunk=st.sampled_from([1, 3, 17, "n"]),
+    cuts=st.lists(st.integers(min_value=0, max_value=3000), max_size=6),
+)
+def test_rank_form_matches_gap_form_reference(kind, n, seed, eps, chunk, cuts):
+    stream = _stream(kind, n, seed)
+    bounds = sorted({0, n} | {min(c, n) for c in cuts})
+    batches = [stream[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    size = n if chunk == "n" else chunk
+    s = QuantileSketch(eps)
+    with mock.patch.object(gk_sketch, "_CHUNK", size):
+        for batch in batches:
+            s.extend(batch)
+    for got, want in zip(s.summary(), reference_ingest(batches, eps, size)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_rank_bounds_rejects_non_finite():
+    s = QuantileSketch(0.1)
+    s.extend(np.arange(1.0, 11.0))
+    s.seal()
+    for bad in (float("nan"), float("inf"), [1.0, float("nan")], np.array([-np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            s.rank_bounds(bad)
+    assert s.rank_bounds(np.empty(0))[0].size == 0
