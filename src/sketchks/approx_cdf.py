@@ -78,7 +78,7 @@ class ApproxCdf:
             raise ValueError("probs must be strictly increasing")
         if probs[0] != 1.0 / plan.n or probs[-1] != 1.0:
             raise ValueError("probs must run from 1/n to 1 inclusive")
-        if np.any(np.diff(quantiles) < 0):
+        if np.any(quantiles[1:] < quantiles[:-1]):  # a difference can overflow
             raise ValueError("quantiles must be non-decreasing")
         probs.flags.writeable = False
         quantiles.flags.writeable = False
@@ -180,7 +180,14 @@ def eval_cdf(cdf: ApproxCdf, x):
         lo = hi - 1
         # q[lo] <= x < q[hi] and q[hi] > q[lo]; at x == q[lo] this yields
         # p[lo], the largest probability of a duplicate run (side="right").
-        frac = (xs[mid] - q[lo]) / (q[hi] - q[lo])
+        with np.errstate(over="ignore", invalid="ignore"):
+            frac = q[hi] - q[lo]
+            wide = np.flatnonzero(np.isinf(frac))
+            np.divide(xs[mid] - q[lo], frac, out=frac)
+        if wide.size:
+            # the span overflows; halving every operand keeps the fraction
+            x, left, right = xs[mid][wide] / 2, q[lo[wide]] / 2, q[hi[wide]] / 2
+            frac[wide] = (x - left) / (right - left)
         out[mid] = p[lo] + frac * (p[hi] - p[lo])
     return float(out[0]) if scalar else out
 

@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,48 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
 
     Returns (values array, skipped line count).  Without skip_invalid an
     unparsable or non-finite line raises with its line number; blank lines
-    are always ignored.
+    are always ignored, and a line that is not UTF-8 always raises with its
+    line number.  The line scanner `_scan` defines these rules; a file in
+    which every line after the header is one finite decimal takes numpy's
+    C parser instead, with the same values and count.
     """
+    values, skipped = (_read_clean(path, skip_header)
+                       or _scan(path, skip_header, skip_invalid))
+    if not values.size:
+        raise ValueError(f"{path}: no data values found")
+    return values, skipped
+
+
+def _read_clean(path, skip_header: bool):
+    """(values, skipped) when every line after the header is one finite
+    decimal, else None.
+
+    One strict np.loadtxt call on the open file, not on the path, which
+    numpy would open through its DataSource (decompressing by suffix,
+    fetching URLs).  Lines reach it split by Python's text mode, as in
+    `_scan`; the "," delimiter keeps spaces inside a field, so
+    a field is a whole line and the float converter fails on any line that
+    float() rejects (or that is whitespace-only, which `_scan` skips).  A
+    line that holds a comma adds a column.  Anything but a non-empty,
+    one-column, all-finite table (an error, a warning such as loadtxt's
+    empty-input one, a second column, a NaN or an infinity) is None.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header = fh.readline() if skip_header else ""
+            table = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if table.shape[1] != 1 or not table.size:
+        return None
+    if not (np.isfinite(table.min()) and np.isfinite(table.max())):
+        return None
+    return table.ravel(), int(bool(header.strip()))
+
+
+def _scan(path, skip_header: bool, skip_invalid: bool):
+    """The line-by-line parser behind `ingest`: (values, skipped)."""
     skipped = 0
 
     def parsed(fh):
@@ -40,6 +81,13 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
             text = line.strip()
             if not text:
                 continue
+            if not text.isascii():
+                # undecodable bytes arrive as lone surrogates
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError:
+                    raw = text.encode("utf-8", "surrogateescape")
+                    raise ValueError(f"{path}:{lineno}: not UTF-8 text: {raw!r}") from None
             if skip_header and lineno == 1:
                 skipped += 1
                 continue
@@ -54,10 +102,8 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
                 raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
             yield v
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         values = np.fromiter(parsed(fh), dtype=float)
-    if not values.size:
-        raise ValueError(f"{path}: no data values found")
     return values, skipped
 
 

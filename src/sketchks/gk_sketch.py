@@ -53,10 +53,15 @@ earlier items:
 - The first tuple is the minimum with r_max = 1: a chunk minimum below the
   stored one enters with [1, 1]; otherwise the stored first tuple ranks
   before every kept value (t = 0) and gains [0, j_1 - 1] = [0, 0].
-- COMPRESS deletes tuples and moves no rank bound.  It deletes tuple i
-  only when r_max of its right neighbour minus r_min of its left one is
-  <= floor(2*eps*n), which keeps the bound for the right neighbour, and
-  it never deletes the first or the last tuple.
+- COMPRESS deletes tuples and moves no rank bound.  It keeps the greedy
+  right-to-left pass's tuples: from a kept tuple j the next kept one is
+  the largest i < j whose left neighbour has r_min < r_max(j) -
+  floor(2*eps*n), and tuple 0 when there is none.  Every deleted tuple
+  lies between two kept ones whose r_max minus the left one's r_min is
+  <= floor(2*eps*n), which keeps the bound for the right one, and the
+  first and last tuples are kept.  With r_min strictly increasing that
+  next index is one searchsorted per tuple, so the kept set is a path
+  through those pointers, found by pointer doubling.
 
 s = floor(eps*k/2) + 1 rather than the largest legal floor(2*eps*k) + 1
 leaves three quarters of the chunk's slack to COMPRESS.  The largest stride
@@ -179,26 +184,33 @@ class QuantileSketch:
     def compress(self) -> None:
         """Delete tuples while the GK maintenance condition allows.
 
-        Right-to-left pass; tuple i is deleted when r_max of the nearest
-        kept tuple to its right minus r_min of tuple i-1 is at most
-        floor(2*eps*n).  No rank bound moves.  The extreme tuples are never
-        removed, so the exact minimum and maximum stay queryable.
+        Keeps the tuples of the greedy right-to-left pass: from a kept tuple
+        j it deletes tuples j-1, j-2, ... while r_max[j] minus r_min of the
+        next tuple to the left is at most floor(2*eps*n).  As r_min strictly
+        increases, that pass keeps next nxt[j] = min(j-1, #{r_min < r_max[j]
+        - floor(2*eps*n)}), or tuple 0 when that is below 1, so the kept set
+        is the path last -> nxt[last] -> ... -> 0.  Pointer doubling walks
+        it in O(log length) array steps.  No rank bound moves, and the
+        extreme tuples are never removed, so the exact minimum and maximum
+        stay queryable.
         """
         if self._values.size < 3:
             return
         threshold = math.floor(2.0 * self.epsilon * self._count)
         if threshold < 2:
             return
-        rmin, rmax = self._rmin.tolist(), self._rmax.tolist()
-        keep = [len(rmin) - 1]
-        for i in range(len(rmin) - 2, 0, -1):
-            if rmax[keep[-1]] - rmin[i - 1] > threshold:
-                keep.append(i)
-        keep.append(0)
-        idx = np.array(keep[::-1])
-        self._values = self._values[idx]
-        self._rmin = self._rmin[idx]
-        self._rmax = self._rmax[idx]
+        rmin, rmax = self._rmin, self._rmax
+        below = np.searchsorted(rmin, rmax - threshold, side="left")
+        jump = np.maximum(np.minimum(np.arange(-1, rmin.size - 1), below), 0)
+        # after round r, `on` holds the first 2**r tuples of the path
+        on = np.zeros(rmin.size, dtype=bool)
+        on[-1] = True
+        while not on[0]:
+            on[jump[on]] = True
+            jump = jump[jump]
+        self._values = self._values[on]
+        self._rmin = rmin[on]
+        self._rmax = rmax[on]
 
     def seal(self) -> "QuantileSketch":
         """Freeze the sketch; queries remain available, insertion does not."""

@@ -136,7 +136,8 @@ def approx_two_sample_ks(cdf1: ApproxCdf, cdf2: ApproxCdf) -> float:
     """
     d1 = np.max(np.abs(eval_cdf(cdf1, cdf1.quantiles) - eval_cdf(cdf2, cdf1.quantiles)))
     d2 = np.max(np.abs(eval_cdf(cdf1, cdf2.quantiles) - eval_cdf(cdf2, cdf2.quantiles)))
-    return float(max(d1, d2))
+    # np.maximum propagates a NaN, which KsOutcome then rejects
+    return float(np.maximum(d1, d2))
 
 
 def qks(lam: float) -> float:

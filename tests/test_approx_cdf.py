@@ -168,6 +168,19 @@ class TestEvalCdf:
         with pytest.raises(ValueError):
             eval_cdf(self._simple(), float("nan"))
 
+    def test_span_beyond_dbl_max(self):
+        # q[hi] - q[lo] overflows; the fraction must equal the one on the
+        # same knots scaled by 1/4, where nothing overflows
+        plan = CdfPlan(n=4, delta=0.6, epsilon=0.0, a=3)
+        probs = np.array([0.25, 0.5, 1.0])
+        knots = np.array([-1e308, 1.5e308, 1.7e308])
+        wide = ApproxCdf(plan, probs, knots)
+        narrow = ApproxCdf(plan, probs, knots / 4)
+        xs = np.array([-1e308, -1e300, 0.0, 1e308, 1.5e308, 1.6e308])
+        got = eval_cdf(wide, xs)
+        assert got.tolist() == eval_cdf(narrow, xs / 4).tolist()
+        assert got[3] == pytest.approx(0.25 + 0.25 * 0.8)
+
 
 class TestEmpiricalCdf:
     @pytest.mark.parametrize("sample,x", [

@@ -1,10 +1,15 @@
 """Command-line surface: ingestion, ks2 JSON, experiment/convergence/cdf CSV."""
 
 import json
+import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sketchks import experiments
+from sketchks import cli, experiments
 from sketchks.cli import ingest, main
 from sketchks.synth import normal, sample
 
@@ -58,6 +63,105 @@ class TestIngest:
         with pytest.raises(OSError):
             ingest(tmp_path / "nope.txt")
 
+    def test_clean_file_skips_line_scanner(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("line scanner entered")
+
+        monkeypatch.setattr(cli, "_scan", refuse)
+        f = tmp_path / "d.txt"
+        f.write_bytes(b"value\r\n 1.5\r\n\r\n-2e-3\t\n7\n")
+        values, skipped = ingest(f, skip_header=True, skip_invalid=True)
+        assert values.tolist() == [1.5, -2e-3, 7.0]
+        assert skipped == 1
+        f.write_bytes(b"\n1\n2")  # a blank line 1 is no header
+        values, skipped = ingest(f, skip_header=True)
+        assert values.tolist() == [1.0, 2.0] and skipped == 0
+
+    def test_not_utf8_reports_line(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_bytes(b"1\n" * 5000 + b"2\xff\n3\n")
+        for flags in ({}, {"skip_invalid": True}):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{f}:5001: not UTF-8 text: b'2\\xff'")):
+                ingest(f, **flags)
+        f.write_bytes(b"caf\xe9\n1\n2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{f}:1: not UTF-8 text")):
+            ingest(f, skip_header=True)
+
+
+def reference_ingest(path, *, skip_header=False, skip_invalid=False):
+    """The line-by-line parser `ingest` had before its numpy fast path,
+    kept as an oracle for files that are UTF-8 text."""
+    skipped = 0
+
+    def parsed(fh):
+        nonlocal skipped
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            if skip_header and lineno == 1:
+                skipped += 1
+                continue
+            try:
+                v = float(text)
+            except ValueError:
+                v = math.nan
+            if not math.isfinite(v):
+                if skip_invalid:
+                    skipped += 1
+                    continue
+                raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
+            yield v
+
+    with open(path, "r", encoding="utf-8") as fh:
+        values = np.fromiter(parsed(fh), dtype=float)
+    if not values.size:
+        raise ValueError(f"{path}: no data values found")
+    return values, skipped
+
+
+def _outcome(parse, path, **flags):
+    try:
+        values, skipped = parse(path, **flags)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return values.dtype, values.shape, values.tobytes(), skipped
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_numbers = st.one_of(
+    _finite.map(lambda v: format(v, ".17g")),
+    _finite.map(lambda v: format(v, ".3e")),
+    st.integers(min_value=-10**20, max_value=10**20).map(str),
+)
+_odd = st.sampled_from([
+    "", "1_0", "\u0661\u0662", "nan", "-inf", "inf", "1e999", "-1e999", "1 2",
+    "3\t4", "1,2", "5,", "garbage", "0x10", "+.5", "1.", "\ufeff1", "1\x00",
+    "1\x0b", "\x1c", "\u2028", "\x85", '"1"', "#1",
+])
+_space = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\xa0", "\u3000"])
+_line = st.tuples(_space, st.one_of(_numbers, _numbers, _odd), _space,
+                  st.sampled_from(["\n", "\n", "\r\n", "\r"])).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_line, max_size=12),
+    last_newline=st.booleans(),
+    skip_header=st.booleans(),
+    skip_invalid=st.booleans(),
+)
+def test_ingest_matches_line_scanner(tmp_path_factory, lines, last_newline,
+                                     skip_header, skip_invalid):
+    text = "".join(lines)
+    if not last_newline:
+        text = text.rstrip("\r\n")
+    path = tmp_path_factory.mktemp("ingest") / "d.txt"
+    path.write_bytes(text.encode("utf-8"))
+    flags = {"skip_header": skip_header, "skip_invalid": skip_invalid}
+    assert _outcome(ingest, path, **flags) == _outcome(reference_ingest, path, **flags)
+
 
 class TestKs2Command:
     def test_identical_files_do_not_reject(self, normal_files, capsys):
@@ -97,6 +201,15 @@ class TestKs2Command:
         rc = main(["ks2", "--file-x", str(f), "--file-y", str(f)])
         assert rc == 1
         assert "phi" in capsys.readouterr().err
+
+    def test_not_utf8_file_fails_with_location(self, tmp_path, normal_files, capsys):
+        fx = normal_files("x.txt", 0, 100, 11)
+        fy = tmp_path / "y.txt"
+        fy.write_bytes(b"1.5\n2.5\n\xff\xfe\n")
+        rc = main(["ks2", "--file-x", str(fx), "--file-y", str(fy), "--phi", "0.05"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"sketchks: error: {fy}:3: not UTF-8 text: b'\\xff\\xfe'\n")
 
     def test_one_line_file_fails(self, tmp_path, capsys):
         f = tmp_path / "one.txt"

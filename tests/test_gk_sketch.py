@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sketchks import gk_sketch
@@ -504,6 +504,78 @@ def test_rank_form_matches_gap_form_reference(kind, n, seed, eps, chunk, cuts):
             s.extend(batch)
     for got, want in zip(s.summary(), reference_ingest(batches, eps, size)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def reference_compress(values, rmin, rmax, threshold):
+    """The greedy right-to-left COMPRESS pass, kept as an oracle: from the
+    last tuple, keep tuple i when r_max of the last kept tuple minus r_min
+    of tuple i-1 exceeds threshold; always keep tuple 0."""
+    lo, hi = rmin.tolist(), rmax.tolist()
+    keep = [len(lo) - 1]
+    for i in range(len(lo) - 2, 0, -1):
+        if hi[keep[-1]] - lo[i - 1] > threshold:
+            keep.append(i)
+    keep.append(0)
+    idx = np.array(keep[::-1])
+    return values[idx], rmin[idx], rmax[idx]
+
+
+def _compress_checked_against_reference():
+    real = QuantileSketch.compress
+
+    def checked(self):
+        before = self.summary()
+        real(self)
+        threshold = math.floor(2.0 * self.epsilon * self.count)
+        want = before
+        if before[0].size >= 3 and threshold >= 2:
+            want = reference_compress(*before, threshold)
+        for got, ref in zip(self.summary(), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    return checked
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["as drawn", "constant", "sorted", "reversed", "distinct"]),
+    n=st.integers(min_value=1, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    eps=st.sampled_from([0.3, 0.1, 0.03, 0.01, 0.001]),
+    chunk=st.sampled_from([1, 3, 17, "n"]),
+)
+def test_compress_matches_greedy_loop_on_streams(kind, n, seed, eps, chunk):
+    s = QuantileSketch(eps)
+    with mock.patch.object(gk_sketch, "_CHUNK", n if chunk == "n" else chunk), \
+            mock.patch.object(QuantileSketch, "compress", _compress_checked_against_reference()):
+        s.extend(_stream(kind, n, seed))
+        s.compress()
+    s.check_invariants()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gaps=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 12)),
+                  min_size=3, max_size=60),
+    slack=st.integers(0, 20),
+)
+# three tuples at threshold 2: r_max(2) - r_min(0) = 2 deletes the middle
+# one, 3 keeps it
+@example(gaps=[(1, 0), (1, 0), (1, 0)], slack=0)
+@example(gaps=[(1, 0), (1, 1), (1, 1)], slack=0)
+@example(gaps=[(1, 0), (1, 1), (2, 0)], slack=0)
+def test_compress_matches_greedy_loop_on_summaries(gaps, slack):
+    # any strictly increasing r_min with r_max >= r_min; threshold 2 + slack
+    rmin = np.cumsum([g for g, _ in gaps])
+    rmax = rmin + np.array([d for _, d in gaps])
+    count = int(rmin[-1])
+    threshold = min(2 + slack, 2 * count - 1)
+    s = QuantileSketch((threshold + 0.5) / (2 * count))
+    s._values, s._rmin, s._rmax, s._count = rmin * 0.5, rmin, rmax, count
+    want = reference_compress(*s.summary(), threshold)
+    s.compress()
+    for got, ref in zip(s.summary(), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_rank_bounds_rejects_non_finite():

@@ -133,6 +133,24 @@ class TestApproxDistance:
             bound = error_bound(p1) + error_bound(p2)
             assert abs(d - ks.exact_ks_distance(x, y)) <= bound, trial
 
+    def test_nan_is_not_dropped(self, monkeypatch):
+        # a NaN at the second CDF's knots must reach the caller, not lose
+        # to the first CDF's maximum
+        x = sample(normal(0, 1), 500, 3)
+        y = sample(normal(1, 1), 500, 4)
+        cdf1 = build_cdf(x, plan_from_phi(0.2, 500))
+        cdf2 = build_cdf(y, plan_from_phi(0.2, 500))
+        real = ks.eval_cdf
+        marker = cdf2.quantiles[-1]
+
+        def poisoned(cdf, xs):
+            out = real(cdf, xs)
+            out[xs == marker] = math.nan
+            return out
+
+        monkeypatch.setattr(ks, "eval_cdf", poisoned)
+        assert math.isnan(ks.approx_two_sample_ks(cdf1, cdf2))
+
 
 class TestQks:
     def test_large_lambda_tail(self):
@@ -309,6 +327,18 @@ class TestRunTest:
             out = ks.run_test(x, y, precision)
             assert out.reject
             assert out.d == pytest.approx(0.0906, abs=0.03)
+
+    def test_data_spanning_more_than_dbl_max(self):
+        # knot spans overflow; scaling both samples by 1/4 is exact and must
+        # not move the distance (no NaN dropped, no RuntimeWarning raised)
+        x = np.array([-1e308, -1e308, 1.5e308])
+        y = np.array([1e308] * 3)
+        precision = ks.TestPrecision(alpha=0.05, phi=1.5)
+        for a, b in ((x, y), (y, x)):
+            out = ks.run_test(a, b, precision)
+            assert out.d == ks.run_test(a / 4, b / 4, precision).d
+            assert out.d == pytest.approx(1 / 3)
+            assert abs(out.d - ks.exact_ks_distance(a, b)) <= precision.phi
 
     def test_precision_from_alpha_beta(self):
         p = ks.TestPrecision.from_alpha_beta(0.05, 0.025, 10**4, 10**4)
