@@ -9,10 +9,11 @@ draw their samples from --seed (default: env SKETCHKS_SEED, then 1729).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
-import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .ks import fmt17
 __all__ = ["main", "ingest"]
 
 _SEED_ENV = "SKETCHKS_SEED"
+_BLOCK_LINES = 1 << 12  # lines `ingest` holds and parses at a time
 
 
 def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
@@ -32,52 +34,69 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
     Returns (values array, skipped line count).  Without skip_invalid an
     unparsable or non-finite line raises with its line number; blank lines
     are always ignored, and a line that is not UTF-8 always raises with its
-    line number.  The line scanner `_scan` defines these rules; a file in
-    which every line after the header is one finite decimal takes numpy's
-    C parser instead, with the same values and count.
+    line number.  The line scanner `_scan` defines these rules.  The file
+    is read in blocks of _BLOCK_LINES lines, and `_floats` reads each block
+    in one C-level pass of float() over its lines; only the lines float()
+    cannot read as a finite number go through `_scan`.
     """
-    values, skipped = (_read_clean(path, skip_header)
-                       or _scan(path, skip_header, skip_invalid))
+    parts, skipped, lineno = [], 0, 1
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        if skip_header:  # line 1 holds no value either way
+            _, skipped = _scan([(1, fh.readline())], path, True, skip_invalid)
+            lineno = 2
+        while lines := list(itertools.islice(fh, _BLOCK_LINES)):
+            values, bad = _floats(lines)
+            rest, n = _scan(((lineno + i, lines[i]) for i in bad),
+                            path, skip_header, skip_invalid)
+            if rest.size:  # a number float() rejects: the scanner keeps the order
+                values, n = _scan(enumerate(lines, lineno), path, skip_header, skip_invalid)
+            parts.append(values)
+            skipped += n
+            lineno += len(lines)
+    values = np.concatenate(parts) if parts else np.empty(0)
     if not values.size:
         raise ValueError(f"{path}: no data values found")
     return values, skipped
 
 
-def _read_clean(path, skip_header: bool):
-    """(values, skipped) when every line after the header is one finite
-    decimal, else None.
+def _floats(lines):
+    """(values, bad): float(line) for each line it reads as a finite number,
+    in order, and the indices of the other lines, ascending.
 
-    One strict np.loadtxt call on the open file, not on the path, which
-    numpy would open through its DataSource (decompressing by suffix,
-    fetching URLs).  Lines reach it split by Python's text mode, as in
-    `_scan`; the "," delimiter keeps spaces inside a field, so
-    a field is a whole line and the float converter fails on any line that
-    float() rejects (or that is whitespace-only, which `_scan` skips).  A
-    line that holds a comma adds a column.  Anything but a non-empty,
-    one-column, all-finite table (an error, a warning such as loadtxt's
-    empty-input one, a second column, a NaN or an infinity) is None.
+    float() strips what str.strip() does except the ASCII separators
+    \\x1c-\\x1f, so a line it reads holds one number and `_scan` yields the
+    same value for it (a blank or non-UTF-8 line does not parse, and the
+    header line is never in a block).  A line it rejects yields nothing in
+    `_scan` unless that number is wrapped in those separators.  After
+    float() raises, the failing line's index is the number of lines
+    consumed before it, and map() resumes after it.
     """
-    try:
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            header = fh.readline() if skip_header else ""
-            table = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, Warning):
-        return None
-    if table.shape[1] != 1 or not table.size:
-        return None
-    if not (np.isfinite(table.min()) and np.isfinite(table.max())):
-        return None
-    return table.ravel(), int(bool(header.strip()))
+    buf, rejected, it = array("d"), [], iter(lines)
+    while True:
+        try:
+            buf.extend(map(float, it))
+            break
+        except ValueError:
+            rejected.append(len(buf) + len(rejected))
+    values = np.frombuffer(buf)
+    finite = np.isfinite(values)
+    if finite.all():
+        return values, rejected
+    # value j came from line j + (number of lines rejected before it)
+    j = np.flatnonzero(~finite)
+    offsets = np.array(rejected, dtype=np.int64) - np.arange(len(rejected))
+    nonfinite = j + np.searchsorted(offsets, j, side="right")
+    return values[finite], sorted(rejected + nonfinite.tolist())
 
 
-def _scan(path, skip_header: bool, skip_invalid: bool):
-    """The line-by-line parser behind `ingest`: (values, skipped)."""
+def _scan(numbered, path, skip_header: bool, skip_invalid: bool):
+    """The line-by-line parser behind `ingest`: (values, skipped) for an
+    iterable of (line number, line) pairs."""
     skipped = 0
 
-    def parsed(fh):
+    def parsed():
         nonlocal skipped
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered:
             text = line.strip()
             if not text:
                 continue
@@ -102,9 +121,7 @@ def _scan(path, skip_header: bool, skip_invalid: bool):
                 raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
             yield v
 
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        values = np.fromiter(parsed(fh), dtype=float)
-    return values, skipped
+    return np.fromiter(parsed(), dtype=float), skipped
 
 
 def _cmd_ks2(args) -> int:

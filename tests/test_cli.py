@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,12 +65,17 @@ class TestIngest:
             ingest(tmp_path / "nope.txt")
 
     def test_clean_file_skips_line_scanner(self, tmp_path, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("line scanner entered")
+        scan = cli._scan
 
-        monkeypatch.setattr(cli, "_scan", refuse)
+        def header_only(numbered, *args):
+            numbered = list(numbered)
+            assert all(n == 1 for n, _ in numbered), "line scanner entered past the header"
+            return scan(numbered, *args)
+
+        monkeypatch.setattr(cli, "_scan", header_only)
+        monkeypatch.setattr(cli, "_BLOCK_LINES", 2)
         f = tmp_path / "d.txt"
-        f.write_bytes(b"value\r\n 1.5\r\n\r\n-2e-3\t\n7\n")
+        f.write_bytes(b"value\r\n 1.5\r\n-2e-3\t\n\x0c7\n")
         values, skipped = ingest(f, skip_header=True, skip_invalid=True)
         assert values.tolist() == [1.5, -2e-3, 7.0]
         assert skipped == 1
@@ -140,7 +146,7 @@ _odd = st.sampled_from([
     "3\t4", "1,2", "5,", "garbage", "0x10", "+.5", "1.", "\ufeff1", "1\x00",
     "1\x0b", "\x1c", "\u2028", "\x85", '"1"', "#1",
 ])
-_space = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\xa0", "\u3000"])
+_space = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\x1c", "\xa0", "\u3000"])
 _line = st.tuples(_space, st.one_of(_numbers, _numbers, _odd), _space,
                   st.sampled_from(["\n", "\n", "\r\n", "\r"])).map("".join)
 
@@ -151,16 +157,42 @@ _line = st.tuples(_space, st.one_of(_numbers, _numbers, _odd), _space,
     last_newline=st.booleans(),
     skip_header=st.booleans(),
     skip_invalid=st.booleans(),
+    block=st.sampled_from([1, 2, 3, 4096]),
 )
 def test_ingest_matches_line_scanner(tmp_path_factory, lines, last_newline,
-                                     skip_header, skip_invalid):
+                                     skip_header, skip_invalid, block):
     text = "".join(lines)
     if not last_newline:
         text = text.rstrip("\r\n")
     path = tmp_path_factory.mktemp("ingest") / "d.txt"
     path.write_bytes(text.encode("utf-8"))
     flags = {"skip_header": skip_header, "skip_invalid": skip_invalid}
-    assert _outcome(ingest, path, **flags) == _outcome(reference_ingest, path, **flags)
+    with mock.patch.object(cli, "_BLOCK_LINES", block):
+        got = _outcome(ingest, path, **flags)
+    assert got == _outcome(reference_ingest, path, **flags)
+
+
+@pytest.mark.parametrize("lines, values, bad", [
+    (["1\n", "2\n"], [1.0, 2.0], []),
+    (["1\n", "x\n", "\n", "3\n"], [1.0, 3.0], [1, 2]),
+    (["nan\n", "1\n", " \n", "inf\n", "2\n", "1e999"], [1.0, 2.0], [0, 2, 3, 5]),
+    # Unicode spaces and digits parse; float() keeps \x1c where str.strip() drops it
+    (["\xa01\u3000\n", "\u0661\n", " 1\x1c\n"], [1.0, 1.0], [2]),
+    (["x\n", "-inf\n"], [], [0, 1]),
+])
+def test_floats_splits_values_from_bad_lines(lines, values, bad):
+    got, got_bad = cli._floats(lines)
+    assert got.dtype == np.float64 and got.tolist() == values
+    assert got_bad == bad
+
+
+def test_separator_wrapped_number_keeps_its_place(tmp_path):
+    # str.strip() removes \x1c-\x1f and float() does not: `_scan` reads the line
+    f = tmp_path / "d.txt"
+    f.write_text("1\n\x1c2\x1f\n3\nx\n", encoding="utf-8")
+    with mock.patch.object(cli, "_BLOCK_LINES", 3):
+        values, skipped = ingest(f, skip_invalid=True)
+    assert values.tolist() == [1.0, 2.0, 3.0] and skipped == 1
 
 
 class TestKs2Command:

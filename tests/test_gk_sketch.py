@@ -520,39 +520,6 @@ def reference_compress(values, rmin, rmax, threshold):
     return values[idx], rmin[idx], rmax[idx]
 
 
-def _compress_checked_against_reference():
-    real = QuantileSketch.compress
-
-    def checked(self):
-        before = self.summary()
-        real(self)
-        threshold = math.floor(2.0 * self.epsilon * self.count)
-        want = before
-        if before[0].size >= 3 and threshold >= 2:
-            want = reference_compress(*before, threshold)
-        for got, ref in zip(self.summary(), want):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
-
-    return checked
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    kind=st.sampled_from(["as drawn", "constant", "sorted", "reversed", "distinct"]),
-    n=st.integers(min_value=1, max_value=3000),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    eps=st.sampled_from([0.3, 0.1, 0.03, 0.01, 0.001]),
-    chunk=st.sampled_from([1, 3, 17, "n"]),
-)
-def test_compress_matches_greedy_loop_on_streams(kind, n, seed, eps, chunk):
-    s = QuantileSketch(eps)
-    with mock.patch.object(gk_sketch, "_CHUNK", n if chunk == "n" else chunk), \
-            mock.patch.object(QuantileSketch, "compress", _compress_checked_against_reference()):
-        s.extend(_stream(kind, n, seed))
-        s.compress()
-    s.check_invariants()
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     gaps=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 12)),
