@@ -67,19 +67,22 @@ class CdfPlan:
 
 
 class ApproxCdf:
-    """Immutable approximate CDF: probability knots and their quantiles."""
+    """Immutable approximate CDF: quantiles at the plan's probability knots.
 
-    def __init__(self, plan: CdfPlan, probs: np.ndarray, quantiles: np.ndarray):
-        probs = np.asarray(probs, dtype=float)
+    The knots are always `plan.a` equi-spaced probabilities from 1/n to 1,
+    so `error_bound(plan)` certifies every ApproxCdf.
+    """
+
+    def __init__(self, plan: CdfPlan, quantiles: np.ndarray):
         quantiles = np.asarray(quantiles, dtype=float)
-        if probs.shape != quantiles.shape or probs.ndim != 1:
-            raise ValueError("probs and quantiles must be 1-d and equally long")
-        if np.any(np.diff(probs) <= 0):
-            raise ValueError("probs must be strictly increasing")
-        if probs[0] != 1.0 / plan.n or probs[-1] != 1.0:
-            raise ValueError("probs must run from 1/n to 1 inclusive")
+        if quantiles.shape != (plan.a,):
+            raise ValueError(
+                f"quantiles must be 1-d with the plan's a = {plan.a} entries, "
+                f"got shape {quantiles.shape}"
+            )
         if np.any(quantiles[1:] < quantiles[:-1]):  # a difference can overflow
             raise ValueError("quantiles must be non-decreasing")
+        probs = _knot_probs(plan.n, plan.a)
         probs.flags.writeable = False
         quantiles.flags.writeable = False
         self.plan = plan
@@ -139,8 +142,7 @@ def build_cdf(data, plan: CdfPlan) -> ApproxCdf:
     values = np.asarray(data, dtype=float).ravel()
     if values.size != plan.n:
         raise ValueError(f"plan expects {plan.n} observations, got {values.size}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("data contains non-finite values")
+    _check_finite(values, "data")
     probs = _knot_probs(plan.n, plan.a)
     if plan.epsilon == 0.0:
         ordered = np.sort(values)
@@ -152,7 +154,7 @@ def build_cdf(data, plan: CdfPlan) -> ApproxCdf:
         sketch.extend(values)
         sketch.seal()
         quantiles = sketch.query_quantiles(probs)
-    return ApproxCdf(plan, probs, quantiles)
+    return ApproxCdf(plan, quantiles)
 
 
 def eval_cdf(cdf: ApproxCdf, x):
@@ -166,8 +168,7 @@ def eval_cdf(cdf: ApproxCdf, x):
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("eval_cdf requires finite x")
+    _check_finite(xs, "x")
     idx = np.searchsorted(q, xs, side="right")
     out = np.empty(xs.shape)
     below = idx == 0

@@ -9,11 +9,12 @@ query at probability p with a value whose true rank r satisfies
 
     floor((p - eps) * n) <= r <= ceil((p + eps) * n).
 
-Ingestion is by batch, the buffered scheme of Spark's QuantileSummaries on
-top of Greenwald-Khanna (SIGMOD 2001): each chunk of a batch is sorted,
-thinned to an exact summary of itself and merged into the stored tuples,
-the one-sided case of merging summaries (Agarwal et al., PODS 2012), where
-rank bounds add.  Ranks are 1-based.  Ties are ordered by arrival: an item
+Ingestion is by batch only, the buffered scheme of Spark's
+QuantileSummaries on top of Greenwald-Khanna (SIGMOD 2001): each chunk of a
+batch is sorted, thinned to an exact summary of itself and merged into the
+stored tuples, the one-sided case of merging summaries (Agarwal et al.,
+PODS 2012), where rank bounds add; COMPRESS then runs after every merged
+chunk.  Ranks are 1-based.  Ties are ordered by arrival: an item
 ranks after every equal item of an earlier chunk, and within a chunk by its
 sorted position.
 
@@ -89,7 +90,7 @@ def _check_finite(a: np.ndarray, name: str) -> None:
     # the extremes are NaN or infinite iff some value is; no mask is built
     if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         bad = a[~np.isfinite(a)].flat[0]
-        raise ValueError(f"{name} must be finite, got {bad}")
+        raise ValueError(f"{name} contains a non-finite value: {bad}")
 
 
 def _bounds(values, r_min, r_max, n, x, side):
@@ -108,7 +109,7 @@ def _bounds(values, r_min, r_max, n, x, side):
 class QuantileSketch:
     """Streaming epsilon-approximate quantile summary.
 
-    Single-writer while inserting; immutable (and freely shareable) once
+    Single-writer while extending; immutable (and freely shareable) once
     sealed.  Every read uses the stored rank bounds; `summary()` copies
     them out.
     """
@@ -122,8 +123,6 @@ class QuantileSketch:
         self._rmax = np.empty(0, dtype=np.int64)
         self._count = 0
         self._sealed = False
-        # compress whenever count crosses a multiple of floor(1/(2*eps))
-        self._period = max(1, math.floor(1.0 / (2.0 * epsilon)))
 
     @property
     def count(self) -> int:
@@ -137,33 +136,25 @@ class QuantileSketch:
     def tuple_count(self) -> int:
         return self._values.size
 
-    def insert(self, value: float) -> None:
-        """Add one observation."""
-        self.extend((value,))
-
     def extend(self, values) -> None:
-        """Add a batch: an array-like or any iterable of finite numbers.
+        """Add a batch: a 1-d array-like of finite numbers.
 
-        The whole batch is rejected, and the sketch left unchanged, if any
-        value is non-finite.  Each chunk of the batch is sorted, thinned and
-        merged (see the module docstring); COMPRESS runs after a chunk that
-        carries count across a multiple of the period.
+        The whole batch is rejected, and the sketch left unchanged, if it is
+        not a 1-d array of finite numbers (a generator raises TypeError).
+        Each chunk of the batch is sorted, thinned and merged, then
+        compressed (see the module docstring).
         """
         if self._sealed:
-            raise SketchStateError("cannot insert into a sealed sketch")
-        if hasattr(values, "__len__"):
-            batch = np.asarray(values, dtype=np.float64)
-        else:
-            batch = np.fromiter(values, dtype=np.float64)
+            raise SketchStateError("cannot extend a sealed sketch")
+        batch = np.asarray(values, dtype=np.float64)
         if batch.ndim != 1:
             raise ValueError("values must be a 1-d sequence")
         _check_finite(batch, "values")
         for start in range(0, batch.size, _CHUNK):
             chunk = np.sort(batch[start:start + _CHUNK])
             self._merge_sorted(chunk)
-            before, self._count = self._count, self._count + chunk.size
-            if self._count // self._period != before // self._period:
-                self.compress()
+            self._count += chunk.size
+            self.compress()
 
     def _merge_sorted(self, chunk: np.ndarray) -> None:
         k = chunk.size
@@ -213,7 +204,7 @@ class QuantileSketch:
         self._rmax = rmax[on]
 
     def seal(self) -> "QuantileSketch":
-        """Freeze the sketch; queries remain available, insertion does not."""
+        """Freeze the sketch; queries remain available, `extend` does not."""
         self._sealed = True
         return self
 
@@ -245,10 +236,6 @@ class QuantileSketch:
         Fresh copies of the stored arrays.
         """
         return self._values.copy(), self._rmin.copy(), self._rmax.copy()
-
-    def query_quantile(self, p: float) -> float:
-        """One-probability form of `query_quantiles`."""
-        return float(self.query_quantiles([p])[0])
 
     def query_quantiles(self, probs) -> np.ndarray:
         """Quantile answers for a non-decreasing grid of p in (0, 1].

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx_cdf import ApproxCdf, CdfPlan, build_cdf, eval_cdf, plan_from_phi
-from .gk_sketch import QuantileSketch, SketchStateError
+from .gk_sketch import QuantileSketch, SketchStateError, _check_finite
 
 __all__ = [
     "KsOutcome",
@@ -116,8 +116,8 @@ def exact_ks_distance(x, y) -> float:
     ys = np.sort(np.asarray(y, dtype=float).ravel())
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be non-empty")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ValueError("samples must contain only finite values")
+    _check_finite(xs, "x")
+    _check_finite(ys, "y")
     pooled = np.union1d(xs, ys)
     f1 = np.searchsorted(xs, pooled, side="right") / xs.size
     f2 = np.searchsorted(ys, pooled, side="right") / ys.size

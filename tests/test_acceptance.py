@@ -173,7 +173,7 @@ def test_criterion_6_property_suites():
         s.seal()
         ordered = np.sort(stream)
         for p in np.linspace(0.05, 1.0, 20):
-            v = s.query_quantile(float(p))
+            v = s.query_quantiles([float(p)])[0]
             r = int(np.searchsorted(ordered, v, side="right"))
             if not (math.floor((p - eps) * n) <= r <= math.ceil((p + eps) * n)):
                 problems.append(f"rank guarantee broken at eps={eps}, p={p}")

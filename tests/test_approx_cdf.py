@@ -133,9 +133,10 @@ class TestBuildCdf:
 
 
 class TestEvalCdf:
+    # n=4, a=3: knots at p = 1/4, 1/4 + (3/4)/2 = 0.625 and 1
     def _simple(self):
         plan = CdfPlan(n=4, delta=0.6, epsilon=0.0, a=3)
-        return ApproxCdf(plan, np.array([0.25, 0.5, 1.0]), np.array([0.0, 10.0, 20.0]))
+        return ApproxCdf(plan, np.array([0.0, 10.0, 20.0]))
 
     def test_at_knots(self):
         cdf = self._simple()
@@ -144,8 +145,9 @@ class TestEvalCdf:
 
     def test_segment_midpoint(self):
         cdf = self._simple()
-        assert eval_cdf(cdf, 5.0) == pytest.approx(0.375)
-        assert eval_cdf(cdf, 15.0) == pytest.approx(0.75)
+        # 0.25 + (5/10) * 0.375 and 0.625 + (5/10) * 0.375
+        assert eval_cdf(cdf, 5.0) == pytest.approx(0.4375)
+        assert eval_cdf(cdf, 15.0) == pytest.approx(0.8125)
 
     def test_endpoint_clamping(self):
         cdf = self._simple()
@@ -154,8 +156,8 @@ class TestEvalCdf:
 
     def test_duplicate_knots_step(self):
         plan = CdfPlan(n=4, delta=0.6, epsilon=0.0, a=3)
-        cdf = ApproxCdf(plan, np.array([0.25, 0.5, 1.0]), np.array([0.0, 0.0, 10.0]))
-        assert eval_cdf(cdf, 0.0) == 0.5  # largest tied probability
+        cdf = ApproxCdf(plan, np.array([0.0, 0.0, 10.0]))
+        assert eval_cdf(cdf, 0.0) == 0.625  # largest tied probability
 
     def test_vectorized_matches_scalar(self):
         cdf = self._simple()
@@ -172,14 +174,25 @@ class TestEvalCdf:
         # q[hi] - q[lo] overflows; the fraction must equal the one on the
         # same knots scaled by 1/4, where nothing overflows
         plan = CdfPlan(n=4, delta=0.6, epsilon=0.0, a=3)
-        probs = np.array([0.25, 0.5, 1.0])
         knots = np.array([-1e308, 1.5e308, 1.7e308])
-        wide = ApproxCdf(plan, probs, knots)
-        narrow = ApproxCdf(plan, probs, knots / 4)
+        wide = ApproxCdf(plan, knots)
+        narrow = ApproxCdf(plan, knots / 4)
         xs = np.array([-1e308, -1e300, 0.0, 1e308, 1.5e308, 1.6e308])
         got = eval_cdf(wide, xs)
         assert got.tolist() == eval_cdf(narrow, xs / 4).tolist()
-        assert got[3] == pytest.approx(0.25 + 0.25 * 0.8)
+        # (1e308 + 1e308) / 2.5e308 = 0.8 of the first segment
+        assert got[3] == pytest.approx(0.55)
+
+    def test_quantiles_must_match_plan(self):
+        # two knots cannot certify an a=100 plan: on 99 zeros and a one they
+        # would read F(0) = 0.01 against the exact 0.99
+        plan = CdfPlan(n=100, delta=0.02, epsilon=0.0, a=100)
+        with pytest.raises(ValueError, match="a = 100"):
+            ApproxCdf(plan, [0.0, 1.0])
+        with pytest.raises(ValueError, match="a = 100"):
+            ApproxCdf(plan, np.zeros((100, 1)))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            ApproxCdf(plan, np.arange(100.0)[::-1])
 
 
 class TestEmpiricalCdf:

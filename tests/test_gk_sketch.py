@@ -50,7 +50,7 @@ class TestInsert:
     def test_count_conservation(self):
         s = QuantileSketch(0.1)
         for v in [5, 1, 3, 2, 4, 6, 0]:
-            s.insert(v)
+            s.extend([v])
         s.seal()
         assert s.summary()[1][-1] == 7
         assert s.count == 7
@@ -66,11 +66,11 @@ class TestInsert:
     def test_identity_permutation_rank_bounds(self):
         # sorted integers: value == rank, so every query is directly checkable
         s = QuantileSketch(0.01)
-        s.extend(float(v) for v in range(1, 10001))
+        s.extend(np.arange(1.0, 10001.0))
         s.seal()
         for k in range(1, 101):
             p = k / 100
-            v = s.query_quantile(p)
+            v = s.query_quantiles([p])[0]
             lo = math.floor((p - 0.01) * 10000)
             hi = math.ceil((p + 0.01) * 10000)
             assert lo <= v <= hi, (p, v)
@@ -78,16 +78,9 @@ class TestInsert:
     def test_rejects_non_finite(self):
         s = QuantileSketch(0.1)
         with pytest.raises(ValueError, match="finite"):
-            s.insert(float("nan"))
+            s.extend([float("nan")])
         with pytest.raises(ValueError, match="finite"):
-            s.insert(float("inf"))
-
-    def test_sealed_sketch_rejects_insert(self):
-        s = QuantileSketch(0.1)
-        s.insert(1.0)
-        s.seal()
-        with pytest.raises(SketchStateError):
-            s.insert(2.0)
+            s.extend([float("inf")])
 
     def test_non_finite_batch_rejected_whole(self):
         s = QuantileSketch(0.1)
@@ -105,14 +98,16 @@ class TestInsert:
         s.seal()
         with pytest.raises(SketchStateError):
             s.extend([3.0])
+        assert s.count == 2
 
-    def test_extend_accepts_generator(self):
-        a = QuantileSketch(0.01)
-        a.extend(float(v) for v in range(1000, 0, -1))
-        b = QuantileSketch(0.01)
-        b.extend(np.arange(1000.0, 0.0, -1.0))
-        assert a.count == 1000
-        for x, y in zip(a.summary(), b.summary()):
+    def test_extend_rejects_generator(self):
+        s = QuantileSketch(0.01)
+        s.extend(np.arange(50.0))
+        before = s.summary()
+        with pytest.raises(TypeError):
+            s.extend(float(v) for v in range(1000, 0, -1))
+        assert s.count == 50
+        for x, y in zip(before, s.summary()):
             assert np.array_equal(x, y)
 
     def test_bad_epsilon(self):
@@ -129,7 +124,7 @@ class TestCompress:
 
     def test_compress_shrinks_uncompressed_stream(self):
         s = QuantileSketch(0.05)
-        s.extend(float(v) for v in range(1, 1001))
+        s.extend(np.arange(1.0, 1001.0))
         before = s.tuple_count
         s.compress()
         assert s.tuple_count <= before < 1000
@@ -144,20 +139,20 @@ class TestCompress:
         s.seal()
         for k in range(1, 10):
             p = k / 10
-            assert eq4_holds(stream, 0.05, p, s.query_quantile(p))
+            assert eq4_holds(stream, 0.05, p, s.query_quantiles([p])[0])
 
 
 class TestQuantileQueries:
     def test_single_element_any_p(self):
         s = QuantileSketch(0.1)
-        s.insert(42.0)
+        s.extend([42.0])
         for p in (0.01, 0.3, 0.5, 1.0):
-            assert s.query_quantile(p) == 42.0
+            assert s.query_quantiles([p])[0] == 42.0
 
     def test_median_of_hundred(self):
         s = QuantileSketch(0.1)
         s.extend(range(1, 101))
-        assert 40 <= s.query_quantile(0.5) <= 60
+        assert 40 <= s.query_quantiles([0.5])[0] <= 60
 
     def test_randomized_permutations(self):
         rng = np.random.default_rng(123)
@@ -169,7 +164,7 @@ class TestQuantileQueries:
             s.seal()
             for k in range(1, 101):
                 p = k / 100
-                v = s.query_quantile(p)
+                v = s.query_quantiles([p])[0]
                 lo = math.floor((p - 0.01) * 10000)
                 hi = math.ceil((p + 0.01) * 10000)
                 assert lo <= v <= hi, (trial, p, v)
@@ -177,11 +172,11 @@ class TestQuantileQueries:
     def test_domain_errors(self):
         s = QuantileSketch(0.1)
         with pytest.raises(SketchStateError):
-            s.query_quantile(0.5)
-        s.insert(1.0)
+            s.query_quantiles([0.5])
+        s.extend([1.0])
         for p in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                s.query_quantile(p)
+                s.query_quantiles([p])
 
     def test_query_quantiles_p1_is_max(self):
         s = QuantileSketch(0.1)
@@ -214,7 +209,7 @@ class TestQuantileQueries:
 
     def test_query_quantiles_validation(self):
         s = QuantileSketch(0.1)
-        s.insert(1.0)
+        s.extend([1.0])
         with pytest.raises(ValueError, match="non-empty"):
             s.query_quantiles([])
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -232,7 +227,7 @@ class TestRankBounds:
 
     def test_interval_width_and_coverage(self):
         s = QuantileSketch(0.01)
-        s.extend(float(v) for v in range(1, 1001))
+        s.extend(np.arange(1.0, 1001.0))
         s.seal()
         lo, hi = s.rank_bounds(500.0)
         assert lo <= 500 <= hi
@@ -240,7 +235,7 @@ class TestRankBounds:
 
     def test_requires_sealed(self):
         s = QuantileSketch(0.1)
-        s.insert(1.0)
+        s.extend([1.0])
         with pytest.raises(SketchStateError):
             s.rank_bounds(1.0)
 
@@ -296,7 +291,7 @@ def test_rank_guarantee_property(values, eps, pk):
     s = QuantileSketch(eps)
     s.extend(values)
     s.seal()
-    assert eq4_holds(values, eps, p, s.query_quantile(p))
+    assert eq4_holds(values, eps, p, s.query_quantiles([p])[0])
     s.check_invariants()
 
 
@@ -310,7 +305,7 @@ def test_rank_guarantee_property(values, eps, pk):
 def test_conservation_after_every_insert(values, eps):
     s = QuantileSketch(eps)
     for v in values:
-        s.insert(v)
+        s.extend([v])
         assert s.summary()[1][-1] == s.count
     s.compress()
     s.check_invariants()
@@ -350,14 +345,12 @@ def test_query_quantiles_matches_scalar_reference(kind, n, seed, eps, probs):
 
 def test_broken_rank_contract_raises():
     s = QuantileSketch(0.01)
-    s.extend(float(v) for v in range(1, 10001))
+    s.extend(np.arange(1.0, 10001.0))
     s.seal()
     s._rmax[1:-1] += s.count
     assert reference_quantiles(s, [0.5]) == [10000.0]  # the silent maximum
     with pytest.raises(SketchStateError, match="rank contract"):
         s.query_quantiles([0.5])
-    with pytest.raises(SketchStateError, match="rank contract"):
-        s.query_quantile(0.5)
 
 
 @pytest.mark.parametrize("field,index,value,message", [
@@ -415,6 +408,10 @@ def test_batch_ingest_matches_exact_ranks(kind, n, seed, eps, chunk, cuts):
         for lo, hi in zip(bounds, bounds[1:]):
             s.extend(stream[lo:hi])
     s.check_invariants()
+    compressed = s.summary()
+    s.compress()  # every merged chunk was compressed: nothing more to delete
+    for got, want in zip(s.summary(), compressed):
+        assert np.array_equal(got, want)
     s.seal()
     _assert_stored_ranks(s, stream)
     ordered = np.sort(stream)
@@ -437,15 +434,15 @@ def reference_ingest(batches, eps, chunk):
     """Batch ingest in the gap form (value, g, delta), kept as an oracle.
 
     Each chunk of each batch is sorted, thinned at the stride
-    floor(eps*k/2) + 1 and merged with per-tuple gap formulas; COMPRESS
-    folds tuple i into its right neighbour while g_i + g_next + delta_next
-    <= floor(2*eps*n).  Returns (values, r_min, r_max) with r_min =
+    floor(eps*k/2) + 1 and merged with per-tuple gap formulas; after every
+    chunk COMPRESS folds tuple i into its right neighbour while g_i + g_next
+    + delta_next <= floor(2*eps*n).  Returns (values, r_min, r_max) with r_min =
     cumsum(g) and r_max = r_min + delta.
     """
     values = np.empty(0)
     g = np.empty(0, dtype=np.int64)
     delta = np.empty(0, dtype=np.int64)
-    count, period = 0, max(1, math.floor(1.0 / (2.0 * eps)))
+    count = 0
     for batch in batches:
         for start in range(0, len(batch), chunk):
             part = np.sort(batch[start:start + chunk])
@@ -465,9 +462,9 @@ def reference_ingest(batches, eps, chunk):
                 values = np.insert(values, pos, kept)
                 g = np.insert(g, pos, gaps)
                 delta = np.insert(delta + grown, pos, kept_delta)
-            before, count = count, count + k
+            count += k
             threshold = math.floor(2.0 * eps * count)
-            if count // period == before // period or values.size < 3 or threshold < 2:
+            if values.size < 3 or threshold < 2:
                 continue
             keep, kept_g = [values.size - 1], [int(g[-1])]
             for i in range(values.size - 2, 0, -1):

@@ -296,7 +296,7 @@ class TestLallKs:
 
     def test_state_errors(self):
         s = QuantileSketch(0.1)
-        s.insert(1.0)
+        s.extend([1.0])
         sealed = self._sealed([1.0, 2.0], 0.1)
         with pytest.raises(SketchStateError):
             ks.lall_ks(s, sealed)
