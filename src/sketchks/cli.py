@@ -3,7 +3,7 @@
 Commands: ks2 (one test, JSON to stdout), experiment (replicated synthetic
 runs, CSV), convergence (CDF error study, CSV), cdf (knot export for
 plotting).  Every command is byte-deterministic; experiment and convergence
-draw their samples from --seed (default: env SKETCHKS_SEED, then 1729).
+draw their samples from --seed (default 1729).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .ks import fmt17
 
 __all__ = ["main", "ingest"]
 
-_SEED_ENV = "SKETCHKS_SEED"
 _BLOCK_LINES = 1 << 12  # lines `ingest` holds and parses at a time
 
 
@@ -35,9 +34,10 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
     unparsable or non-finite line raises with its line number; blank lines
     are always ignored, and a line that is not UTF-8 always raises with its
     line number.  The line scanner `_scan` defines these rules.  The file
-    is read in blocks of _BLOCK_LINES lines, and `_floats` reads each block
-    in one C-level pass of float() over its lines; only the lines float()
-    cannot read as a finite number go through `_scan`.
+    is read in blocks of _BLOCK_LINES lines, and `_floats` gives value i of
+    a block from line i in one C-level pass of float().  float() strips no
+    more than str.strip(), so a line it reads as a finite number holds the
+    value `_scan` would give it; `_scan` re-reads the other lines in place.
     """
     parts, skipped, lineno = [], 0, 1
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -45,13 +45,14 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
             _, skipped = _scan([(1, fh.readline())], path, True, skip_invalid)
             lineno = 2
         while lines := list(itertools.islice(fh, _BLOCK_LINES)):
-            values, bad = _floats(lines)
-            rest, n = _scan(((lineno + i, lines[i]) for i in bad),
-                            path, skip_header, skip_invalid)
-            if rest.size:  # a number float() rejects: the scanner keeps the order
-                values, n = _scan(enumerate(lines, lineno), path, skip_header, skip_invalid)
+            values = _floats(lines)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                values[bad], n = _scan([(lineno + i, lines[i]) for i in bad.tolist()],
+                                       path, False, skip_invalid)
+                values = values[np.isfinite(values)]
+                skipped += n
             parts.append(values)
-            skipped += n
             lineno += len(lines)
     values = np.concatenate(parts) if parts else np.empty(0)
     if not values.size:
@@ -60,68 +61,50 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
 
 
 def _floats(lines):
-    """(values, bad): float(line) for each line it reads as a finite number,
-    in order, and the indices of the other lines, ascending.
-
-    float() strips what str.strip() does except the ASCII separators
-    \\x1c-\\x1f, so a line it reads holds one number and `_scan` yields the
-    same value for it (a blank or non-UTF-8 line does not parse, and the
-    header line is never in a block).  A line it rejects yields nothing in
-    `_scan` unless that number is wrapped in those separators.  After
-    float() raises, the failing line's index is the number of lines
-    consumed before it, and map() resumes after it.
+    """float(line) for each line, NaN where float() raises: one float64
+    per line.  After float() raises, map() resumes after the failing line.
     """
-    buf, rejected, it = array("d"), [], iter(lines)
+    buf, it = array("d"), iter(lines)
     while True:
         try:
             buf.extend(map(float, it))
-            break
+            return np.frombuffer(buf)
         except ValueError:
-            rejected.append(len(buf) + len(rejected))
-    values = np.frombuffer(buf)
-    finite = np.isfinite(values)
-    if finite.all():
-        return values, rejected
-    # value j came from line j + (number of lines rejected before it)
-    j = np.flatnonzero(~finite)
-    offsets = np.array(rejected, dtype=np.int64) - np.arange(len(rejected))
-    nonfinite = j + np.searchsorted(offsets, j, side="right")
-    return values[finite], sorted(rejected + nonfinite.tolist())
+            buf.append(math.nan)
 
 
 def _scan(numbered, path, skip_header: bool, skip_invalid: bool):
-    """The line-by-line parser behind `ingest`: (values, skipped) for an
-    iterable of (line number, line) pairs."""
-    skipped = 0
-
-    def parsed():
-        nonlocal skipped
-        for lineno, line in numbered:
-            text = line.strip()
-            if not text:
-                continue
-            if not text.isascii():
-                # undecodable bytes arrive as lone surrogates
-                try:
-                    text.encode("utf-8")
-                except UnicodeEncodeError:
-                    raw = text.encode("utf-8", "surrogateescape")
-                    raise ValueError(f"{path}:{lineno}: not UTF-8 text: {raw!r}") from None
-            if skip_header and lineno == 1:
-                skipped += 1
-                continue
+    """The rule for a line behind `ingest`: (values, skipped) for an
+    iterable of (line number, line) pairs, one value per line.  A line
+    that holds no value (blank, a skipped header or a skipped invalid
+    line) gives NaN; any other bad line raises with its number."""
+    values, skipped = array("d"), 0
+    for lineno, line in numbered:
+        values.append(math.nan)
+        text = line.strip()
+        if not text:
+            continue
+        if not text.isascii():
+            # undecodable bytes arrive as lone surrogates
             try:
-                v = float(text)
-            except ValueError:
-                v = math.nan
-            if not math.isfinite(v):
-                if skip_invalid:
-                    skipped += 1
-                    continue
-                raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
-            yield v
-
-    return np.fromiter(parsed(), dtype=float), skipped
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raw = text.encode("utf-8", "surrogateescape")
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text: {raw!r}") from None
+        if skip_header and lineno == 1:
+            skipped += 1
+            continue
+        try:
+            v = float(text)
+        except ValueError:
+            v = math.nan
+        if math.isfinite(v):
+            values[-1] = v
+        elif skip_invalid:
+            skipped += 1
+        else:
+            raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
+    return np.frombuffer(values), skipped
 
 
 def _cmd_ks2(args) -> int:
@@ -222,12 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        # a string default is converted by type=int only when the flag is
-        # absent, so a bad environment value fails just the commands that read it
-        p.add_argument("--seed", type=int,
-                       default=os.environ.get(_SEED_ENV) or experiments.DEFAULT_SEED,
-                       help=f"master seed (default: ${_SEED_ENV} or "
-                            f"{experiments.DEFAULT_SEED})")
+        p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED,
+                       help=f"master seed (default: {experiments.DEFAULT_SEED})")
 
     def add_file_flags(p):
         p.add_argument("--skip-header", action="store_true",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx_cdf import ApproxCdf, CdfPlan, build_cdf, eval_cdf, plan_from_phi
-from .gk_sketch import QuantileSketch, SketchStateError, _check_finite
+from .gk_sketch import QuantileSketch, _check_finite
 
 __all__ = [
     "KsOutcome",
@@ -109,8 +109,9 @@ class TestPrecision:
 def exact_ks_distance(x, y) -> float:
     """sup_t |F1(t) - F2(t)| for right-continuous empirical CDFs.
 
-    Merged scan of both sorted samples; tie groups advance jointly because
-    the difference is evaluated on the pooled unique values.
+    Sorts both samples, and counts each one's values <= t with one
+    searchsorted over the pooled unique values t (np.union1d); ties need no
+    special case because each t is a whole tie group.
     """
     xs = np.sort(np.asarray(x, dtype=float).ravel())
     ys = np.sort(np.asarray(y, dtype=float).ravel())
@@ -223,13 +224,9 @@ def lall_ks(sketch1: QuantileSketch, sketch2: QuantileSketch) -> float:
     Over the union of values stored in either summary, estimates each
     sample's CDF as (r_min + r_max) / (2n) and returns the largest absolute
     difference.  With each sketch built at epsilon = precision/6 the result
-    stays within the target precision of the exact distance.
+    stays within the target precision of the exact distance.  An unsealed
+    or empty sketch raises SketchStateError from `rank_bounds`.
     """
-    for s in (sketch1, sketch2):
-        if not s.sealed:
-            raise SketchStateError("lall_ks requires sealed sketches")
-        if s.count == 0:
-            raise SketchStateError("lall_ks requires non-empty sketches")
     values = np.union1d(sketch1.summary()[0], sketch2.summary()[0])
     lo1, hi1 = sketch1.rank_bounds(values)
     lo2, hi2 = sketch2.rank_bounds(values)

@@ -175,15 +175,35 @@ def test_ingest_matches_line_scanner(tmp_path_factory, lines, last_newline,
 @pytest.mark.parametrize("lines, values, bad", [
     (["1\n", "2\n"], [1.0, 2.0], []),
     (["1\n", "x\n", "\n", "3\n"], [1.0, 3.0], [1, 2]),
-    (["nan\n", "1\n", " \n", "inf\n", "2\n", "1e999"], [1.0, 2.0], [0, 2, 3, 5]),
+    (["nan\n", "1\n", " \n", "inf\n", "2\n", "1e999"],
+     [math.nan, 1.0, math.inf, 2.0, math.inf], [2]),
     # Unicode spaces and digits parse; float() keeps \x1c where str.strip() drops it
     (["\xa01\u3000\n", "\u0661\n", " 1\x1c\n"], [1.0, 1.0], [2]),
-    (["x\n", "-inf\n"], [], [0, 1]),
+    (["x\n", "-inf\n"], [-math.inf], [0]),
 ])
 def test_floats_splits_values_from_bad_lines(lines, values, bad):
-    got, got_bad = cli._floats(lines)
-    assert got.dtype == np.float64 and got.tolist() == values
-    assert got_bad == bad
+    # one entry per line: NaN where float() raises, float(line) elsewhere
+    got = cli._floats(lines)
+    assert got.dtype == np.float64 and got.shape == (len(lines),)
+    assert np.isnan(got[bad]).all()
+    np.testing.assert_array_equal(np.delete(got, bad), values)
+
+
+def test_scanner_reads_only_lines_float_cannot(tmp_path, monkeypatch):
+    scan, seen = cli._scan, []
+
+    def recording(numbered, *args):
+        numbered = list(numbered)
+        seen.extend(n for n, _ in numbered)
+        return scan(numbered, *args)
+
+    monkeypatch.setattr(cli, "_scan", recording)
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 3)
+    f = tmp_path / "d.txt"
+    f.write_text("1\n\x1c2\x1f\n3\nnan\nx\n", encoding="utf-8")
+    values, skipped = ingest(f, skip_invalid=True)
+    assert values.tolist() == [1.0, 2.0, 3.0] and skipped == 2
+    assert seen == [2, 4, 5]
 
 
 def test_separator_wrapped_number_keeps_its_place(tmp_path):
@@ -282,31 +302,6 @@ def test_seed_only_on_sampling_commands(tmp_path, normal_files, capsys, command,
     assert not out.exists()
 
 
-class TestBadSeedEnvironment:
-    @pytest.fixture(autouse=True)
-    def bad_seed(self, monkeypatch):
-        monkeypatch.setenv("SKETCHKS_SEED", "abc")
-
-    def test_file_commands_ignore_it(self, tmp_path, normal_files, capsys):
-        f = str(normal_files("x.txt", 0, 500, 4))
-        out = tmp_path / "knots.csv"
-        assert main(["ks2", "--file-x", f, "--file-y", f, "--phi", "0.05"]) == 0
-        assert main(["cdf", "--file", f, "--delta", "0.2", "--out", str(out)]) == 0
-        assert out.exists()
-
-    @pytest.mark.parametrize("args", [
-        ["experiment", "--id", "3"],
-        ["convergence"],
-    ])
-    def test_sampling_commands_reject_it(self, tmp_path, capsys, args):
-        out = tmp_path / "r.csv"
-        with pytest.raises(SystemExit) as exc:
-            main([*args, "--out", str(out)])
-        assert exc.value.code == 2
-        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
-        assert not out.exists()
-
-
 class TestExperimentCommand:
     def test_runs_and_is_deterministic(self, tmp_path, capsys):
         out1 = tmp_path / "r1.csv"
@@ -315,17 +310,6 @@ class TestExperimentCommand:
                 "--n", "1000", "--m", "1000", "--seed", "7"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_seed_env_default(self, tmp_path, monkeypatch, capsys):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        monkeypatch.setenv("SKETCHKS_SEED", "99")
-        assert main(["experiment", "--id", "3", "--replications", "1",
-                     "--n", "500", "--m", "500", "--out", str(out1)]) == 0
-        assert main(["experiment", "--id", "3", "--replications", "1",
-                     "--n", "500", "--m", "500", "--seed", "99",
-                     "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_zero_sample_size_fails(self, tmp_path, capsys):
