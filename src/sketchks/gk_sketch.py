@@ -93,14 +93,13 @@ def _check_finite(a: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains a non-finite value: {bad}")
 
 
-def _bounds(values, r_min, r_max, n, x, side):
-    """Rank interval of x in the summary (values, r_min, r_max) of n items.
+def _bounds(r_min, r_max, n, i):
+    """Rank interval of probes in the summary (values, r_min, r_max) of n items.
 
-    With i stored values <= x (side="right") or < x (side="left"), at least
-    r_min[i-1] and at most r_max[i] - 1 items rank before x; 0 and n past
-    the ends.
+    i is the probes' searchsorted position in values: the count of stored
+    values <= x (side="right") or < x (side="left").  At least r_min[i-1]
+    and at most r_max[i] - 1 items rank before x; 0 and n past the ends.
     """
-    i = np.searchsorted(values, x, side=side)
     lower = np.concatenate(([0], r_min))
     upper = np.concatenate(([0], r_max[1:] - 1, [n]))
     return lower[i], upper[i]
@@ -165,9 +164,10 @@ class QuantileSketch:
         values, rmin, rmax = self._values, self._rmin, self._rmax
         # a kept value ranks after the stored values <= it, a stored value
         # after the chunk items < it: each side's interval in the other adds
-        kept_lo, kept_hi = _bounds(values, rmin, rmax, self._count, kept, "right")
-        grow_lo, grow_hi = _bounds(kept, ranks, ranks, k, values, "left")
         pos = np.searchsorted(values, kept, side="right")
+        kept_lo, kept_hi = _bounds(rmin, rmax, self._count, pos)
+        grow_lo, grow_hi = _bounds(ranks, ranks, k,
+                                   np.searchsorted(kept, values, side="left"))
         self._values = np.insert(values, pos, kept)
         self._rmin = np.insert(rmin + grow_lo, pos, kept_lo + ranks)
         self._rmax = np.insert(rmax + grow_hi, pos, kept_hi + ranks)
@@ -283,4 +283,5 @@ class QuantileSketch:
             raise SketchStateError("cannot query an empty sketch")
         xs = np.asarray(x, dtype=np.float64)
         _check_finite(xs, "x")
-        return _bounds(self._values, self._rmin, self._rmax, self._count, xs, "right")
+        i = np.searchsorted(self._values, xs, side="right")
+        return _bounds(self._rmin, self._rmax, self._count, i)

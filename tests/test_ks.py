@@ -3,6 +3,8 @@
 import bisect
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,6 +88,23 @@ class TestExactDistance:
             assert ks.exact_ks_distance(x, y) == pytest.approx(
                 brute_force_ks(x, y), abs=1e-12
             )
+
+    def test_correctly_rounded_where_float_cdfs_are_not(self):
+        # F1(1) - F2(1) = 3/10 - 1/10: 0.3 - 0.1 is 0.19999999999999998
+        x = [1, 1, 1, 4, 4, 4, 4, 4, 4, 4]
+        y = [1, 2, 2, 4, 4, 4, 4, 4, 4, 4]
+        assert ks.exact_ks_distance(x, y) == 0.2
+
+    def test_peak_memory_per_value(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=10**5), rng.normal(0.01, 1, size=10**5)
+        tracemalloc.start()
+        try:
+            ks.exact_ks_distance(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * (x.size + y.size)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -387,6 +406,31 @@ class TestKsOutcomeJson:
 )
 def test_exact_distance_equals_brute_force(x, y):
     assert ks.exact_ks_distance(x, y) == pytest.approx(brute_force_ks(x, y), abs=1e-12)
+
+
+def count_ks(x, y):
+    """Independent oracle in Python ints: max_t |c_x(t)*m - c_y(t)*n| / (n*m),
+    rounded once by Fraction."""
+    n, m = len(x), len(y)
+    best = max(abs(sum(v <= t for v in x) * m - sum(v <= t for v in y) * n)
+               for t in x + y)
+    return float(Fraction(best, n * m))
+
+
+_TIES = st.integers(-3, 3).map(float)
+_FLOATS = st.floats(min_value=-50, max_value=50,
+                    allow_nan=False, allow_infinity=False)
+
+
+@given(pair=st.one_of(
+    st.tuples(st.lists(_TIES, min_size=1, max_size=60),
+              st.lists(_TIES, min_size=1, max_size=60)),
+    st.tuples(st.lists(_FLOATS, min_size=1, max_size=60),
+              st.lists(_FLOATS, min_size=1, max_size=60)),
+).filter(lambda p: len(p[0]) != len(p[1])))
+def test_exact_distance_is_correctly_rounded(pair):
+    x, y = pair
+    assert ks.exact_ks_distance(x, y) == count_ks(x, y)
 
 
 def _sealed_stream(kind, n, seed, eps):
