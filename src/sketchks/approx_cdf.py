@@ -142,18 +142,19 @@ def build_cdf(data, plan: CdfPlan) -> ApproxCdf:
     values = np.asarray(data, dtype=float).ravel()
     if values.size != plan.n:
         raise ValueError(f"plan expects {plan.n} observations, got {values.size}")
-    _check_finite(values, "data")
-    probs = _knot_probs(plan.n, plan.a)
+    # the knots are built only once the sketch holds its tuples, and
+    # dropped before ApproxCdf rebuilds them
     if plan.epsilon == 0.0:
+        _check_finite(values, "data")  # `extend` checks the sketch branch
         ordered = np.sort(values)
-        ranks = np.ceil(probs * plan.n).astype(int)
+        ranks = np.ceil(_knot_probs(plan.n, plan.a) * plan.n).astype(int)
         np.clip(ranks, 1, plan.n, out=ranks)
         quantiles = ordered[ranks - 1]
     else:
         sketch = QuantileSketch(plan.epsilon)
         sketch.extend(values)
         sketch.seal()
-        quantiles = sketch.query_quantiles(probs)
+        quantiles = sketch.query_quantiles(_knot_probs(plan.n, plan.a))
     return ApproxCdf(plan, quantiles)
 
 

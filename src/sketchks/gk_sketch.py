@@ -105,6 +105,14 @@ def _bounds(r_min, r_max, n, i):
     return lower[i], upper[i]
 
 
+def _scatter(stored, at, kept, pos):
+    """stored and kept merged into one array at slots `at` and `pos`."""
+    out = np.empty(stored.size + kept.size, dtype=stored.dtype)
+    out[at] = stored
+    out[pos] = kept
+    return out
+
+
 class QuantileSketch:
     """Streaming epsilon-approximate quantile summary.
 
@@ -149,8 +157,14 @@ class QuantileSketch:
         if batch.ndim != 1:
             raise ValueError("values must be a 1-d sequence")
         _check_finite(batch, "values")
+        # every chunk is sorted in this one buffer: the merge copies out the
+        # thinned values, and a fresh sorted copy per chunk is allocated
+        # while the previous one is still bound, so it holds two chunks
+        buffer = np.empty(min(batch.size, _CHUNK))
         for start in range(0, batch.size, _CHUNK):
-            chunk = np.sort(batch[start:start + _CHUNK])
+            chunk = buffer[:min(_CHUNK, batch.size - start)]
+            chunk[...] = batch[start:start + _CHUNK]
+            chunk.sort()
             self._merge_sorted(chunk)
             self._count += chunk.size
             self.compress()
@@ -165,12 +179,21 @@ class QuantileSketch:
         # a kept value ranks after the stored values <= it, a stored value
         # after the chunk items < it: each side's interval in the other adds
         pos = np.searchsorted(values, kept, side="right")
+        before = np.searchsorted(kept, values, side="left")
         kept_lo, kept_hi = _bounds(rmin, rmax, self._count, pos)
-        grow_lo, grow_hi = _bounds(ranks, ranks, k,
-                                   np.searchsorted(kept, values, side="left"))
-        self._values = np.insert(values, pos, kept)
-        self._rmin = np.insert(rmin + grow_lo, pos, kept_lo + ranks)
-        self._rmax = np.insert(rmax + grow_hi, pos, kept_hi + ranks)
+        grow_lo, grow_hi = _bounds(ranks, ranks, k, before)
+        kept_lo += ranks
+        kept_hi += ranks
+        grow_lo += rmin
+        grow_hi += rmax
+        # merged slots: kept w_t goes after the pos[t] stored values <= it
+        # and the t kept ones before it, stored v_i after the before[i]
+        # kept values < it and the i stored ones before it
+        pos += np.arange(kept.size)
+        before += np.arange(values.size)
+        self._values = _scatter(values, before, kept, pos)
+        self._rmin = _scatter(grow_lo, before, kept_lo, pos)
+        self._rmax = _scatter(grow_hi, before, kept_hi, pos)
 
     def compress(self) -> None:
         """Delete tuples while the GK maintenance condition allows.
@@ -261,11 +284,16 @@ class QuantileSketch:
         if bad.size:
             raise ValueError(f"p must be in (0, 1], got {bad[0]}")
         n = self._count
-        lo = np.floor((probs - self.epsilon) * n)
-        hi = np.ceil((probs + self.epsilon) * n)
-        idx = np.searchsorted(self._rmin, lo, side="left")
+        # one buffer holds lo, then hi
+        bound = probs - self.epsilon
+        bound *= n
+        np.floor(bound, out=bound)
+        idx = np.searchsorted(self._rmin, bound, side="left")
         idx[probs == 1.0] = self._values.size - 1
-        if np.any(self._rmax[idx] > hi):
+        np.add(probs, self.epsilon, out=bound)
+        bound *= n
+        np.ceil(bound, out=bound)
+        if np.any(self._rmax[idx] > bound):
             raise SketchStateError("summary breaks the GK rank contract")
         return self._values[idx]
 

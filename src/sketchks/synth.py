@@ -107,7 +107,7 @@ def _gamma_shape_ge1(stream: _Counter, shape: float, k: int) -> np.ndarray:
         u = stream.open_uniforms(need)
         v = (1.0 + c * x) ** 3
         ok = v > 0
-        accept = ok & (u < 1.0 - 0.0331 * x**4)
+        accept = ok & (u < 1.0 - 0.0331 * (x * x) * (x * x))
         slow = ok & ~accept
         if np.any(slow):
             with np.errstate(divide="ignore"):

@@ -131,6 +131,14 @@ class TestBuildCdf:
         with pytest.raises(ValueError, match="non-finite"):
             build_cdf([1.0, 2.0, np.nan, 4.0], plan)
 
+    def test_non_finite_rejected_by_sketch(self):
+        data = sample(normal(0, 1), 500, 1)
+        data[7] = np.inf
+        plan = plan_from_phi(0.2, 500)
+        assert plan.epsilon > 0
+        with pytest.raises(ValueError, match="non-finite"):
+            build_cdf(data, plan)
+
 
 class TestEvalCdf:
     # n=4, a=3: knots at p = 1/4, 1/4 + (3/4)/2 = 0.625 and 1

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -263,6 +264,19 @@ class TestDeterminismAndSpace:
         b.extend(stream)
         for x, y in zip(a.summary(), b.summary()):
             assert np.array_equal(x, y)
+
+    def test_extend_peak_memory(self):
+        # one reused 512 KiB chunk buffer plus a summary of ~190 tuples
+        data = np.random.default_rng(5).normal(size=10**6)
+        s = QuantileSketch(0.00493)
+        tracemalloc.start()
+        try:
+            s.extend(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.7e6
+        s.check_invariants()
 
     @pytest.mark.parametrize("eps,n", [(0.1, 5000), (0.01, 20000), (0.001, 20000)])
     def test_space_soft_bound(self, eps, n):

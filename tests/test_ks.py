@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchks.ks as ks
-from sketchks.approx_cdf import build_cdf, error_bound, plan_from_phi
+from sketchks.approx_cdf import (
+    ApproxCdf,
+    CdfPlan,
+    build_cdf,
+    error_bound,
+    eval_cdf,
+    plan_from_phi,
+)
 from sketchks.gk_sketch import QuantileSketch, SketchStateError
 from sketchks.synth import normal, sample
 
@@ -32,6 +39,14 @@ def brute_force_ks(x, y):
     return best
 
 
+def all_knots_ks(cdf1, cdf2):
+    """Both interpolants at every knot of either CDF, kept as an oracle for
+    approx_two_sample_ks."""
+    d1 = np.max(np.abs(eval_cdf(cdf1, cdf1.quantiles) - eval_cdf(cdf2, cdf1.quantiles)))
+    d2 = np.max(np.abs(eval_cdf(cdf1, cdf2.quantiles) - eval_cdf(cdf2, cdf2.quantiles)))
+    return float(np.maximum(d1, d2))
+
+
 def reference_rank_bounds(sketch, v):
     """Scalar rank interval kept as an oracle: four branches on one value."""
     values, rmin, rmax = (a.tolist() for a in sketch.summary())
@@ -47,17 +62,16 @@ def reference_rank_bounds(sketch, v):
 
 
 def reference_lall(sketch1, sketch2):
-    """Per-value loop kept as an oracle for lall_ks."""
+    """Per-value loop kept as an oracle for lall_ks, in Python ints:
+    max |(lo1+hi1)*m - (lo2+hi2)*n| / (2*n*m), rounded once by Fraction."""
     stored = set(sketch1.summary()[0].tolist()) | set(sketch2.summary()[0].tolist())
     n, m = sketch1.count, sketch2.count
-    best = 0.0
+    best = 0
     for v in sorted(stored):
         lo1, hi1 = reference_rank_bounds(sketch1, v)
         lo2, hi2 = reference_rank_bounds(sketch2, v)
-        diff = abs((lo1 + hi1) / (2.0 * n) - (lo2 + hi2) / (2.0 * m))
-        if diff > best:
-            best = diff
-    return best
+        best = max(best, abs((lo1 + hi1) * m - (lo2 + hi2) * n))
+    return float(Fraction(best, 2 * n * m))
 
 
 class TestExactDistance:
@@ -151,6 +165,21 @@ class TestApproxDistance:
             d = ks.approx_two_sample_ks(build_cdf(x, p1), build_cdf(y, p2))
             bound = error_bound(p1) + error_bound(p2)
             assert abs(d - ks.exact_ks_distance(x, y)) <= bound, trial
+
+    def test_peak_memory_on_tied_knots(self):
+        # the loose-1m shape: 14,144 knots on under 200 distinct values a side
+        plan = plan_from_phi(0.01, 10**6)
+        cdf1 = build_cdf(sample(normal(0, 1), 10**6, 5), plan)
+        cdf2 = build_cdf(sample(normal(0.05, 1), 10**6, 6), plan)
+        assert plan.a == 14144 and np.unique(cdf1.quantiles).size < 200
+        tracemalloc.start()
+        try:
+            d = ks.approx_two_sample_ks(cdf1, cdf2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1e6
+        assert d == all_knots_ks(cdf1, cdf2)
 
     def test_nan_is_not_dropped(self, monkeypatch):
         # a NaN at the second CDF's knots must reach the caller, not lose
@@ -313,6 +342,13 @@ class TestLallKs:
         assert abs(d - exact) <= 0.05
         assert exact == pytest.approx(0.2751, abs=0.02)
 
+    def test_correctly_rounded_on_exact_summaries(self):
+        # 2*eps*n < 2 stores every value, so the estimate is the exact CDF:
+        # 6/20 - 2/20 must give 0.2, not 0.3 - 0.1 = 0.19999999999999998
+        x = [1, 1, 1, 4, 4, 4, 4, 4, 4, 4]
+        y = [1, 2, 2, 4, 4, 4, 4, 4, 4, 4]
+        assert ks.lall_ks(self._sealed(x, 0.01), self._sealed(y, 0.01)) == 0.2
+
     def test_state_errors(self):
         s = QuantileSketch(0.1)
         s.extend([1.0])
@@ -431,6 +467,24 @@ _FLOATS = st.floats(min_value=-50, max_value=50,
 def test_exact_distance_is_correctly_rounded(pair):
     x, y = pair
     assert ks.exact_ks_distance(x, y) == count_ks(x, y)
+
+
+@st.composite
+def _cdf(draw, values):
+    """An ApproxCdf on drawn quantiles, with its own n and knot count."""
+    quantiles = sorted(draw(st.lists(values, min_size=3, max_size=80)))
+    a = len(quantiles)
+    n = draw(st.integers(min_value=a, max_value=10**6))
+    plan = CdfPlan(n=n, delta=1 / (a - 1) + 0.25, epsilon=0.25, a=a)
+    return ApproxCdf(plan, np.array(quantiles))
+
+
+@given(pair=st.one_of(st.tuples(_cdf(_TIES), _cdf(_TIES)),
+                      st.tuples(_cdf(_FLOATS), _cdf(_FLOATS))))
+def test_approx_distance_matches_all_knots(pair):
+    cdf1, cdf2 = pair
+    assert ks.approx_two_sample_ks(cdf1, cdf2) == all_knots_ks(cdf1, cdf2)
+    assert ks.approx_two_sample_ks(cdf2, cdf1) == all_knots_ks(cdf1, cdf2)
 
 
 def _sealed_stream(kind, n, seed, eps):
