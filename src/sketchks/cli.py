@@ -114,10 +114,9 @@ def _cmd_ks2(args) -> int:
                   skip_invalid=args.skip_invalid)
     y, _ = ingest(args.file_y, skip_header=args.skip_header,
                   skip_invalid=args.skip_invalid)
-    if args.phi is not None:
-        precision = ks.TestPrecision(alpha=args.alpha, phi=args.phi)
-    else:
-        precision = ks.TestPrecision.from_alpha_beta(args.alpha, args.beta, x.size, y.size)
+    phi = args.phi if args.beta is None else ks.phi_for_test(
+        args.alpha, args.beta, x.size, y.size)
+    precision = ks.TestPrecision(alpha=args.alpha, phi=phi)
     outcome = ks.run_test(x, y, precision)
     plan_x, plan_y = outcome.plans
     params = ", ".join([
@@ -181,6 +180,8 @@ def _write_knots(path: Path, probs, quantiles) -> None:
 
 
 def _cmd_cdf(args) -> int:
+    if not 0 < args.delta < 1:
+        raise ValueError(f"--delta must be in (0, 1), got {args.delta}")
     data, _ = ingest(args.file, skip_header=args.skip_header,
                      skip_invalid=args.skip_invalid)
     n = data.size

@@ -20,7 +20,7 @@ the CDF bound at precision/2 and the comparison sketches at precision/6.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -59,22 +59,6 @@ _PHI_GAMMA = 0.00077    # alpha=0.20, beta=0.1 at N=84000, M=7000
 # band 0.0837..0.0976 matches sd = sqrt(2) (true D = 0.0829), not sd = 2.
 _VAR2 = normal(0, math.sqrt(2))
 
-_TABLE2 = {
-    1: (normal(0, 1), normal(1, 1), 10000, 10000, 0.05, 0.025, _PHI_GAUSS),
-    2: (normal(0, 1), _VAR2, 10000, 10000, 0.05, 0.025, _PHI_GAUSS),
-    3: (normal(0, 1), normal(0, 1), 10000, 10000, 0.05, 0.025, _PHI_GAUSS),
-    4: (gamma(0.5, 1), uniform(0, 1), 84000, 7000, 0.20, 0.10, _PHI_GAMMA),
-    5: (gamma(0.5, 1), gamma(0.5, 1), 84000, 7000, 0.20, 0.10, _PHI_GAMMA),
-}
-
-_TABLE3 = {
-    6: (normal(0, 1), normal(1, 1), 10000, 0.05),
-    7: (normal(0, 1), _VAR2, 10000, 0.01),
-    8: (normal(0, 1), normal(0, 1), 100000, 0.001),
-    9: (gamma(0.5, 1), uniform(0, 1), 84000, 0.05),
-    10: (gamma(0.5, 1), gamma(0.5, 1), 84000, 0.002),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -103,6 +87,23 @@ class ExperimentSpec:
         return self.phi / 6.0 if self.with_sketch else None
 
 
+_PRESETS = {spec.id: spec for spec in [
+    ExperimentSpec(1, normal(0, 1), normal(1, 1), 10000, 10000, 0.05, _PHI_GAUSS, 0.025),
+    ExperimentSpec(2, normal(0, 1), _VAR2, 10000, 10000, 0.05, _PHI_GAUSS, 0.025),
+    ExperimentSpec(3, normal(0, 1), normal(0, 1), 10000, 10000, 0.05, _PHI_GAUSS, 0.025),
+    ExperimentSpec(4, gamma(0.5, 1), uniform(0, 1), 84000, 7000, 0.20, _PHI_GAMMA, 0.10),
+    ExperimentSpec(5, gamma(0.5, 1), gamma(0.5, 1), 84000, 7000, 0.20, _PHI_GAMMA, 0.10),
+    ExperimentSpec(6, normal(0, 1), normal(1, 1), 10000, 10000, 0.05, 0.05, with_sketch=True),
+    ExperimentSpec(7, normal(0, 1), _VAR2, 10000, 10000, 0.05, 0.01, with_sketch=True),
+    ExperimentSpec(8, normal(0, 1), normal(0, 1), 100000, 100000, 0.05, 0.001,
+                   with_sketch=True),
+    ExperimentSpec(9, gamma(0.5, 1), uniform(0, 1), 84000, 84000, 0.05, 0.05,
+                   with_sketch=True),
+    ExperimentSpec(10, gamma(0.5, 1), gamma(0.5, 1), 84000, 84000, 0.05, 0.002,
+                   with_sketch=True),
+]}
+
+
 def experiment_spec(
     exp_id: int,
     *,
@@ -116,26 +117,16 @@ def experiment_spec(
     Overriding n or m on ids 1-5 re-derives phi from (alpha, beta) at the
     new sizes; on ids 6-10 the target precision is size-independent.
     """
-    if exp_id in _TABLE2:
-        d1, d2, n0, m0, alpha, beta, phi = _TABLE2[exp_id]
-        n = n0 if n is None else n
-        m = m0 if m is None else m
-        if (n, m) != (n0, m0):
-            phi = ks.phi_for_test(alpha, beta, n, m)
-        return ExperimentSpec(
-            id=exp_id, dist1=d1, dist2=d2, n=n, m=m, alpha=alpha, beta=beta,
-            phi=phi, replications=replications, master_seed=master_seed,
-        )
-    if exp_id in _TABLE3:
-        d1, d2, size, precision = _TABLE3[exp_id]
-        n = size if n is None else n
-        m = size if m is None else m
-        return ExperimentSpec(
-            id=exp_id, dist1=d1, dist2=d2, n=n, m=m, alpha=0.05,
-            phi=precision, with_sketch=True,
-            replications=replications, master_seed=master_seed,
-        )
-    raise ValueError(f"experiment id must be 1..10, got {exp_id}")
+    if exp_id not in _PRESETS:
+        raise ValueError(f"experiment id must be 1..10, got {exp_id}")
+    preset = _PRESETS[exp_id]
+    n = preset.n if n is None else n
+    m = preset.m if m is None else m
+    phi = preset.phi
+    if preset.beta is not None and (n, m) != (preset.n, preset.m):
+        phi = ks.phi_for_test(preset.alpha, preset.beta, n, m)
+    return replace(preset, n=n, m=m, phi=phi, replications=replications,
+                   master_seed=master_seed)
 
 
 @dataclass(frozen=True)
@@ -197,16 +188,11 @@ class ExperimentResult:
         _write_csv(path, _CSV_FIELDS, rows)
 
 
-def _rep_seeds(master_seed: int, rep: int) -> tuple[int, int]:
-    # per-replication seed = master + index; one stream per sample side
-    rep_seed = master_seed + rep
-    return 2 * rep_seed, 2 * rep_seed + 1
-
-
 def run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
-    seed_x, seed_y = _rep_seeds(spec.master_seed, rep)
-    x = sample(spec.dist1, spec.n, seed_x)
-    y = sample(spec.dist2, spec.m, seed_y)
+    # per-replication seed = master + index; one stream per sample side
+    seed = spec.master_seed + rep
+    x = sample(spec.dist1, spec.n, 2 * seed)
+    y = sample(spec.dist2, spec.m, 2 * seed + 1)
 
     d_exact = ks.exact_ks_distance(x, y)
     p_exact = ks.p_value(d_exact, spec.n, spec.m)
@@ -229,7 +215,7 @@ def run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
         }
     return ReplicationRecord(
         replication=rep,
-        seed=spec.master_seed + rep,
+        seed=seed,
         d_exact=d_exact,
         d_approx=approx.d,
         p_exact=p_exact,
@@ -248,6 +234,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return result
 
 
+# table style: p-values below this (and exact zeros from underflow) print
+# as 0.0; KsOutcome keeps the raw value
+P_VALUE_FLOOR = 1e-300
+
+
 def _csv_num(x) -> str:
     if x is None:
         return ""
@@ -257,9 +248,7 @@ def _csv_num(x) -> str:
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    # Table-style formatting: p-values below 1e-300 (and exact zeros from
-    # underflow) print as 0.0
-    if 0 <= x < ks.P_VALUE_FLOOR:
+    if 0 <= x < P_VALUE_FLOOR:
         return "0.0"
     return ks.fmt17(x)
 

@@ -83,7 +83,7 @@ _CHUNK = 1 << 16
 
 
 class SketchStateError(RuntimeError):
-    """Operation applied to a sketch in the wrong state (sealed/empty/broken)."""
+    """A write to a sealed sketch, a read of an empty one, or a broken summary."""
 
 
 def _check_finite(a: np.ndarray, name: str) -> None:
@@ -116,9 +116,9 @@ def _scatter(stored, at, kept, pos):
 class QuantileSketch:
     """Streaming epsilon-approximate quantile summary.
 
-    Single-writer while extending; immutable (and freely shareable) once
-    sealed.  Every read uses the stored rank bounds; `summary()` copies
-    them out.
+    Single-writer while extending; `seal()` stops writes, so a sealed
+    sketch is immutable and freely shareable.  Every read needs data, not a
+    seal, and uses the stored rank bounds; `summary()` copies them out.
     """
 
     def __init__(self, epsilon: float):
@@ -134,10 +134,6 @@ class QuantileSketch:
     @property
     def count(self) -> int:
         return self._count
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
 
     @property
     def tuple_count(self) -> int:
@@ -227,7 +223,7 @@ class QuantileSketch:
         self._rmax = rmax[on]
 
     def seal(self) -> "QuantileSketch":
-        """Freeze the sketch; queries remain available, `extend` does not."""
+        """Stop writes: `extend` raises from now on; reads are unaffected."""
         self._sealed = True
         return self
 
@@ -303,10 +299,9 @@ class QuantileSketch:
         Rank means the number of stream items <= x, so anything below the
         minimum maps to (0, 0) and anything at or above the maximum to
         (n, n).  Interval width is at most 2*eps*n + 1.  x may be a scalar
-        or an array of finite numbers; the bounds have its shape.
+        or an array of finite numbers; the bounds have its shape.  An empty
+        sketch raises SketchStateError, as in `query_quantiles`.
         """
-        if not self._sealed:
-            raise SketchStateError("rank_bounds requires a sealed sketch")
         if self._count == 0:
             raise SketchStateError("cannot query an empty sketch")
         xs = np.asarray(x, dtype=np.float64)

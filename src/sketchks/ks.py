@@ -31,11 +31,6 @@ __all__ = [
     "run_test",
 ]
 
-# p-values below this are printed as 0.0 in experiment outputs; the raw
-# value is kept in KsOutcome.
-P_VALUE_FLOOR = 1e-300
-
-
 def fmt17(x: float) -> str:
     """Round-trip text of a float: 17 significant digits."""
     return format(float(x), ".17g")
@@ -85,9 +80,8 @@ class TestPrecision:
     """Significance level plus the precision budget for the distance estimate.
 
     `phi` is the required precision in the KS distance; each of the two CDFs
-    gets an error budget of phi/2.  `from_alpha_beta` derives phi from a
-    p-value precision beta: the smaller shift of the critical distance
-    between alpha and alpha +/- beta.
+    gets an error budget of phi/2.  To plan phi from a p-value precision
+    beta instead, pass `phi_for_test(alpha, beta, n, m)`.
     """
 
     alpha: float
@@ -98,12 +92,6 @@ class TestPrecision:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0 < self.phi < 2:
             raise ValueError(f"phi must be in (0, 2), got {self.phi}")
-
-    @classmethod
-    def from_alpha_beta(
-        cls, alpha: float, beta: float, n: int, m: int
-    ) -> "TestPrecision":
-        return cls(alpha=alpha, phi=phi_for_test(alpha, beta, n, m))
 
 
 def exact_ks_distance(x, y) -> float:
@@ -133,11 +121,17 @@ def exact_ks_distance(x, y) -> float:
     return max(_lead(xs, ys), _lead(ys, xs)) / (n * m)
 
 
+def _ends(s: np.ndarray) -> np.ndarray:
+    """Mask of the last entry of each run of equal values in sorted s (non-empty)."""
+    ends = np.empty(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=ends[:-1])
+    ends[-1] = True
+    return ends
+
+
 def _lead(a: np.ndarray, b: np.ndarray) -> int:
     """max over the tie-group ends t of sorted a of #(a <= t)*|b| - #(b <= t)*|a|."""
-    ends = np.empty(a.size, dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=ends[:-1])
-    ends[-1] = True
+    ends = _ends(a)
     # the probe values a[ends] are freed before ca exists: two
     # group-length arrays live at a time, and the arithmetic is in place
     cb = np.searchsorted(b, a[ends], side="right")
@@ -169,11 +163,8 @@ def approx_two_sample_ks(cdf1: ApproxCdf, cdf2: ApproxCdf) -> float:
 
 def _gap(own: ApproxCdf, other: ApproxCdf) -> float:
     """max |other - own| over the tie-group ends of own's knots."""
-    q = own.quantiles
-    ends = np.empty(q.size, dtype=bool)
-    np.not_equal(q[1:], q[:-1], out=ends[:-1])
-    ends[-1] = True
-    diff = eval_cdf(other, q[ends])
+    ends = _ends(own.quantiles)
+    diff = eval_cdf(other, own.quantiles[ends])
     diff -= own.probs[ends]
     np.abs(diff, out=diff)
     return diff.max()
@@ -265,7 +256,8 @@ def lall_ks(sketch1: QuantileSketch, sketch2: QuantileSketch) -> float:
     stays within the target precision of the exact distance.  It is
     max |(lo1+hi1)*m - (lo2+hi2)*n| / (2*n*m), taken in int64 (each term is
     at most 2*n*m < 2**63) and divided once, so it is correctly rounded.
-    An unsealed or empty sketch raises SketchStateError from `rank_bounds`.
+    Either sketch may still be open for writes; an empty one raises
+    SketchStateError from `rank_bounds`.
     """
     values = np.union1d(sketch1.summary()[0], sketch2.summary()[0])
     lo1, hi1 = sketch1.rank_bounds(values)

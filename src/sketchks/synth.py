@@ -44,10 +44,6 @@ class DistributionSpec:
         if self.family == "uniform" and self.param2 <= self.param1:
             raise ValueError("uniform upper bound must exceed lower bound")
 
-    def label(self) -> str:
-        sym = {"normal": "N", "gamma": "Gamma", "uniform": "U"}[self.family]
-        return f"{sym}({self.param1:g},{self.param2:g})"
-
 
 def normal(mean: float, std: float) -> DistributionSpec:
     return DistributionSpec("normal", mean, std)
@@ -108,11 +104,10 @@ def _gamma_shape_ge1(stream: _Counter, shape: float, k: int) -> np.ndarray:
         v = (1.0 + c * x) ** 3
         ok = v > 0
         accept = ok & (u < 1.0 - 0.0331 * (x * x) * (x * x))
-        slow = ok & ~accept
-        if np.any(slow):
-            with np.errstate(divide="ignore"):
-                logv = np.where(ok, np.log(np.where(ok, v, 1.0)), 0.0)
-            accept |= slow & (np.log(u) < 0.5 * x**2 + d * (1.0 - v + logv))
+        # the log test runs only on the proposals the squeeze rejected
+        slow = np.flatnonzero(ok & ~accept)
+        xs, vs = x[slow], v[slow]
+        accept[slow] = np.log(u[slow]) < 0.5 * xs**2 + d * (1.0 - vs + np.log(vs))
         got = d * v[accept]
         out[filled : filled + got.size] = got
         filled += got.size

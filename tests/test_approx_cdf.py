@@ -97,6 +97,8 @@ class TestCdfPlanValidation:
             CdfPlan(n=2, delta=0.9, epsilon=0.0, a=3)
         with pytest.raises(ValueError):
             CdfPlan(n=100, delta=1.5, epsilon=0.0, a=10)
+        with pytest.raises(ValueError, match="n must be positive"):
+            CdfPlan(n=0, delta=0.5, epsilon=0.0, a=3)
 
 
 class TestBuildCdf:

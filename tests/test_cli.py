@@ -413,3 +413,14 @@ class TestCdfCommand:
                 main(["cdf", "--file", str(f), "--out", str(out), *flags])
             assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("delta", ["0", "-0.1", "1.5"])
+    def test_delta_out_of_range_names_delta(self, tmp_path, capsys, delta):
+        f = tmp_path / "d.txt"
+        f.write_text("1\n2\n3\n4\n")
+        out = tmp_path / "o.csv"
+        assert main(["cdf", "--file", str(f), "--delta", delta, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"--delta must be in (0, 1), got {float(delta)}" in err
+        assert "phi" not in err
+        assert not out.exists()

@@ -1,10 +1,12 @@
 """Experiment harness: presets, replication records, CSV output, determinism."""
 
+import math
+
 import pytest
 
 import sketchks.ks as ks
 from sketchks import experiments as ex
-from sketchks.synth import sample
+from sketchks.synth import gamma, normal, sample, uniform
 
 
 class TestPresets:
@@ -37,6 +39,39 @@ class TestPresets:
             assert spec.sketch_epsilon == spec.phi / 6
         else:
             assert not spec.with_sketch and spec.sketch_epsilon is None
+
+    # (dist1, dist2, n, m, alpha, phi, beta, with_sketch) at default sizes;
+    # N(0,2) is N(mean, variance), so sd sqrt(2)
+    @pytest.mark.parametrize("exp_id, pinned", [
+        (1, (normal(0, 1), normal(1, 1), 10000, 10000, 0.05, 0.000399, 0.025, False)),
+        (2, (normal(0, 1), normal(0, math.sqrt(2)), 10000, 10000, 0.05, 0.000399, 0.025,
+             False)),
+        (3, (normal(0, 1), normal(0, 1), 10000, 10000, 0.05, 0.000399, 0.025, False)),
+        (4, (gamma(0.5, 1), uniform(0, 1), 84000, 7000, 0.20, 0.00077, 0.10, False)),
+        (5, (gamma(0.5, 1), gamma(0.5, 1), 84000, 7000, 0.20, 0.00077, 0.10, False)),
+        (6, (normal(0, 1), normal(1, 1), 10000, 10000, 0.05, 0.05, None, True)),
+        (7, (normal(0, 1), normal(0, math.sqrt(2)), 10000, 10000, 0.05, 0.01, None, True)),
+        (8, (normal(0, 1), normal(0, 1), 100000, 100000, 0.05, 0.001, None, True)),
+        (9, (gamma(0.5, 1), uniform(0, 1), 84000, 84000, 0.05, 0.05, None, True)),
+        (10, (gamma(0.5, 1), gamma(0.5, 1), 84000, 84000, 0.05, 0.002, None, True)),
+    ])
+    def test_every_preset_pinned(self, exp_id, pinned):
+        s = ex.experiment_spec(exp_id)
+        assert (s.dist1, s.dist2, s.n, s.m, s.alpha, s.phi, s.beta,
+                s.with_sketch) == pinned
+        assert (s.id, s.replications, s.master_seed) == (exp_id, 20, ex.DEFAULT_SEED)
+
+    def test_resized_presets_pinned(self):
+        s4 = ex.experiment_spec(4, n=2000)
+        assert (s4.dist1, s4.dist2, s4.n, s4.m, s4.alpha, s4.beta, s4.with_sketch) == (
+            gamma(0.5, 1), uniform(0, 1), 2000, 7000, 0.20, 0.10, False)
+        assert s4.phi == ks.phi_for_test(0.20, 0.10, 2000, 7000)
+        s9 = ex.experiment_spec(9, m=3000)
+        assert (s9.dist1, s9.dist2, s9.n, s9.m, s9.alpha, s9.phi, s9.beta,
+                s9.with_sketch) == (gamma(0.5, 1), uniform(0, 1), 84000, 3000, 0.05,
+                                    0.05, None, True)
+        # the default sizes passed explicitly keep the published phi
+        assert ex.experiment_spec(1, n=10000, m=10000).phi == 0.000399
 
     def test_size_override_rederives_phi(self):
         desk = ex.experiment_spec(1, n=2000, m=2000)

@@ -111,6 +111,12 @@ class TestInsert:
         for x, y in zip(before, s.summary()):
             assert np.array_equal(x, y)
 
+    def test_extend_rejects_2d(self):
+        s = QuantileSketch(0.1)
+        with pytest.raises(ValueError, match="1-d"):
+            s.extend(np.ones((2, 3)))
+        assert s.count == 0
+
     def test_bad_epsilon(self):
         for eps in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError):
@@ -234,11 +240,19 @@ class TestRankBounds:
         assert lo <= 500 <= hi
         assert hi - lo <= 2 * 0.01 * 1000 + 1
 
-    def test_requires_sealed(self):
-        s = QuantileSketch(0.1)
-        s.extend([1.0])
-        with pytest.raises(SketchStateError):
-            s.rank_bounds(1.0)
+    def test_open_sketch_reads_as_sealed(self):
+        stream = np.random.default_rng(4).normal(size=3000)
+        probes = np.concatenate([stream[::7], [-9.0, 9.0]])
+        s = QuantileSketch(0.02)
+        s.extend(stream)
+        lo, hi = s.rank_bounds(probes)
+        s.seal()
+        sealed_lo, sealed_hi = s.rank_bounds(probes)
+        assert np.array_equal(lo, sealed_lo) and np.array_equal(hi, sealed_hi)
+
+    def test_empty_raises(self):
+        with pytest.raises(SketchStateError, match="empty"):
+            QuantileSketch(0.1).rank_bounds(1.0)
 
     def test_coverage_random_queries(self):
         rng = np.random.default_rng(5)

@@ -349,16 +349,20 @@ class TestLallKs:
         y = [1, 2, 2, 4, 4, 4, 4, 4, 4, 4]
         assert ks.lall_ks(self._sealed(x, 0.01), self._sealed(y, 0.01)) == 0.2
 
+    def test_open_sketches_read_as_sealed(self):
+        x = sample(normal(0, 1), 3000, 60)
+        y = sample(normal(0.2, 1), 2000, 61)
+        s1, s2 = QuantileSketch(0.01), QuantileSketch(0.01)
+        s1.extend(x)
+        s2.extend(y)
+        d = ks.lall_ks(s1, s2)
+        assert d == ks.lall_ks(self._sealed(x, 0.01), self._sealed(y, 0.01))
+        assert d == ks.lall_ks(s1.seal(), s2.seal())
+
     def test_state_errors(self):
-        s = QuantileSketch(0.1)
-        s.extend([1.0])
         sealed = self._sealed([1.0, 2.0], 0.1)
         with pytest.raises(SketchStateError):
-            ks.lall_ks(s, sealed)
-        empty = QuantileSketch(0.1)
-        empty.seal()
-        with pytest.raises(SketchStateError):
-            ks.lall_ks(empty, sealed)
+            ks.lall_ks(QuantileSketch(0.1), sealed)
 
 
 class TestRunTest:
@@ -395,15 +399,17 @@ class TestRunTest:
             assert out.d == pytest.approx(1 / 3)
             assert abs(out.d - ks.exact_ks_distance(a, b)) <= precision.phi
 
-    def test_precision_from_alpha_beta(self):
-        p = ks.TestPrecision.from_alpha_beta(0.05, 0.025, 10**4, 10**4)
-        assert p.phi == ks.phi_for_test(0.05, 0.025, 10**4, 10**4)
-
     def test_precision_validation(self):
         with pytest.raises(ValueError):
-            ks.TestPrecision.from_alpha_beta(0.05, 0.06, 10**4, 10**4)
-        with pytest.raises(ValueError):
             ks.TestPrecision(alpha=1.5, phi=0.01)
+        with pytest.raises(ValueError, match="phi must be in"):
+            ks.TestPrecision(alpha=0.05, phi=2.0)
+
+    def test_empty_sample_rejected(self):
+        precision = ks.TestPrecision(alpha=0.05, phi=0.1)
+        for x, y in (([], [1.0, 2.0]), ([1.0, 2.0], [])):
+            with pytest.raises(ValueError, match="non-empty"):
+                ks.run_test(x, y, precision)
 
 
 class TestKsOutcomeJson:
@@ -429,6 +435,15 @@ class TestKsOutcomeJson:
         with pytest.raises(ValueError):
             ks.KsOutcome(d=0.1, d_error_bound=0.0, p_value=0.2, n=5, m=5,
                          alpha=0.05, reject=True)
+
+    @pytest.mark.parametrize("d, p, match", [
+        (-0.1, 0.5, "d must be"), (1.5, 0.5, "d must be"),
+        (0.1, -0.1, "p_value must be"), (0.1, 1.5, "p_value must be"),
+    ])
+    def test_range_enforced(self, d, p, match):
+        with pytest.raises(ValueError, match=match):
+            ks.KsOutcome(d=d, d_error_bound=0.0, p_value=p, n=5, m=5,
+                         alpha=0.05, reject=p <= 0.05)
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,10 +24,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             uniform(1, 1)
 
-    def test_labels(self):
-        assert gamma(0.5, 1).label() == "Gamma(0.5,1)"
-        assert normal(0, 1).label() == "N(0,1)"
-
 
 class TestDeterminism:
     @pytest.mark.parametrize(
