@@ -238,6 +238,8 @@ def phi_for_test(alpha: float, beta: float, n: int, m: int) -> float:
     and acceptance criterion 6b checks both that and this function against
     an independent inversion.
     """
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
     for g in (alpha + beta, alpha - beta):
         if not 0 < g < 1:
             raise ValueError(f"alpha +/- beta must be in (0, 1), got {g}")

@@ -272,6 +272,12 @@ class TestKs2Command:
         assert err.startswith("sketchks: error:")
         assert "cannot reach" in err
 
+    def test_zero_beta_names_beta(self, normal_files, capsys):
+        f = normal_files("x.txt", 0, 100, 10)
+        rc = main(["ks2", "--file-x", str(f), "--file-y", str(f), "--beta", "0"])
+        assert rc == 1
+        assert "beta must be positive, got 0.0" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command,flags", [
     ("ks2", ["--phi", "0.05", "--beta", "0.025"]),

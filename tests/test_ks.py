@@ -310,6 +310,9 @@ class TestPhiForTest:
             ks.phi_for_test(0.97, 0.05, 100, 100)
         with pytest.raises(ValueError, match="sample sizes must be positive"):
             ks.phi_for_test(0.05, 0.025, 0, 10)
+        for beta in (0.0, -0.01, float("nan")):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                ks.phi_for_test(0.05, beta, 100, 100)
 
 
 class TestLallKs:
