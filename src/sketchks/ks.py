@@ -206,19 +206,23 @@ def p_value(d: float, n: int, m: int) -> float:
 def d_crit(alpha: float, n: int, m: int) -> float:
     """Distance whose p-value equals alpha, by bisection on lambda.
 
-    Bracket [1e-6, 10] covers Q in (~0, 1); stops when |Q - alpha| <= 1e-10,
-    so the p_value round trip holds to well under 1e-8.
+    Bracket [1e-6, 10] covers Q in [Q(10), 1) with Q(10) ~ 2.8e-87, and a
+    smaller alpha raises; stops when |Q - alpha| <= min(1e-10, 1e-6*alpha),
+    so the p_value round trip holds to 1e-6 of alpha at any level.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if alpha < qks(10.0):
+        raise ValueError(f"alpha must be at least Q(10) = {qks(10.0):.3g}, got {alpha}")
     if n < 1 or m < 1:
         raise ValueError("sample sizes must be positive")
+    tol = min(1e-10, 1e-6 * alpha)
     lo, hi = 1e-6, 10.0
     lam = 0.5 * (lo + hi)
     for _ in range(200):
         lam = 0.5 * (lo + hi)
         q = qks(lam)
-        if abs(q - alpha) <= 1e-10:
+        if abs(q - alpha) <= tol:
             break
         if q > alpha:
             lo = lam

@@ -1,5 +1,8 @@
 """CDF approximation: parameter selection, construction, evaluation, bounds."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +87,43 @@ class TestPlanFromPhi:
         with pytest.raises(ValueError, match="cannot reach"):
             plan_from_phi(0.002, 10)
 
+    def test_never_plans_exact_quantiles(self):
+        # eps45 = 0 and a = n: 1/(n-1) exceeds delta = 5e-7 by 2.5e-13
+        with pytest.raises(ValueError, match="cannot reach"):
+            plan_from_phi(1e-6, 2_000_000)
+
+    def test_rounded_knot_count_gains_a_knot(self):
+        # sqrt(n/delta) = 65 exactly; ceil(1/(delta - eps) + 1) = 66 misses
+        # the bound in float, so the plan takes 67 knots, or n = 66 refuses
+        assert plan_from_phi(2 * 73 / 65**2, 73).a == 67
+        with pytest.raises(ValueError, match="cannot reach"):
+            plan_from_phi(2 * 66 / 65**2, 66)
+
+    def test_integer_root_lattice_certified(self):
+        # phi = 2n/k^2 puts sqrt(n/delta) = k on an integer, where the
+        # rounding of 1/(delta - eps) decides the knot count
+        for k in range(2, 71):
+            for n in range(2, k * k):
+                _assert_certified_or_refused(2 * n / k**2, n)
+
+
+def _assert_certified_or_refused(phi, n):
+    try:
+        plan = plan_from_phi(phi, n)
+    except ValueError as exc:
+        assert "cannot reach" in str(exc)
+        return
+    assert plan.epsilon > 0
+    assert 1 / (plan.a - 1) + plan.epsilon <= plan.delta
+    assert error_bound(plan) <= plan.delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(phi=st.floats(min_value=1e-7, max_value=2, exclude_max=True),
+       n=st.integers(min_value=2, max_value=10**7))
+def test_plan_certified_without_slack_property(phi, n):
+    _assert_certified_or_refused(phi, n)
+
 
 class TestCdfPlanValidation:
     def test_error_bound_invariant_enforced(self):
@@ -113,6 +153,26 @@ class TestBuildCdf:
         assert cdf.probs == pytest.approx([0.01, 0.2575, 0.505, 0.7525, 1.0])
         # ranks ceil(p*n): 1, 26, 51, 76, 100
         assert cdf.quantiles.tolist() == [1, 26, 51, 76, 100]
+
+    @pytest.mark.parametrize("n", [2000, 10000])
+    def test_exact_plan_reads_every_order_statistic(self, n):
+        # at a = n the knots are the sorted sample; float ranks ceil(p*n)
+        # read one rank too high at 154 of 2,000 knots
+        data = sample(normal(0, 1), n, 5)
+        cdf = build_cdf(data, CdfPlan(n=n, delta=1 / (n - 1), epsilon=0.0, a=n))
+        assert cdf.quantiles.tolist() == np.sort(data).tolist()
+
+    def test_exact_plan_integer_ranks_on_ties(self):
+        # one value, then pairs: rank 1 + 2i ends a pair and rank 2 + 2i
+        # starts the next, so an off-by-one rank reads the wrong value
+        a = 1001
+        n = 2 * a - 1
+        data = np.concatenate([[-1.0], np.repeat(np.arange(a - 1.0), 2)])
+        np.random.default_rng(3).shuffle(data)
+        plan = CdfPlan(n=n, delta=1 / (a - 1), epsilon=0.0, a=a)
+        ranks = [1 + math.ceil(Fraction(i * (n - 1), a - 1)) for i in range(a)]
+        assert build_cdf(data, plan).quantiles.tolist() == np.sort(data)[
+            np.array(ranks) - 1].tolist()
 
     def test_sketch_backed_construction(self):
         data = sample(normal(0, 1), 10000, 2024)
@@ -192,6 +252,16 @@ class TestEvalCdf:
         assert got.tolist() == eval_cdf(narrow, xs / 4).tolist()
         # (1e308 + 1e308) / 2.5e308 = 0.8 of the first segment
         assert got[3] == pytest.approx(0.55)
+
+    @pytest.mark.parametrize("knots", [
+        [-np.inf, 0.0, np.inf],
+        [np.nan, np.nan, np.nan],
+        [0.0, 1.0, np.nan],
+    ])
+    def test_non_finite_knots_rejected(self, knots):
+        plan = CdfPlan(n=100, delta=0.5, epsilon=0.0, a=3)
+        with pytest.raises(ValueError, match="quantiles"):
+            ApproxCdf(plan, knots)
 
     def test_quantiles_must_match_plan(self):
         # two knots cannot certify an a=100 plan: on 99 zeros and a one they

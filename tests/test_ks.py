@@ -281,10 +281,20 @@ class TestDCrit:
             1.3580986393225506, abs=1e-7
         )
 
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-11, 1e-13])
+    def test_round_trip_at_tiny_alpha(self, alpha):
+        # an absolute 1e-10 stop is 10% of alpha = 1e-9, and below 1e-10 it
+        # ends at the first midpoint, lambda = 5 (p-value 3.9e-22)
+        d = ks.d_crit(alpha, 1000, 1000)
+        assert abs(ks.p_value(d, 1000, 1000) - alpha) <= 1e-6 * alpha
+
     def test_domain(self):
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 ks.d_crit(bad, 10, 10)
+        # below Q(10) ~ 2.8e-87 the bracket [1e-6, 10] cannot reach alpha
+        with pytest.raises(ValueError, match=r"at least Q\(10\)"):
+            ks.d_crit(1e-90, 10, 10)
         for n, m in ((0, 10), (10, 0), (-3, 10)):
             with pytest.raises(ValueError, match="sample sizes must be positive"):
                 ks.d_crit(0.05, n, m)
@@ -293,6 +303,9 @@ class TestDCrit:
 class TestPhiForTest:
     def test_beta_to_zero_continuity(self):
         assert ks.phi_for_test(0.05, 1e-6, 10**4, 10**4) < 1e-4
+
+    def test_tiny_alpha_plans_a_positive_phi(self):
+        assert ks.phi_for_test(1e-11, 5e-12, 10**5, 10**5) > 0
 
     def test_matches_definition(self):
         alpha, beta, n, m = 0.1, 0.04, 3000, 5000
