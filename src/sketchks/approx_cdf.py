@@ -27,6 +27,7 @@ __all__ = [
     "num_probs",
     "plan_from_phi",
     "build_cdf",
+    "sketch_cdf",
     "eval_cdf",
     "error_bound",
     "empirical_cdf",
@@ -106,10 +107,18 @@ def eps45(delta: float, n: int) -> float:
 
 
 def num_probs(n: int, delta: float, epsilon: float) -> int:
-    """Number of probability knots needed for the bound delta at accuracy epsilon."""
+    """Number of probability knots needed for the bound delta at accuracy epsilon.
+
+    ceil(1/(delta - epsilon) + 1), capped at n, plus one knot where float
+    rounding of that quotient leaves 1/(a-1) + epsilon above delta.  Below
+    the cap the count therefore certifies the bound.
+    """
     if epsilon >= delta:
         raise ValueError(f"epsilon must be < delta, got {epsilon} >= {delta}")
-    return min(math.ceil(1.0 / (delta - epsilon) + 1.0), n)
+    a = min(math.ceil(1.0 / (delta - epsilon) + 1.0), n)
+    if a < n and _bound(a, epsilon) > delta:
+        a += 1
+    return a
 
 
 def plan_from_phi(phi: float, n: int) -> CdfPlan:
@@ -123,8 +132,6 @@ def plan_from_phi(phi: float, n: int) -> CdfPlan:
     delta = phi / 2.0
     epsilon = eps45(delta, n)
     a = num_probs(n, delta, epsilon)
-    if a < n and _bound(a, epsilon) > delta:
-        a += 1  # float rounding of 1/(delta - epsilon) fell one knot short
     if a < 3 or _bound(a, epsilon) > delta:
         raise ValueError(
             f"sample of {n} points cannot reach a CDF error bound of {delta}"
@@ -153,13 +160,26 @@ def build_cdf(data, plan: CdfPlan) -> ApproxCdf:
         _check_finite(values, "data")  # `extend` checks the sketch branch
         n, a = plan.n, plan.a
         quantiles = np.sort(values)[-(-np.arange(a) * (n - 1) // (a - 1))]
-    else:
-        sketch = QuantileSketch(plan.epsilon)
-        sketch.extend(values)
-        sketch.seal()
-        # knots are made after ingest and dropped before ApproxCdf rebuilds them
-        quantiles = sketch.query_quantiles(_knot_probs(plan.n, plan.a))
-    return ApproxCdf(plan, quantiles)
+        return ApproxCdf(plan, quantiles)
+    sketch = QuantileSketch(plan.epsilon)
+    sketch.extend(values)
+    return sketch_cdf(sketch.seal(), plan)
+
+
+def sketch_cdf(sketch: QuantileSketch, plan: CdfPlan) -> ApproxCdf:
+    """The approximate CDF under `plan` read off a sketch of its sample.
+
+    The sketch must hold plan.n values at plan.epsilon or finer, so its
+    quantile answers meet the accuracy the plan's bound assumes.
+    """
+    if sketch.count != plan.n:
+        raise ValueError(f"plan expects {plan.n} observations, got {sketch.count}")
+    if sketch.epsilon > plan.epsilon:
+        raise ValueError(
+            f"sketch epsilon {sketch.epsilon} is coarser than the plan's {plan.epsilon}"
+        )
+    # knots are made after ingest and dropped before ApproxCdf rebuilds them
+    return ApproxCdf(plan, sketch.query_quantiles(_knot_probs(plan.n, plan.a)))
 
 
 def eval_cdf(cdf: ApproxCdf, x):

@@ -18,13 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, ks
-from .approx_cdf import build_cdf, empirical_cdf, plan_from_phi
+from . import experiments, gk_sketch, ks
+from .approx_cdf import build_cdf, empirical_cdf, plan_from_phi, sketch_cdf
+from .gk_sketch import QuantileSketch
 from .ks import fmt17
 
 __all__ = ["main", "ingest"]
 
-_BLOCK_LINES = 1 << 12  # lines `ingest` holds and parses at a time
+_BLOCK_LINES = 1 << 12  # lines `_blocks` holds and parses at a time
+_COUNT_BYTES = 1 << 16  # bytes `_line_count` reads at a time
 
 
 def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
@@ -33,13 +35,28 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
     Returns (values array, skipped line count).  Without skip_invalid an
     unparsable or non-finite line raises with its line number; blank lines
     are always ignored, and a line that is not UTF-8 always raises with its
-    line number.  The line scanner `_scan` defines these rules.  The file
-    is read in blocks of _BLOCK_LINES lines, and `_floats` gives value i of
-    a block from line i in one C-level pass of float().  float() strips no
-    more than str.strip(), so a line it reads as a finite number holds the
-    value `_scan` would give it; `_scan` re-reads the other lines in place.
+    line number.  The line scanner `_scan` defines these rules, and
+    `_blocks` reads the file.
     """
-    parts, skipped, lineno = [], 0, 1
+    parts, skipped = [], 0
+    for values, n in _blocks(path, skip_header, skip_invalid):
+        parts.append(values)
+        skipped += n
+    return np.concatenate(parts), skipped
+
+
+def _blocks(path, skip_header: bool, skip_invalid: bool):
+    """The file's values block by block, with the rules of `ingest`.
+
+    Yields (finite values, skipped line count) for each block of
+    _BLOCK_LINES lines (a skipped header counts in the first), and raises
+    after the last block when no line held a value.  `_floats` gives value
+    i of a block from line i in one C-level pass of float().  float()
+    strips no more than str.strip(), so a line it reads as a finite number
+    holds the value `_scan` would give it; `_scan` re-reads the other lines
+    in place.
+    """
+    skipped, lineno, found = 0, 1, False
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         if skip_header:  # line 1 holds no value either way
             _, skipped = _scan([(1, fh.readline())], path, True, skip_invalid)
@@ -52,12 +69,55 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
                                        path, False, skip_invalid)
                 values = values[np.isfinite(values)]
                 skipped += n
-            parts.append(values)
-            lineno += len(lines)
-    values = np.concatenate(parts) if parts else np.empty(0)
-    if not values.size:
+            found = found or values.size > 0
+            yield values, skipped
+            skipped, lineno = 0, lineno + len(lines)
+    if not found:
         raise ValueError(f"{path}: no data values found")
-    return values, skipped
+
+
+def _line_count(path, skip_header: bool) -> int:
+    """Newline bytes in the file, one more for an unterminated last line,
+    less the header line under skip_header.
+
+    It bounds the file's values from above unless some line ends in a bare
+    carriage return.  One reused buffer is read at a time.
+    """
+    buf = bytearray(_COUNT_BYTES)
+    view = np.frombuffer(buf, dtype=np.uint8)
+    lines, last = 0, ord("\n")
+    with open(path, "rb") as fh:
+        while size := fh.readinto(buf):
+            lines += int(np.count_nonzero(view[:size] == ord("\n")))
+            last = buf[size - 1]
+    lines += last != ord("\n")
+    return max(lines - skip_header, 0)
+
+
+def _file_cdf(path, plan, skip_header: bool, skip_invalid: bool):
+    """(value count, CDF under plan) of a file streamed into a sketch at
+    plan.epsilon; the CDF is None when the count is not plan.n.
+
+    Values reach `extend` in batches of exactly gk_sketch._CHUNK (the last
+    one shorter), so the chunks, and the summary, are those of one
+    `extend` of the whole file.  The working set is one block, one chunk
+    and the sketch's tuples.
+    """
+    sketch, size = QuantileSketch(plan.epsilon), gk_sketch._CHUNK
+    carry, held = np.empty(size), 0
+    for values, _ in _blocks(path, skip_header, skip_invalid):
+        while values.size:
+            take = min(values.size, size - held)
+            carry[held:held + take] = values[:take]
+            held += take
+            values = values[take:]
+            if held == size:
+                sketch.extend(carry, overwrite_input=True)
+                held = 0
+    sketch.extend(carry[:held], overwrite_input=True)
+    if sketch.count != plan.n:
+        return sketch.count, None
+    return plan.n, sketch_cdf(sketch.seal(), plan)
 
 
 def _floats(lines):
@@ -110,28 +170,77 @@ def _scan(numbered, path, skip_header: bool, skip_invalid: bool):
 def _cmd_ks2(args) -> int:
     if (args.phi is None) == (args.beta is None):
         raise ValueError("provide exactly one of --phi or --beta")
-    x, _ = ingest(args.file_x, skip_header=args.skip_header,
-                  skip_invalid=args.skip_invalid)
-    y, _ = ingest(args.file_y, skip_header=args.skip_header,
-                  skip_invalid=args.skip_invalid)
+    outcome = _streamed_ks2(args)
+    if outcome is None:
+        # no certified plan at the sizes known: ingest both files, then
+        # plan, so every error is the one that order meets first
+        x, _ = ingest(args.file_x, skip_header=args.skip_header,
+                      skip_invalid=args.skip_invalid)
+        y, _ = ingest(args.file_y, skip_header=args.skip_header,
+                      skip_invalid=args.skip_invalid)
+        outcome = ks.run_test(x, y, _precision(args, x.size, y.size))
+    print(_ks2_json(outcome))
+    if outcome.reject and args.exit_on_reject:
+        return 2
+    return 0
+
+
+def _precision(args, n: int, m: int) -> ks.TestPrecision:
     phi = args.phi if args.beta is None else ks.phi_for_test(
-        args.alpha, args.beta, x.size, y.size)
-    precision = ks.TestPrecision(alpha=args.alpha, phi=phi)
-    outcome = ks.run_test(x, y, precision)
+        args.alpha, args.beta, n, m)
+    return ks.TestPrecision(alpha=args.alpha, phi=phi)
+
+
+def _streamed_ks2(args):
+    """The ks2 outcome with each file streamed into its sketch, or None
+    when the sizes known so far admit no certified plan.
+
+    Planning starts from each file's line count.  A file whose value count
+    differs is planned again at its exact count and read once more; under
+    --beta that moves phi, and so the other file's plan too.  A file not
+    read yet goes first, and each CDF is made, and its sketch dropped,
+    before the next file is read.
+    """
+    files = (args.file_x, args.file_y)
+    try:
+        counts = [_line_count(f, args.skip_header) for f in files]
+    except OSError:
+        return None
+    cdfs, exact = [None, None], [False, False]
+    while True:
+        try:
+            precision = _precision(args, *counts)
+            plans = [plan_from_phi(precision.phi, c) for c in counts]
+        except ValueError:
+            return None
+        for i in sorted((0, 1), key=exact.__getitem__):
+            if cdfs[i] is not None and cdfs[i].plan == plans[i]:
+                continue
+            cdfs[i] = None  # a stale CDF goes before the next read
+            count, cdfs[i] = _file_cdf(files[i], plans[i], args.skip_header,
+                                       args.skip_invalid)
+            if cdfs[i] is None:
+                if exact[i]:
+                    raise ValueError(f"{files[i]}: file changed while it was read")
+                counts[i], exact[i] = count, True
+                break
+            exact[i] = True
+        else:
+            return ks.decide(*cdfs, precision)
+
+
+def _ks2_json(outcome: ks.KsOutcome) -> str:
+    """`outcome.to_json()` with the test's params appended."""
     plan_x, plan_y = outcome.plans
     params = ", ".join([
-        f'"phi": {fmt17(precision.phi)}',
+        f'"phi": {fmt17(outcome.d_error_bound)}',
         f'"delta": {fmt17(plan_x.delta)}',
         f'"epsilon_x": {fmt17(plan_x.epsilon)}',
         f'"epsilon_y": {fmt17(plan_y.epsilon)}',
         f'"a_x": {plan_x.a}',
         f'"a_y": {plan_y.a}',
     ])
-    body = outcome.to_json()
-    print(body[:-1] + ', "params": {' + params + "}}")
-    if outcome.reject and args.exit_on_reject:
-        return 2
-    return 0
+    return outcome.to_json()[:-1] + ', "params": {' + params + "}}"
 
 
 def _check_out(path) -> None:

@@ -29,6 +29,7 @@ __all__ = [
     "phi_for_test",
     "lall_ks",
     "run_test",
+    "decide",
 ]
 
 def fmt17(x: float) -> str:
@@ -258,10 +259,22 @@ def lall_ks(sketch1: QuantileSketch, sketch2: QuantileSketch) -> float:
 
     Over the union of values stored in either summary, estimates each
     sample's CDF as (r_min + r_max) / (2n) and returns the largest absolute
-    difference.  With each sketch built at epsilon = precision/6 the result
-    stays within the target precision of the exact distance.  It is
-    max |(lo1+hi1)*m - (lo2+hi2)*n| / (2*n*m), taken in int64 (each term is
-    at most 2*n*m < 2**63) and divided once, so it is correctly rounded.
+    difference.  It is max |(lo1+hi1)*m - (lo2+hi2)*n| / (2*n*m), taken in
+    int64 (each term is at most 2*n*m < 2**63) and divided once, so it is
+    correctly rounded.
+
+    It is within eps1 + eps2 of the exact distance D, by cells.  For a
+    probe t, `rank_bounds` gives an interval [lo, hi] that holds c(t), the
+    count of values <= t, with hi - lo <= floor(2*eps*n); so the midpoint
+    is within eps*n of c(t), and the estimate at t within eps1 + eps2 of
+    |F1(t) - F2(t)|.  The interval depends only on how many stored values
+    are <= t, so between consecutive union values both intervals, and the
+    estimate, are constant: the estimate at a union value u holds for every
+    t from u up to the next one.  Below the union's minimum, the smaller
+    sample minimum, both counts are 0.  So the largest estimate over the
+    union is within eps1 + eps2 of D = sup_t |F1(t) - F2(t)|.  The
+    experiment presets build the sketches at precision/6, three times
+    tighter than the bound needs, as the paper does.
     Either sketch may still be open for writes; an empty one raises
     SketchStateError from `rank_bounds`.
     """
@@ -293,15 +306,31 @@ def run_test(x, y, precision: TestPrecision) -> KsOutcome:
         raise ValueError("both samples must be non-empty")
     plans = (plan_from_phi(precision.phi, xs.size),
              plan_from_phi(precision.phi, ys.size))
-    d = approx_two_sample_ks(build_cdf(xs, plans[0]), build_cdf(ys, plans[1]))
-    p = p_value(d, xs.size, ys.size)
+    return decide(build_cdf(xs, plans[0]), build_cdf(ys, plans[1]), precision)
+
+
+def decide(cdf1: ApproxCdf, cdf2: ApproxCdf, precision: TestPrecision) -> KsOutcome:
+    """The test outcome from the two samples' approximate CDFs.
+
+    Estimates the distance between the CDFs and converts it to a
+    significance decision at precision.alpha, with the sample sizes taken
+    from the CDFs' plans.  The plans' deltas must fit in precision.phi,
+    which the outcome reports as its error bound.
+    """
+    if cdf1.plan.delta + cdf2.plan.delta > precision.phi:
+        raise ValueError(
+            f"CDF bounds {cdf1.plan.delta} + {cdf2.plan.delta} exceed phi = {precision.phi}"
+        )
+    n, m = cdf1.plan.n, cdf2.plan.n
+    d = approx_two_sample_ks(cdf1, cdf2)
+    p = p_value(d, n, m)
     return KsOutcome(
         d=d,
         d_error_bound=precision.phi,
         p_value=p,
-        n=xs.size,
-        m=ys.size,
+        n=n,
+        m=m,
         alpha=precision.alpha,
         reject=p <= precision.alpha,
-        plans=plans,
+        plans=(cdf1.plan, cdf2.plan),
     )

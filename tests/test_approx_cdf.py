@@ -18,7 +18,9 @@ from sketchks.approx_cdf import (
     eval_cdf,
     num_probs,
     plan_from_phi,
+    sketch_cdf,
 )
+from sketchks.gk_sketch import QuantileSketch
 from sketchks.synth import normal, sample
 
 
@@ -46,6 +48,24 @@ class TestNumProbs:
 
     def test_small_n_clamp(self):
         assert num_probs(5, 0.5, 0.0) == 3
+
+    def test_rounded_count_certifies_the_plan(self):
+        # sqrt(n/delta) = 65 exactly: ceil(1/(delta - eps) + 1) = 66 misses
+        # the bound by 3.5e-18 in float, so num_probs takes one knot more
+        d = 73 / 65**2
+        eps = eps45(d, 73)
+        assert num_probs(73, d, eps) == 67
+        CdfPlan(73, d, eps, num_probs(73, d, eps))
+
+    def test_uncapped_count_certifies_on_the_root_lattice(self):
+        # delta = n/k^2 puts sqrt(n/delta) = k on an integer
+        for k in range(2, 41):
+            for n in range(2, k * k):
+                d = n / k**2
+                eps = eps45(d, n)
+                a = num_probs(n, d, eps)
+                if a < n:
+                    CdfPlan(n, d, eps, a)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -182,6 +202,26 @@ class TestBuildCdf:
         assert cdf.probs[-1] == 1.0
         assert np.all(np.diff(cdf.quantiles) >= 0)
         assert np.all(np.isin(cdf.quantiles, data))
+
+    def test_reads_a_sketch_as_build_cdf_does(self):
+        data = sample(normal(0, 1), 3000, 4)
+        plan = plan_from_phi(0.05, 3000)
+        sketch = QuantileSketch(plan.epsilon)
+        sketch.extend(data)
+        cdf = sketch_cdf(sketch.seal(), plan)
+        assert cdf.plan == plan
+        assert cdf.quantiles.tolist() == build_cdf(data, plan).quantiles.tolist()
+        fine = QuantileSketch(plan.epsilon / 2)
+        fine.extend(data)
+        assert sketch_cdf(fine, plan).plan == plan
+        grown = QuantileSketch(plan.epsilon)
+        grown.extend(np.append(data, 0.0))
+        with pytest.raises(ValueError, match="expects 3000 observations, got 3001"):
+            sketch_cdf(grown, plan)
+        coarse = QuantileSketch(2 * plan.epsilon)
+        coarse.extend(data)
+        with pytest.raises(ValueError, match="coarser"):
+            sketch_cdf(coarse, plan)
 
     def test_count_mismatch(self):
         plan = CdfPlan(n=100, delta=0.26, epsilon=0.0, a=5)

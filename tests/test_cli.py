@@ -1,8 +1,11 @@
 """Command-line surface: ingestion, ks2 JSON, experiment/convergence/cdf CSV."""
 
+import io
 import json
 import math
 import re
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchks import cli, experiments
+from sketchks import cli, experiments, gk_sketch, ks
 from sketchks.cli import ingest, main
 from sketchks.synth import normal, sample
 
@@ -277,6 +280,179 @@ class TestKs2Command:
         rc = main(["ks2", "--file-x", str(f), "--file-y", str(f), "--beta", "0"])
         assert rc == 1
         assert "beta must be positive, got 0.0" in capsys.readouterr().err
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main([str(a) for a in argv])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def reference_ks2(fx, fy, *, alpha, phi=None, beta=None, **flags):
+    """`ks2` as `run_test` on both files `ingest`ed whole, kept as an oracle
+    for the streamed route: (exit code, stdout, stderr)."""
+    try:
+        x, _ = ingest(fx, **flags)
+        y, _ = ingest(fy, **flags)
+        if beta is not None:
+            phi = ks.phi_for_test(alpha, beta, x.size, y.size)
+        outcome = ks.run_test(x, y, ks.TestPrecision(alpha=alpha, phi=phi))
+    except (ValueError, OSError) as exc:
+        return 1, "", f"sketchks: error: {exc}\n"
+    return 0, cli._ks2_json(outcome) + "\n", ""
+
+
+def _ks2_argv(fx, fy, *, alpha, phi=None, beta=None, skip_header=False,
+              skip_invalid=False):
+    precision = ["--phi", repr(phi)] if beta is None else ["--beta", repr(beta)]
+    return (["ks2", "--file-x", fx, "--file-y", fy, "--alpha", repr(alpha), *precision]
+            + ["--skip-header"] * skip_header + ["--skip-invalid"] * skip_invalid)
+
+
+@st.composite
+def _value_file(draw):
+    """Bytes of a value file: values with blank, invalid or undecodable lines
+    among them, an optional header and any newline convention."""
+    tiny = draw(st.sampled_from([True] + [False] * 7))
+    n = draw(st.integers(min_value=0, max_value=3) if tiny
+             else st.integers(min_value=40, max_value=200))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = rng.normal(size=n).round(draw(st.sampled_from([1, 17])))  # 1: ties
+    lines = [format(v, ".17g") for v in values.tolist()]
+    extras = (draw(st.lists(st.sampled_from(["", " "]), max_size=4))
+              + draw(st.lists(st.sampled_from(["x", "nan", "-inf", "1e999", "\udcff"]),
+                              max_size=1)))
+    for text in extras:
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), text)
+    if draw(st.booleans()):
+        lines.insert(0, "value")
+    style = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    ends = (rng.choice(["\n", "\r\n", "\r"], size=len(lines)).tolist()
+            if style == "mixed" else [style] * len(lines))
+    if ends and not draw(st.booleans()):
+        ends[-1] = ""  # an unterminated last line
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text.encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    files=st.tuples(_value_file(), _value_file()),
+    precision=st.sampled_from([{"phi": 0.3}, {"phi": 0.1},
+                               {"beta": 0.45}, {"beta": 0.3}]),
+    skip_header=st.booleans(),
+    skip_invalid=st.sampled_from([True, True, False]),
+    block=st.sampled_from([1, 3, 4096]),
+    chunk=st.sampled_from([5, 64, 1 << 16]),
+)
+def test_ks2_stdout_matches_run_test_on_ingested_files(
+        tmp_path_factory, files, precision, skip_header, skip_invalid, block, chunk):
+    workdir = tmp_path_factory.mktemp("ks2")
+    fx, fy = workdir / "x.txt", workdir / "y.txt"
+    fx.write_bytes(files[0])
+    fy.write_bytes(files[1])
+    test = {"alpha": 0.5, **precision}
+    flags = {"skip_header": skip_header, "skip_invalid": skip_invalid}
+    with mock.patch.object(cli, "_BLOCK_LINES", block), \
+            mock.patch.object(gk_sketch, "_CHUNK", chunk):
+        got = _run(_ks2_argv(fx, fy, **test, **flags))
+        want = reference_ks2(fx, fy, **test, **flags)
+    assert got == want
+
+
+_VALUES = "".join(f"{v!r}\n" for v in np.linspace(-2, 2, 200).tolist()).encode()
+
+
+@pytest.mark.parametrize("x, y, precision, message", [
+    # a bad line of x is met before y is found missing
+    (b"1\nbogus\n" + _VALUES, None, ["--phi", "0.1"],
+     "{x}:2: not a finite number: 'bogus'"),
+    (b"", _VALUES, ["--phi", "0.1"], "{x}: no data values found"),
+    # blank lines plan a sample of 100 that then holds no value
+    (b"\n" * 100, _VALUES, ["--phi", "0.1"], "{x}: no data values found"),
+    # the plan refuses y's three lines before its line 3 is read
+    (_VALUES, b"1.5\n2.5\n\xff\xfe\n", ["--phi", "0.05"],
+     "{y}:3: not UTF-8 text: b'\\xff\\xfe'"),
+    (_VALUES, _VALUES + b"\xff\n", ["--phi", "0.1"],
+     "{y}:201: not UTF-8 text: b'\\xff'"),
+    # --beta 0 leaves no plan, so the bad line of x is met first
+    (b"1\nx\n" + _VALUES, _VALUES, ["--beta", "0"],
+     "{x}:2: not a finite number: 'x'"),
+    (_VALUES, _VALUES, ["--beta", "0"], "beta must be positive, got 0.0"),
+])
+def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message):
+    fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
+    fx.write_bytes(x)
+    if y is not None:
+        fy.write_bytes(y)
+    expected = (1, "", f"sketchks: error: {message.format(x=fx, y=fy)}\n")
+    assert _run(["ks2", "--file-x", fx, "--file-y", fy, *precision]) == expected
+    beta = {"beta": float(precision[1])} if precision[0] == "--beta" else {
+        "phi": float(precision[1])}
+    assert reference_ks2(fx, fy, alpha=0.05, **beta) == expected
+
+
+def test_ks2_peak_memory_below_its_parsed_values(normal_files):
+    n = m = 200_000
+    fx = normal_files("x.txt", 0, n, 31)
+    fy = normal_files("y.txt", 0.01, m, 32)
+    tracemalloc.start()
+    try:
+        rc, out, _ = _run(["ks2", "--file-x", fx, "--file-y", fy, "--phi", "0.01"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and json.loads(out)["n"] == n
+    assert peak < 8 * (n + m), f"peak {peak} bytes"  # the two parsed arrays alone
+
+
+def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
+    fx = normal_files("x.txt", 0, 3000, 33)
+    fy = normal_files("y.txt", 0.1, 3000, 34)
+    dirty, dirty_x = tmp_path / "dirty.txt", tmp_path / "dirty_x.txt"
+    dirty.write_text(fy.read_text() + "\n")  # 3,001 lines, 3,000 values
+    dirty_x.write_text("\n" + fx.read_text())
+    floats, parsed = cli._floats, []
+
+    def counting(lines):
+        parsed.append(len(lines))
+        return floats(lines)
+
+    monkeypatch.setattr(cli, "_floats", counting)
+    # under --phi only the file whose count moved is read again; under
+    # --beta its count moves phi, so both are, but each at most twice
+    for x, y, precision, lines in [
+            (fx, fy, {"phi": 0.05}, 6000), (fx, fy, {"beta": 0.025}, 6000),
+            (fx, dirty, {"phi": 0.05}, 3000 + 2 * 3001),
+            (fx, dirty, {"beta": 0.025}, 2 * 3000 + 2 * 3001),
+            (dirty_x, dirty, {"beta": 0.025}, 4 * 3001)]:
+        parsed.clear()
+        got = _run(_ks2_argv(x, y, alpha=0.05, **precision))
+        assert sum(parsed) == lines
+        assert got == reference_ks2(x, y, alpha=0.05, **precision)
+
+
+def test_ks2_refuses_a_file_that_changes_while_read(normal_files, monkeypatch):
+    f = normal_files("x.txt", 0, 500, 35)
+    monkeypatch.setattr(cli, "_file_cdf", lambda path, plan, *flags: (plan.n - 1, None))
+    rc, out, err = _run(["ks2", "--file-x", f, "--file-y", f, "--phi", "0.1"])
+    assert (rc, out) == (1, "")
+    assert err == f"sketchks: error: {f}: file changed while it was read\n"
+
+
+@pytest.mark.parametrize("data, lines", [
+    (b"", 0), (b"1", 1), (b"1\n", 1), (b"1\n\n2", 3), (b"h\r\n1\r\n2\r\n", 3),
+    (b"1\r2\r3", 1),  # bare carriage returns are not counted
+])
+def test_line_count(tmp_path, data, lines):
+    f = tmp_path / "d.txt"
+    f.write_bytes(data)
+    for size in (2, 1 << 16):
+        with mock.patch.object(cli, "_COUNT_BYTES", size):
+            assert cli._line_count(f, False) == lines
+            assert cli._line_count(f, True) == max(lines - 1, 0)
 
 
 @pytest.mark.parametrize("command,flags", [

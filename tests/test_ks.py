@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchks.ks as ks
+from sketchks import gk_sketch
 from sketchks.approx_cdf import (
     ApproxCdf,
     CdfPlan,
@@ -415,6 +417,15 @@ class TestRunTest:
             assert out.d == pytest.approx(1 / 3)
             assert abs(out.d - ks.exact_ks_distance(a, b)) <= precision.phi
 
+    def test_decide_is_run_test_on_built_cdfs(self):
+        x = sample(normal(0, 1), 3000, 80)
+        y = sample(normal(0.1, 1), 2000, 81)
+        precision = ks.TestPrecision(alpha=0.05, phi=0.02)
+        cdfs = [build_cdf(v, plan_from_phi(0.02, v.size)) for v in (x, y)]
+        assert ks.decide(*cdfs, precision) == ks.run_test(x, y, precision)
+        with pytest.raises(ValueError, match="exceed phi"):
+            ks.decide(*cdfs, ks.TestPrecision(alpha=0.05, phi=0.01))
+
     def test_precision_validation(self):
         with pytest.raises(ValueError):
             ks.TestPrecision(alpha=1.5, phi=0.01)
@@ -544,3 +555,33 @@ def test_lall_and_rank_bounds_match_scalar_reference(kinds, sizes, seed, eps):
     lo, hi = s1.rank_bounds(probes)
     assert list(zip(lo.tolist(), hi.tolist())) == [
         reference_rank_bounds(s1, v) for v in probes.tolist()]
+
+
+def _lall_sample(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return np.full(n, 2.0)
+    if kind == "ties":  # few values, shared by both samples
+        return rng.integers(0, 5, size=n).astype(float)
+    return rng.normal(size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.tuples(*[st.sampled_from(["normal", "ties", "constant"])] * 2),
+    sizes=st.tuples(*[st.sampled_from([1, 2, 7, 150, 2000])] * 2),
+    eps=st.tuples(*[st.sampled_from([0.2, 0.05, 0.01, 0.002])] * 2),
+    seed=st.integers(min_value=0, max_value=2**32 - 2),
+    chunk=st.sampled_from([17, 4096]),
+)
+def test_lall_within_the_sum_of_the_sketch_epsilons(kinds, sizes, eps, seed, chunk):
+    x = _lall_sample(kinds[0], sizes[0], seed)
+    y = _lall_sample(kinds[1], sizes[1], seed + 1)
+    s1, s2 = QuantileSketch(eps[0]), QuantileSketch(eps[1])
+    with mock.patch.object(gk_sketch, "_CHUNK", chunk):
+        s1.extend(x)
+        s2.extend(y)
+    # both distances are correctly rounded, so their float difference may
+    # exceed the exact one by rounding errors of at most 2**-52 in all
+    assert abs(ks.lall_ks(s1, s2) - ks.exact_ks_distance(x, y)) <= (
+        eps[0] + eps[1] + 2**-52)
