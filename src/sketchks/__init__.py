@@ -10,7 +10,6 @@ from .approx_cdf import (
     eval_cdf,
     num_probs,
     plan_from_phi,
-    sketch_cdf,
 )
 from .gk_sketch import QuantileSketch, SketchStateError
 from .ks import (
@@ -18,7 +17,6 @@ from .ks import (
     TestPrecision,
     approx_two_sample_ks,
     d_crit,
-    decide,
     exact_ks_distance,
     lall_ks,
     p_value,
@@ -41,7 +39,6 @@ __all__ = [
     "approx_two_sample_ks",
     "build_cdf",
     "d_crit",
-    "decide",
     "empirical_cdf",
     "eps45",
     "error_bound",
@@ -57,6 +54,5 @@ __all__ = [
     "qks",
     "run_test",
     "sample",
-    "sketch_cdf",
     "uniform",
 ]

@@ -27,7 +27,6 @@ __all__ = [
     "num_probs",
     "plan_from_phi",
     "build_cdf",
-    "sketch_cdf",
     "eval_cdf",
     "error_bound",
     "empirical_cdf",

@@ -12,6 +12,7 @@ import argparse
 import itertools
 import math
 import os
+import stat
 import sys
 from array import array
 from pathlib import Path
@@ -77,20 +78,28 @@ def _blocks(path, skip_header: bool, skip_invalid: bool):
 
 
 def _line_count(path, skip_header: bool) -> int:
-    """Newline bytes in the file, one more for an unterminated last line,
-    less the header line under skip_header.
+    """The file's lines as text-mode reading splits them, less the header
+    line under skip_header: LF and CR bytes less CRLF pairs, one more for
+    an unterminated last line.
 
-    It bounds the file's values from above unless some line ends in a bare
-    carriage return.  One reused buffer is read at a time.
+    It bounds the file's values from above.  One reused buffer is read at
+    a time, and the last byte of each read is carried, so a CRLF split
+    across two reads is one newline.
     """
     buf = bytearray(_COUNT_BYTES)
     view = np.frombuffer(buf, dtype=np.uint8)
-    lines, last = 0, ord("\n")
+    lf, cr = ord("\n"), ord("\r")
+    lines, last = 0, lf
     with open(path, "rb") as fh:
         while size := fh.readinto(buf):
-            lines += int(np.count_nonzero(view[:size] == ord("\n")))
+            data = view[:size]
+            lines += int(np.count_nonzero(data == lf))
+            if crs := int(np.count_nonzero(data == cr)):
+                pairs = np.count_nonzero((data[:-1] == cr) & (data[1:] == lf))
+                lines += crs - int(pairs)
+            lines -= last == cr and buf[0] == lf
             last = buf[size - 1]
-    lines += last != ord("\n")
+    lines += last not in (lf, cr)
     return max(lines - skip_header, 0)
 
 
@@ -112,9 +121,9 @@ def _file_cdf(path, plan, skip_header: bool, skip_invalid: bool):
             held += take
             values = values[take:]
             if held == size:
-                sketch.extend(carry, overwrite_input=True)
+                sketch.extend(carry, _owned=True)
                 held = 0
-    sketch.extend(carry[:held], overwrite_input=True)
+    sketch.extend(carry[:held], _owned=True)
     if sketch.count != plan.n:
         return sketch.count, None
     return plan.n, sketch_cdf(sketch.seal(), plan)
@@ -172,8 +181,9 @@ def _cmd_ks2(args) -> int:
         raise ValueError("provide exactly one of --phi or --beta")
     outcome = _streamed_ks2(args)
     if outcome is None:
-        # no certified plan at the sizes known: ingest both files, then
-        # plan, so every error is the one that order meets first
+        # no certified plan at the sizes known, or a file that cannot be
+        # streamed: ingest both files, then plan, so every error is the
+        # one that order meets first
         x, _ = ingest(args.file_x, skip_header=args.skip_header,
                       skip_invalid=args.skip_invalid)
         y, _ = ingest(args.file_y, skip_header=args.skip_header,
@@ -193,16 +203,20 @@ def _precision(args, n: int, m: int) -> ks.TestPrecision:
 
 def _streamed_ks2(args):
     """The ks2 outcome with each file streamed into its sketch, or None
-    when the sizes known so far admit no certified plan.
+    when an input is not a regular file or the sizes known so far admit
+    no certified plan.
 
     Planning starts from each file's line count.  A file whose value count
     differs is planned again at its exact count and read once more; under
     --beta that moves phi, and so the other file's plan too.  A file not
     read yet goes first, and each CDF is made, and its sketch dropped,
-    before the next file is read.
+    before the next file is read.  A pipe or other non-regular file may
+    not be read twice, so it is not streamed.
     """
     files = (args.file_x, args.file_y)
     try:
+        if not all(stat.S_ISREG(os.stat(f).st_mode) for f in files):
+            return None
         counts = [_line_count(f, args.skip_header) for f in files]
     except OSError:
         return None

@@ -139,15 +139,13 @@ class QuantileSketch:
     def tuple_count(self) -> int:
         return self._values.size
 
-    def extend(self, values, *, overwrite_input: bool = False) -> None:
+    def extend(self, values, *, _owned: bool = False) -> None:
         """Add a batch: a 1-d array-like of finite numbers.
 
         The whole batch is rejected, and the sketch left unchanged, if it is
         not a 1-d array of finite numbers (a generator raises TypeError).
         Each chunk of the batch is sorted, thinned and merged, then
-        compressed (see the module docstring).  With overwrite_input, as in
-        numpy.median, a float64 array batch may be sorted in place, which
-        saves a copy of each chunk.
+        compressed (see the module docstring).
         """
         if self._sealed:
             raise SketchStateError("cannot extend a sealed sketch")
@@ -155,10 +153,12 @@ class QuantileSketch:
         if batch.ndim != 1:
             raise ValueError("values must be a 1-d sequence")
         _check_finite(batch, "values")
-        # every chunk is sorted in this one buffer (or in place): the merge
-        # copies out the thinned values, and a fresh sorted copy per chunk
-        # is allocated while the previous one is still bound, so it holds two
-        buffer = None if overwrite_input else np.empty(min(batch.size, _CHUNK))
+        # every chunk is sorted in this one buffer: the merge copies out the
+        # thinned values, and a fresh sorted copy per chunk is allocated
+        # while the previous one is still bound, so it holds two chunks.
+        # _owned (package-internal) hands over a float64 array that may be
+        # sorted in place instead, which saves that copy.
+        buffer = None if _owned else np.empty(min(batch.size, _CHUNK))
         for start in range(0, batch.size, _CHUNK):
             chunk = batch[start:start + _CHUNK]
             if buffer is not None:

@@ -29,7 +29,6 @@ __all__ = [
     "phi_for_test",
     "lall_ks",
     "run_test",
-    "decide",
 ]
 
 def fmt17(x: float) -> str:
@@ -314,13 +313,9 @@ def decide(cdf1: ApproxCdf, cdf2: ApproxCdf, precision: TestPrecision) -> KsOutc
 
     Estimates the distance between the CDFs and converts it to a
     significance decision at precision.alpha, with the sample sizes taken
-    from the CDFs' plans.  The plans' deltas must fit in precision.phi,
-    which the outcome reports as its error bound.
+    from the CDFs' plans.  The plans' deltas are the caller's to fit in
+    precision.phi, which the outcome reports as its error bound.
     """
-    if cdf1.plan.delta + cdf2.plan.delta > precision.phi:
-        raise ValueError(
-            f"CDF bounds {cdf1.plan.delta} + {cdf2.plan.delta} exceed phi = {precision.phi}"
-        )
     n, m = cdf1.plan.n, cdf2.plan.n
     d = approx_two_sample_ks(cdf1, cdf2)
     p = p_value(d, n, m)

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import re
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -394,10 +395,13 @@ def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message):
     assert reference_ks2(fx, fy, alpha=0.05, **beta) == expected
 
 
-def test_ks2_peak_memory_below_its_parsed_values(normal_files):
+@pytest.mark.parametrize("newline", [b"\n", b"\r"], ids=["lf", "cr"])
+def test_ks2_peak_memory_below_its_parsed_values(normal_files, newline):
     n = m = 200_000
     fx = normal_files("x.txt", 0, n, 31)
     fy = normal_files("y.txt", 0.01, m, 32)
+    for f in (fx, fy):
+        f.write_bytes(f.read_bytes().replace(b"\n", newline))
     tracemalloc.start()
     try:
         rc, out, _ = _run(["ks2", "--file-x", fx, "--file-y", fy, "--phi", "0.01"])
@@ -414,6 +418,8 @@ def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
     dirty, dirty_x = tmp_path / "dirty.txt", tmp_path / "dirty_x.txt"
     dirty.write_text(fy.read_text() + "\n")  # 3,001 lines, 3,000 values
     dirty_x.write_text("\n" + fx.read_text())
+    cr_x = tmp_path / "cr_x.txt"  # bare-CR newlines, one value a line
+    cr_x.write_bytes(fx.read_bytes().replace(b"\n", b"\r"))
     floats, parsed = cli._floats, []
 
     def counting(lines):
@@ -425,6 +431,7 @@ def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
     # --beta its count moves phi, so both are, but each at most twice
     for x, y, precision, lines in [
             (fx, fy, {"phi": 0.05}, 6000), (fx, fy, {"beta": 0.025}, 6000),
+            (cr_x, fy, {"beta": 0.025}, 6000),
             (fx, dirty, {"phi": 0.05}, 3000 + 2 * 3001),
             (fx, dirty, {"beta": 0.025}, 2 * 3000 + 2 * 3001),
             (dirty_x, dirty, {"beta": 0.025}, 4 * 3001)]:
@@ -442,17 +449,57 @@ def test_ks2_refuses_a_file_that_changes_while_read(normal_files, monkeypatch):
     assert err == f"sketchks: error: {f}: file changed while it was read\n"
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("piped", ["x", "y", "xy"])
+def test_ks2_reads_a_pipe_once(normal_files, piped):
+    files = {"x": normal_files("x.txt", 0, 500, 36),
+             "y": normal_files("y.txt", 0.2, 500, 37)}
+    want = reference_ks2(files["x"], files["y"], alpha=0.05, phi=0.1)
+    assert want[0] == 0
+    argv, fds = {}, []
+    try:
+        for side, path in files.items():
+            argv[side] = path
+            if side in piped:
+                r, w = os.pipe()
+                fds.append(r)
+                os.write(w, path.read_bytes())  # ~10 KB: fits the pipe buffer
+                os.close(w)
+                argv[side] = f"/dev/fd/{r}"
+        got = _run(["ks2", "--file-x", argv["x"], "--file-y", argv["y"],
+                    "--alpha", "0.05", "--phi", "0.1"])
+    finally:
+        for fd in fds:
+            os.close(fd)
+    assert got == want
+
+
 @pytest.mark.parametrize("data, lines", [
     (b"", 0), (b"1", 1), (b"1\n", 1), (b"1\n\n2", 3), (b"h\r\n1\r\n2\r\n", 3),
-    (b"1\r2\r3", 1),  # bare carriage returns are not counted
+    (b"1\r2\r3", 3), (b"1\r", 1), (b"\r\r\n\n", 3), (b"1\r\r\n2", 3),
 ])
 def test_line_count(tmp_path, data, lines):
     f = tmp_path / "d.txt"
     f.write_bytes(data)
-    for size in (2, 1 << 16):
+    for size in (1, 2, 1 << 16):
         with mock.patch.object(cli, "_COUNT_BYTES", size):
             assert cli._line_count(f, False) == lines
             assert cli._line_count(f, True) == max(lines - 1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.lists(st.sampled_from([b"1", b" ", b"\r", b"\n", b"\r\n", b"\xff"]),
+                  max_size=30).map(b"".join),
+    size=st.sampled_from([1, 2, 3, 1 << 16]),
+)
+def test_line_count_is_text_mode_line_count(tmp_path_factory, data, size):
+    f = tmp_path_factory.mktemp("count") / "d.txt"
+    f.write_bytes(data)
+    with open(f, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = sum(1 for _ in fh)
+    with mock.patch.object(cli, "_COUNT_BYTES", size):
+        assert cli._line_count(f, False) == lines
 
 
 @pytest.mark.parametrize("command,flags", [

@@ -123,13 +123,13 @@ class TestInsert:
                 QuantileSketch(eps)
 
     @pytest.mark.parametrize("chunk", [7, 64, 4096])
-    def test_overwrite_input_keeps_the_summary(self, chunk):
+    def test_owned_batch_keeps_the_summary(self, chunk):
         stream = np.random.default_rng(8).normal(size=1000).round(1)
         copy, in_place = QuantileSketch(0.01), QuantileSketch(0.01)
         batch = stream.copy()
         with mock.patch.object(gk_sketch, "_CHUNK", chunk):
             copy.extend(stream)
-            in_place.extend(batch, overwrite_input=True)
+            in_place.extend(batch, _owned=True)
         for got, want in zip(in_place.summary(), copy.summary()):
             assert np.array_equal(got, want)
         # the caller's array was sorted chunk by chunk, in place

@@ -423,8 +423,6 @@ class TestRunTest:
         precision = ks.TestPrecision(alpha=0.05, phi=0.02)
         cdfs = [build_cdf(v, plan_from_phi(0.02, v.size)) for v in (x, y)]
         assert ks.decide(*cdfs, precision) == ks.run_test(x, y, precision)
-        with pytest.raises(ValueError, match="exceed phi"):
-            ks.decide(*cdfs, ks.TestPrecision(alpha=0.05, phi=0.01))
 
     def test_precision_validation(self):
         with pytest.raises(ValueError):
