@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, gk_sketch, ks
+from . import experiments, ks
 from .approx_cdf import build_cdf, empirical_cdf, plan_from_phi, sketch_cdf
 from .gk_sketch import QuantileSketch
 from .ks import fmt17
@@ -107,23 +107,13 @@ def _file_cdf(path, plan, skip_header: bool, skip_invalid: bool):
     """(value count, CDF under plan) of a file streamed into a sketch at
     plan.epsilon; the CDF is None when the count is not plan.n.
 
-    Values reach `extend` in batches of exactly gk_sketch._CHUNK (the last
-    one shorter), so the chunks, and the summary, are those of one
-    `extend` of the whole file.  The working set is one block, one chunk
-    and the sketch's tuples.
+    The sketch cuts its chunks from the stream, so the summary is that of
+    one `extend` of the whole file; the working set is one block, the
+    sketch's chunk buffer and its tuples.
     """
-    sketch, size = QuantileSketch(plan.epsilon), gk_sketch._CHUNK
-    carry, held = np.empty(size), 0
+    sketch = QuantileSketch(plan.epsilon)
     for values, _ in _blocks(path, skip_header, skip_invalid):
-        while values.size:
-            take = min(values.size, size - held)
-            carry[held:held + take] = values[:take]
-            held += take
-            values = values[take:]
-            if held == size:
-                sketch.extend(carry, _owned=True)
-                held = 0
-    sketch.extend(carry[:held], _owned=True)
+        sketch.extend(values)
     if sketch.count != plan.n:
         return sketch.count, None
     return plan.n, sketch_cdf(sketch.seal(), plan)

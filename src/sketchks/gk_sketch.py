@@ -10,13 +10,13 @@ query at probability p with a value whose true rank r satisfies
     floor((p - eps) * n) <= r <= ceil((p + eps) * n).
 
 Ingestion is by batch only, the buffered scheme of Spark's
-QuantileSummaries on top of Greenwald-Khanna (SIGMOD 2001): each chunk of a
-batch is sorted, thinned to an exact summary of itself and merged into the
-stored tuples, the one-sided case of merging summaries (Agarwal et al.,
-PODS 2012), where rank bounds add; COMPRESS then runs after every merged
-chunk.  Ranks are 1-based.  Ties are ordered by arrival: an item
-ranks after every equal item of an earlier chunk, and within a chunk by its
-sorted position.
+QuantileSummaries on top of Greenwald-Khanna (SIGMOD 2001): values fill one
+buffer, cut into a chunk every _CHUNK values and at each read.  Each chunk
+is sorted, thinned to an exact summary of itself and merged into the stored
+tuples, the one-sided case of merging summaries (Agarwal et al., PODS
+2012), where rank bounds add; COMPRESS then runs after every merged chunk.
+Ranks are 1-based.  Ties are ordered by arrival: an item ranks after every
+equal item of an earlier chunk, and within a chunk by its sorted position.
 
 One rule gives the rank interval of a probe x in a summary of N items.
 Let i count the stored values <= x (or < x, when x ranks before its equal
@@ -78,7 +78,7 @@ import numpy as np
 
 __all__ = ["QuantileSketch", "SketchStateError"]
 
-# values sorted and merged per step of `extend`
+# values a sketch buffers, then sorts and merges as one chunk
 _CHUNK = 1 << 16
 
 
@@ -116,9 +116,9 @@ def _scatter(stored, at, kept, pos):
 class QuantileSketch:
     """Streaming epsilon-approximate quantile summary.
 
-    Single-writer while extending; `seal()` stops writes, so a sealed
-    sketch is immutable and freely shareable.  Every read needs data, not a
-    seal, and uses the stored rank bounds; `summary()` copies them out.
+    Single-threaded while open, as reads merge the buffered values; `seal()`
+    stops writes and frees the buffer, so a sealed sketch is immutable and
+    shareable.  Reads need data, not a seal; `summary()` copies the tuples.
     """
 
     def __init__(self, epsilon: float):
@@ -128,24 +128,25 @@ class QuantileSketch:
         self._values = np.empty(0, dtype=np.float64)
         self._rmin = np.empty(0, dtype=np.int64)
         self._rmax = np.empty(0, dtype=np.int64)
-        self._count = 0
+        self._count = 0  # values merged into the tuples
+        self._buffer, self._held = None, 0  # the open chunk
         self._sealed = False
 
     @property
     def count(self) -> int:
-        return self._count
+        return self._count + self._held
 
     @property
     def tuple_count(self) -> int:
+        self._flush()
         return self._values.size
 
-    def extend(self, values, *, _owned: bool = False) -> None:
+    def extend(self, values) -> None:
         """Add a batch: a 1-d array-like of finite numbers.
 
         The whole batch is rejected, and the sketch left unchanged, if it is
         not a 1-d array of finite numbers (a generator raises TypeError).
-        Each chunk of the batch is sorted, thinned and merged, then
-        compressed (see the module docstring).
+        Chunks are cut from the stream, not per batch (module docstring).
         """
         if self._sealed:
             raise SketchStateError("cannot extend a sealed sketch")
@@ -153,23 +154,25 @@ class QuantileSketch:
         if batch.ndim != 1:
             raise ValueError("values must be a 1-d sequence")
         _check_finite(batch, "values")
-        # every chunk is sorted in this one buffer: the merge copies out the
-        # thinned values, and a fresh sorted copy per chunk is allocated
-        # while the previous one is still bound, so it holds two chunks.
-        # _owned (package-internal) hands over a float64 array that may be
-        # sorted in place instead, which saves that copy.
-        buffer = None if _owned else np.empty(min(batch.size, _CHUNK))
-        for start in range(0, batch.size, _CHUNK):
-            chunk = batch[start:start + _CHUNK]
-            if buffer is not None:
-                buffer[:chunk.size] = chunk
-                chunk = buffer[:chunk.size]
-            chunk.sort()
-            self._merge_sorted(chunk)
-            self._count += chunk.size
+        if self._buffer is None:
+            self._buffer = np.empty(_CHUNK)
+        while batch.size:
+            part, batch = np.split(batch, [_CHUNK - self._held])
+            self._buffer[self._held:self._held + part.size] = part
+            self._held += part.size
+            if self._held == _CHUNK:
+                self._flush()
+
+    def _flush(self) -> None:
+        """Merge the buffered values as one chunk; every read calls it."""
+        if self._held:
+            # a separate call, so its temporaries are freed before compress
+            self._merge_chunk(self._buffer[:self._held])
+            self._count, self._held = self._count + self._held, 0
             self.compress()
 
-    def _merge_sorted(self, chunk: np.ndarray) -> None:
+    def _merge_chunk(self, chunk: np.ndarray) -> None:
+        chunk.sort()  # in place: the merge copies out the values it keeps
         k = chunk.size
         ranks = np.arange(1, k + 1, math.floor(self.epsilon * k / 2) + 1)
         if ranks[-1] != k:
@@ -227,8 +230,9 @@ class QuantileSketch:
         self._rmax = rmax[on]
 
     def seal(self) -> "QuantileSketch":
-        """Stop writes: `extend` raises from now on; reads are unaffected."""
-        self._sealed = True
+        """Stop writes and release the buffer; reads are unaffected."""
+        self._flush()
+        self._sealed, self._buffer = True, None
         return self
 
     def check_invariants(self) -> None:
@@ -239,6 +243,7 @@ class QuantileSketch:
         delta >= 0, sum g = count (r_min = count on the last tuple),
         g + delta <= floor(2*eps*count) + 1 and r_max = 1 on the first tuple.
         """
+        self._flush()
         values, rmin, rmax = self._values, self._rmin, self._rmax
         g = np.diff(rmin, prepend=0)
         delta = rmax - rmin
@@ -258,6 +263,7 @@ class QuantileSketch:
 
         Fresh copies of the stored arrays.
         """
+        self._flush()
         return self._values.copy(), self._rmin.copy(), self._rmax.copy()
 
     def query_quantiles(self, probs) -> np.ndarray:
@@ -278,6 +284,7 @@ class QuantileSketch:
             raise ValueError("probs must be a non-empty 1-d sequence")
         if np.any(probs[1:] < probs[:-1]):
             raise ValueError("probs must be non-decreasing")
+        self._flush()
         if self._count == 0:
             raise SketchStateError("cannot query an empty sketch")
         bad = probs[~((probs > 0) & (probs <= 1))]
@@ -302,10 +309,13 @@ class QuantileSketch:
 
         Rank means the number of stream items <= x, so anything below the
         minimum maps to (0, 0) and anything at or above the maximum to
-        (n, n).  Interval width is at most 2*eps*n + 1.  x may be a scalar
-        or an array of finite numbers; the bounds have its shape.  An empty
-        sketch raises SketchStateError, as in `query_quantiles`.
+        (n, n).  The width is at most floor(2*eps*n): g + delta - 1 of the
+        stored value above x (r_max less 1 minus its neighbour's r_min), 0
+        past the ends.  x may be a scalar or an array of finite numbers; the
+        bounds have its shape.  An empty sketch raises SketchStateError, as
+        in `query_quantiles`.
         """
+        self._flush()
         if self._count == 0:
             raise SketchStateError("cannot query an empty sketch")
         xs = np.asarray(x, dtype=np.float64)
