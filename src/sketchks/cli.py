@@ -35,9 +35,9 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
 
     Returns (values array, skipped line count).  Without skip_invalid an
     unparsable or non-finite line raises with its line number; blank lines
-    are always ignored, and a line that is not UTF-8 always raises with its
-    line number.  The line scanner `_scan` defines these rules, and
-    `_blocks` reads the file.
+    and a leading byte-order mark are always ignored, and a line that is
+    not UTF-8 always raises with its line number.  The line scanner `_scan`
+    defines these rules, and `_blocks` reads the file.
     """
     parts, skipped = [], 0
     for values, n in _blocks(path, skip_header, skip_invalid):
@@ -58,7 +58,8 @@ def _blocks(path, skip_header: bool, skip_invalid: bool):
     in place.
     """
     skipped, lineno, found = 0, 1, False
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         if skip_header:  # line 1 holds no value either way
             _, skipped = _scan([(1, fh.readline())], path, True, skip_invalid)
             lineno = 2
@@ -248,9 +249,11 @@ def _ks2_json(outcome: ks.KsOutcome) -> str:
 
 
 def _check_out(path) -> None:
-    """Fail before a study runs when its --out file cannot be written."""
+    """Fail before any work when the --out file cannot be written: an
+    existing file must be writable, a new one needs a writable directory."""
     target = Path(path)
-    if target.is_dir() or not os.access(target.parent, os.W_OK):
+    probe = target if target.exists() else target.parent
+    if target.is_dir() or not os.access(probe, os.W_OK):
         raise OSError(f"cannot write --out {path}")
 
 
@@ -295,6 +298,7 @@ def _write_knots(path: Path, probs, quantiles) -> None:
 def _cmd_cdf(args) -> int:
     if not 0 < args.delta < 1:
         raise ValueError(f"--delta must be in (0, 1), got {args.delta}")
+    _check_out(args.out)
     data, _ = ingest(args.file, skip_header=args.skip_header,
                      skip_invalid=args.skip_invalid)
     n = data.size

@@ -7,6 +7,7 @@ import os
 import re
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -474,6 +475,36 @@ def test_ks2_reads_a_pipe_once(normal_files, piped):
     assert got == want
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("piped", [False, True], ids=["streamed", "piped"])
+def test_ks2_ignores_a_leading_byte_order_mark(tmp_path, normal_files, piped):
+    fx = normal_files("x.txt", 0, 500, 38)
+    fy = normal_files("y.txt", 0.2, 500, 39)
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + fx.read_bytes())
+    want = _run(["ks2", "--file-x", fx, "--file-y", fy, "--phi", "0.1"])
+    assert want[0] == 0
+    fd = None
+    try:
+        if piped:
+            fd, w = os.pipe()
+            os.write(w, bom.read_bytes())  # ~10 KB: fits the pipe buffer
+            os.close(w)
+        got = _run(["ks2", "--file-x", bom if fd is None else f"/dev/fd/{fd}",
+                    "--file-y", fy, "--phi", "0.1"])
+    finally:
+        if fd is not None:
+            os.close(fd)
+    assert got == want
+
+
+def test_byte_order_mark_after_line_1_is_data(tmp_path):
+    f = tmp_path / "bom2.txt"
+    f.write_bytes(b"1.5\n\xef\xbb\xbf2.5\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(f))}:2: not a finite number"):
+        ingest(f)
+
+
 @pytest.mark.parametrize("data, lines", [
     (b"", 0), (b"1", 1), (b"1\n", 1), (b"1\n\n2", 3), (b"h\r\n1\r\n2\r\n", 3),
     (b"1\r2\r3", 3), (b"1\r", 1), (b"\r\r\n\n", 3), (b"1\r\r\n2", 3),
@@ -599,7 +630,41 @@ def test_bad_out_fails_before_sampling(tmp_path, monkeypatch, capsys, command):
     assert calls == []
 
 
+@pytest.mark.parametrize("writable, refused", [
+    ({"target"}, False), ({"parent"}, True),
+], ids=["writable-file-read-only-dir", "read-only-file-writable-dir"])
+def test_check_out_tests_an_existing_file_itself(tmp_path, monkeypatch,
+                                                 writable, refused):
+    target = tmp_path / "out.csv"
+    target.write_text("")
+    access = {target: "target", tmp_path: "parent"}
+    # os.access, not chmod: root passes every permission check
+    monkeypatch.setattr(cli.os, "access",
+                        lambda path, mode: access[Path(path)] in writable)
+    if refused:
+        with pytest.raises(OSError, match="cannot write --out"):
+            cli._check_out(target)
+    else:
+        cli._check_out(target)
+
+
 class TestCdfCommand:
+    def test_bad_out_fails_before_reading(self, tmp_path, normal_files,
+                                          monkeypatch, capsys):
+        f = normal_files("n.txt", 0, 1000, 22)
+        out = tmp_path / "nodir" / "k.csv"
+        blocks, reads = cli._blocks, []
+
+        def recording(*args):
+            reads.append(args)
+            return blocks(*args)
+
+        monkeypatch.setattr(cli, "_blocks", recording)
+        rc = main(["cdf", "--file", str(f), "--delta", "0.1", "--out", str(out)])
+        assert rc == 1
+        assert f"cannot write --out {out}" in capsys.readouterr().err
+        assert reads == []
+
     def test_constant_file(self, tmp_path, capsys):
         f = tmp_path / "c.txt"
         f.write_text("\n".join(["7.5"] * 50) + "\n")
