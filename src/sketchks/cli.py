@@ -299,6 +299,8 @@ def _cmd_cdf(args) -> int:
     if not 0 < args.delta < 1:
         raise ValueError(f"--delta must be in (0, 1), got {args.delta}")
     _check_out(args.out)
+    if args.with_exact:
+        _check_out(Path(args.out).with_suffix(".exact.csv"))
     data, _ = ingest(args.file, skip_header=args.skip_header,
                      skip_invalid=args.skip_invalid)
     n = data.size

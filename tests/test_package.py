@@ -1,6 +1,4 @@
-"""The package surface: each module's `__all__`, re-exported, and one version."""
-
-from pathlib import Path
+"""The package surface: each module's `__all__`, re-exported."""
 
 import pytest
 
@@ -8,7 +6,6 @@ import sketchks
 from sketchks import approx_cdf, gk_sketch, ks, synth
 
 MODULES = (approx_cdf, gk_sketch, ks, synth)
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # the package's list as it stood when it was written out by hand
 PUBLIC = [
@@ -46,12 +43,3 @@ def test_internal_names_are_not_exported(name):
     assert name not in sketchks.__all__
     assert not hasattr(sketchks, name)
 
-
-def test_version_is_read_from_the_package():
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-    pyproject = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))
-    assert "version" not in pyproject["project"]
-    assert pyproject["project"]["dynamic"] == ["version"]
-    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
-        "attr": "sketchks.__version__"}
-    assert sketchks.__version__ == "0.1.0"
