@@ -200,11 +200,13 @@ def run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
 
     extra: dict = {}
     if spec.with_sketch:
+        # each sketch is sealed, freeing its chunk buffer, before the next
+        # is built, so one buffer is alive at a time
         s1 = QuantileSketch(spec.sketch_epsilon)
         s1.extend(x)
+        s1.seal()
         s2 = QuantileSketch(spec.sketch_epsilon)
         s2.extend(y)
-        s1.seal()
         s2.seal()
         extra = {
             "d_sketch": ks.lall_ks(s1, s2),

@@ -31,6 +31,10 @@ __all__ = [
     "run_test",
 ]
 
+# sorted values `_lead` probes at a time: bounds its temporaries
+_PROBE_BLOCK = 1 << 13
+
+
 def fmt17(x: float) -> str:
     """Round-trip text of a float: 17 significant digits."""
     return format(float(x), ".17g")
@@ -106,8 +110,11 @@ def exact_ks_distance(x, y) -> float:
     maximum.  Within a tie group c_x is largest at the group's value, so
     each sample is probed only at its tie-group ends: one linear mask on
     the sorted sample and one searchsorted into the other sample, with no
-    pooled sort.  Each product is at most n*m < 2**63, so the counts stay
-    exact in int64, and the one int/int division rounds once.
+    pooled sort.  The probes walk the sorted sample in blocks of
+    _PROBE_BLOCK values (see `_lead`), so the working memory is the two
+    sorted copies, 8 bytes per input value, plus one block's temporaries.
+    Each product is at most n*m < 2**63, so the counts stay exact in int64,
+    and the one int/int division rounds once.
     """
     xs = np.sort(np.asarray(x, dtype=float).ravel())
     ys = np.sort(np.asarray(y, dtype=float).ravel())
@@ -130,13 +137,29 @@ def _ends(s: np.ndarray) -> np.ndarray:
 
 
 def _lead(a: np.ndarray, b: np.ndarray) -> int:
-    """max over the tie-group ends t of sorted a of #(a <= t)*|b| - #(b <= t)*|a|."""
-    ends = _ends(a)
-    # the probe values a[ends] are freed before ca exists: two
-    # group-length arrays live at a time, and the arithmetic is in place
-    cb = np.searchsorted(b, a[ends], side="right")
+    """max over the tie-group ends t of sorted a of #(a <= t)*|b| - #(b <= t)*|a|.
+
+    Walks a in blocks of _PROBE_BLOCK values and probes each block at its
+    own tie-group ends; the result is the largest of the blocks' Python-int
+    maxima.  A block's last value may sit inside a tie group that the next
+    block ends.  Probing it is harmless: along a tie group #(b <= t) is
+    constant and #(a <= t) grows, so the group's end, probed in a later
+    block, gives a larger term.  It also gives every block a probe.  Only
+    one block's temporaries, ~17 bytes a block value, are alive at a time.
+    """
+    return max(_block_lead(a, b, lo) for lo in range(0, a.size, _PROBE_BLOCK))
+
+
+def _block_lead(a: np.ndarray, b: np.ndarray, lo: int) -> int:
+    """`_lead`'s largest term over the tie-group ends of a[lo:lo + _PROBE_BLOCK]."""
+    block = a[lo:lo + _PROBE_BLOCK]
+    ends = _ends(block)
+    # the probe values block[ends] are freed before ca exists, and the
+    # arithmetic is in place: the mask and two int64 arrays live at a time,
+    # all freed on return, before the next block allocates
+    cb = np.searchsorted(b, block[ends], side="right")
     ca = np.flatnonzero(ends)
-    ca += 1
+    ca += lo + 1
     ca *= b.size
     cb *= a.size
     ca -= cb

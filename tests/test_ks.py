@@ -111,16 +111,27 @@ class TestExactDistance:
         y = [1, 2, 2, 4, 4, 4, 4, 4, 4, 4]
         assert ks.exact_ks_distance(x, y) == 0.2
 
-    def test_peak_memory_per_value(self):
-        rng = np.random.default_rng(5)
-        x, y = rng.normal(size=10**5), rng.normal(0.01, 1, size=10**5)
+    @staticmethod
+    def assert_peak_within_sorted_copies_and_one_block(x, y):
         tracemalloc.start()
         try:
             ks.exact_ks_distance(x, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * (x.size + y.size)
+        # the two sorted copies, then one probe block's mask and two int64
+        # arrays (17 bytes a block value), plus 16 KiB for small objects
+        assert peak <= 8 * (x.size + y.size) + 17 * ks._PROBE_BLOCK + 2**14
+
+    def test_peak_memory_per_value(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=10**5), rng.normal(0.01, 1, size=10**5)
+        self.assert_peak_within_sorted_copies_and_one_block(x, y)
+
+    def test_peak_memory_per_value_on_ties(self):
+        rng = np.random.default_rng(5)  # 1,000 values shared by both samples
+        x, y = (rng.integers(0, 1000, size=10**5).astype(float) for _ in "xy")
+        self.assert_peak_within_sorted_copies_and_one_block(x, y)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -507,6 +518,19 @@ _FLOATS = st.floats(min_value=-50, max_value=50,
 def test_exact_distance_is_correctly_rounded(pair):
     x, y = pair
     assert ks.exact_ks_distance(x, y) == count_ks(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.sampled_from([1, 2, 3, 7]), data=st.data())
+def test_exact_distance_is_the_same_at_every_probe_block(block, data):
+    # tie groups of _TIES straddle block ends and are shared by both
+    # samples; sizes include 1 and exact multiples of the block
+    size = st.one_of(st.just(1), st.integers(1, 6).map(lambda k: k * block),
+                     st.integers(1, 40))
+    x, y = (data.draw(size.flatmap(
+        lambda n: st.lists(_TIES, min_size=n, max_size=n))) for _ in "xy")
+    with mock.patch.object(ks, "_PROBE_BLOCK", block):
+        assert ks.exact_ks_distance(x, y) == count_ks(x, y)
 
 
 @st.composite
