@@ -27,7 +27,7 @@ from .ks import fmt17
 __all__ = ["main", "ingest"]
 
 _BLOCK_LINES = 1 << 12  # lines `_blocks` holds and parses at a time
-_COUNT_BYTES = 1 << 16  # bytes `_line_count` reads at a time
+_COUNT_CHARS = 1 << 16  # characters `_line_count` reads at a time
 
 
 def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
@@ -37,7 +37,7 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
     unparsable or non-finite line raises with its line number; blank lines
     and a leading byte-order mark are always ignored, and a line that is
     not UTF-8 always raises with its line number.  The line scanner `_scan`
-    defines these rules, and `_blocks` reads the file.
+    defines these rules, and `_blocks` reads the file through `_open`.
     """
     parts, skipped = [], 0
     for values, n in _blocks(path, skip_header, skip_invalid):
@@ -46,8 +46,16 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
     return np.concatenate(parts), skipped
 
 
+def _open(path):
+    """The file as `_blocks` and `_line_count` read it: text with universal
+    newlines, undecodable bytes kept as lone surrogates, and no leading
+    byte-order mark (utf-8-sig drops it, as spreadsheet exports write it)."""
+    return open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
+
+
 def _blocks(path, skip_header: bool, skip_invalid: bool):
-    """The file's values block by block, with the rules of `ingest`.
+    """The file's values block by block, as `_open` splits its lines, with
+    the rules of `ingest`.
 
     Yields (finite values, skipped line count) for each block of
     _BLOCK_LINES lines (a skipped header counts in the first), and raises
@@ -58,8 +66,7 @@ def _blocks(path, skip_header: bool, skip_invalid: bool):
     in place.
     """
     skipped, lineno, found = 0, 1, False
-    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+    with _open(path) as fh:
         if skip_header:  # line 1 holds no value either way
             _, skipped = _scan([(1, fh.readline())], path, True, skip_invalid)
             lineno = 2
@@ -79,28 +86,16 @@ def _blocks(path, skip_header: bool, skip_invalid: bool):
 
 
 def _line_count(path, skip_header: bool) -> int:
-    """The file's lines as text-mode reading splits them, less the header
-    line under skip_header: LF and CR bytes less CRLF pairs, one more for
-    an unterminated last line.
-
-    It bounds the file's values from above.  One reused buffer is read at
-    a time, and the last byte of each read is carried, so a CRLF split
-    across two reads is one newline.
-    """
-    buf = bytearray(_COUNT_BYTES)
-    view = np.frombuffer(buf, dtype=np.uint8)
-    lf, cr = ord("\n"), ord("\r")
-    lines, last = 0, lf
-    with open(path, "rb") as fh:
-        while size := fh.readinto(buf):
-            data = view[:size]
-            lines += int(np.count_nonzero(data == lf))
-            if crs := int(np.count_nonzero(data == cr)):
-                pairs = np.count_nonzero((data[:-1] == cr) & (data[1:] == lf))
-                lines += crs - int(pairs)
-            lines -= last == cr and buf[0] == lf
-            last = buf[size - 1]
-    lines += last not in (lf, cr)
+    """The file's lines as `_blocks` reads them through `_open`, less the
+    header line under skip_header; it bounds the file's values from above.
+    Text mode turns CR and CRLF, even a CRLF split across two reads, into
+    one newline, and an unterminated last line counts too."""
+    lines, last = 0, "\n"
+    with _open(path) as fh:
+        while text := fh.read(_COUNT_CHARS):
+            lines += text.count("\n")
+            last = text[-1]
+    lines += last != "\n"
     return max(lines - skip_header, 0)
 
 

@@ -402,7 +402,7 @@ def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message):
     assert reference_ks2(fx, fy, alpha=0.05, **beta) == expected
 
 
-@pytest.mark.parametrize("newline", [b"\n", b"\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "crlf"])
 def test_ks2_peak_memory_below_its_parsed_values(normal_files, newline):
     n = m = 200_000
     fx = normal_files("x.txt", 0, n, 31)
@@ -427,6 +427,8 @@ def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
     dirty_x.write_text("\n" + fx.read_text())
     cr_x = tmp_path / "cr_x.txt"  # bare-CR newlines, one value a line
     cr_x.write_bytes(fx.read_bytes().replace(b"\n", b"\r"))
+    bom_x = tmp_path / "bom_x.txt"  # a byte-order mark and CRLF newlines
+    bom_x.write_bytes(b"\xef\xbb\xbf" + fx.read_bytes().replace(b"\n", b"\r\n"))
     floats, parsed = cli._floats, []
 
     def counting(lines):
@@ -439,6 +441,7 @@ def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
     for x, y, precision, lines in [
             (fx, fy, {"phi": 0.05}, 6000), (fx, fy, {"beta": 0.025}, 6000),
             (cr_x, fy, {"beta": 0.025}, 6000),
+            (bom_x, fy, {"beta": 0.025}, 6000),
             (fx, dirty, {"phi": 0.05}, 3000 + 2 * 3001),
             (fx, dirty, {"beta": 0.025}, 2 * 3000 + 2 * 3001),
             (dirty_x, dirty, {"beta": 0.025}, 4 * 3001)]:
@@ -507,28 +510,31 @@ def test_ks2_ignores_a_leading_byte_order_mark(tmp_path, normal_files, piped):
 @pytest.mark.parametrize("data, lines", [
     (b"", 0), (b"1", 1), (b"1\n", 1), (b"1\n\n2", 3), (b"h\r\n1\r\n2\r\n", 3),
     (b"1\r2\r3", 3), (b"1\r", 1), (b"\r\r\n\n", 3), (b"1\r\r\n2", 3),
+    (b"\xef\xbb\xbf", 0), (b"\xef\xbb\xbf1\r\n2", 2),
 ])
 def test_line_count(tmp_path, data, lines):
     f = tmp_path / "d.txt"
     f.write_bytes(data)
     for size in (1, 2, 1 << 16):
-        with mock.patch.object(cli, "_COUNT_BYTES", size):
+        with mock.patch.object(cli, "_COUNT_CHARS", size):
             assert cli._line_count(f, False) == lines
             assert cli._line_count(f, True) == max(lines - 1, 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
+    bom=st.sampled_from([b"", b"\xef\xbb\xbf"]),
     data=st.lists(st.sampled_from([b"1", b" ", b"\r", b"\n", b"\r\n", b"\xff"]),
                   max_size=30).map(b"".join),
     size=st.sampled_from([1, 2, 3, 1 << 16]),
 )
-def test_line_count_is_text_mode_line_count(tmp_path_factory, data, size):
+def test_line_count_is_text_mode_line_count(tmp_path_factory, bom, data, size):
     f = tmp_path_factory.mktemp("count") / "d.txt"
-    f.write_bytes(data)
-    with open(f, encoding="utf-8", errors="surrogateescape") as fh:
+    f.write_bytes(bom + data)
+    # the oracle iterates lines, as the reader does, not read().count
+    with open(f, encoding="utf-8-sig", errors="surrogateescape") as fh:
         lines = sum(1 for _ in fh)
-    with mock.patch.object(cli, "_COUNT_BYTES", size):
+    with mock.patch.object(cli, "_COUNT_CHARS", size):
         assert cli._line_count(f, False) == lines
 
 
