@@ -37,7 +37,9 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
     unparsable or non-finite line raises with its line number; blank lines
     and a leading byte-order mark are always ignored, and a line that is
     not UTF-8 always raises with its line number.  The line scanner `_scan`
-    defines these rules, and `_blocks` reads the file through `_open`.
+    defines these rules, the header's too; `_blocks` reads the file through
+    `_open` and hands `_scan` line 1 under skip_header and each line
+    float() cannot read.
     """
     parts, skipped = [], 0
     for values, n in _blocks(path, skip_header, skip_invalid):
@@ -63,24 +65,24 @@ def _blocks(path, skip_header: bool, skip_invalid: bool):
     i of a block from line i in one C-level pass of float().  float()
     strips no more than str.strip(), so a line it reads as a finite number
     holds the value `_scan` would give it; `_scan` re-reads the other lines
-    in place.
+    in place, and under skip_header line 1 too, whatever float() made of
+    it, since the header rule is `_scan`'s.
     """
-    skipped, lineno, found = 0, 1, False
+    lineno, found = 1, False
     with _open(path) as fh:
-        if skip_header:  # line 1 holds no value either way
-            _, skipped = _scan([(1, fh.readline())], path, True, skip_invalid)
-            lineno = 2
         while lines := list(itertools.islice(fh, _BLOCK_LINES)):
-            values = _floats(lines)
+            values, skipped = _floats(lines), 0
+            if skip_header and lineno == 1:
+                values[0] = math.nan  # `_scan` skips a header float() can read
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
-                values[bad], n = _scan([(lineno + i, lines[i]) for i in bad.tolist()],
-                                       path, False, skip_invalid)
+                values[bad], skipped = _scan(
+                    [(lineno + i, lines[i]) for i in bad.tolist()],
+                    path, skip_header, skip_invalid)
                 values = values[np.isfinite(values)]
-                skipped += n
             found = found or values.size > 0
             yield values, skipped
-            skipped, lineno = 0, lineno + len(lines)
+            lineno += len(lines)
     if not found:
         raise ValueError(f"{path}: no data values found")
 
@@ -129,10 +131,12 @@ def _floats(lines):
 
 
 def _scan(numbered, path, skip_header: bool, skip_invalid: bool):
-    """The rule for a line behind `ingest`: (values, skipped) for an
-    iterable of (line number, line) pairs, one value per line.  A line
-    that holds no value (blank, a skipped header or a skipped invalid
-    line) gives NaN; any other bad line raises with its number."""
+    """The rule for a line behind `ingest`, the header's included:
+    (values, skipped) for an iterable of (line number, line) pairs, one
+    value per line.  Under skip_header a non-blank line 1 is skipped even
+    where float() reads it.  A line that holds no value (blank, a skipped
+    header or a skipped invalid line) gives NaN; any other bad line raises
+    with its number."""
     values, skipped = array("d"), 0
     for lineno, line in numbered:
         values.append(math.nan)
@@ -192,12 +196,14 @@ def _streamed_ks2(args):
     when an input is not a regular file or the sizes known so far admit
     no certified plan.
 
-    Planning starts from each file's line count.  A file whose value count
-    differs is planned again at its exact count and read once more; under
-    --beta that moves phi, and so the other file's plan too.  A file not
-    read yet goes first, and each CDF is made, and its sketch dropped,
-    before the next file is read.  A pipe or other non-regular file may
-    not be read twice, so it is not streamed.
+    Two passes, so each file is read at most twice.  The first reads the
+    files in order, each planned from the counts known so far: the line
+    counts, then each value count as a read finds it (under --beta a
+    count moves phi, and so the other file's plan too).  The second reads
+    again only a file whose plan moved since its read; a count that moves
+    again means the file changed.  Each CDF is made, and its sketch
+    dropped, before the next file is read.  A pipe or other non-regular
+    file may not be read twice, so it is not streamed.
     """
     files = (args.file_x, args.file_y)
     try:
@@ -206,27 +212,22 @@ def _streamed_ks2(args):
         counts = [_line_count(f, args.skip_header) for f in files]
     except OSError:
         return None
-    cdfs, exact = [None, None], [False, False]
-    while True:
-        try:
-            precision = _precision(args, *counts)
-            plans = [plan_from_phi(precision.phi, c) for c in counts]
-        except ValueError:
-            return None
-        for i in sorted((0, 1), key=exact.__getitem__):
+    cdfs = [None, None]
+    for second in (False, True):
+        for i in (0, 1):
+            try:
+                precision = _precision(args, *counts)
+                plans = [plan_from_phi(precision.phi, c) for c in counts]
+            except ValueError:
+                return None
             if cdfs[i] is not None and cdfs[i].plan == plans[i]:
                 continue
             cdfs[i] = None  # a stale CDF goes before the next read
-            count, cdfs[i] = _file_cdf(files[i], plans[i], args.skip_header,
-                                       args.skip_invalid)
-            if cdfs[i] is None:
-                if exact[i]:
-                    raise ValueError(f"{files[i]}: file changed while it was read")
-                counts[i], exact[i] = count, True
-                break
-            exact[i] = True
-        else:
-            return ks.decide(*cdfs, precision)
+            counts[i], cdfs[i] = _file_cdf(files[i], plans[i], args.skip_header,
+                                           args.skip_invalid)
+            if cdfs[i] is None and second:
+                raise ValueError(f"{files[i]}: file changed while it was read")
+    return ks.decide(*cdfs, precision)
 
 
 def _ks2_json(outcome: ks.KsOutcome) -> str:

@@ -20,7 +20,7 @@ the CDF bound at precision/2 and the comparison sketches at precision/6.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -129,18 +129,19 @@ def experiment_spec(
                    master_seed=master_seed)
 
 
-@dataclass(frozen=True)
+# the field order is the experiment CSV's column order
+@dataclass(frozen=True, kw_only=True)
 class ReplicationRecord:
     replication: int
     seed: int
     d_exact: float
     d_approx: float
+    d_sketch: float | None = None
     p_exact: float
     p_approx: float
     reject_exact: bool
     reject_approx: bool
     abs_err: float
-    d_sketch: float | None = None
     cdf_knots_x: int | None = None
     cdf_knots_y: int | None = None
     sketch_tuples_x: int | None = None
@@ -236,8 +237,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return result
 
 
-# table style: p-values below this (and exact zeros from underflow) print
-# as 0.0; KsOutcome keeps the raw value
+# table style: a float column's value in [0, this), a p-value that
+# underflowed or an exact zero such as table 1's epsilon, prints as 0.0;
+# KsOutcome keeps the raw value
 P_VALUE_FLOOR = 1e-300
 
 
@@ -255,11 +257,7 @@ def _csv_num(x) -> str:
     return ks.fmt17(x)
 
 
-_CSV_FIELDS = [
-    "replication", "seed", "d_exact", "d_approx", "d_sketch",
-    "p_exact", "p_approx", "reject_exact", "reject_approx", "abs_err",
-    "cdf_knots_x", "cdf_knots_y", "sketch_tuples_x", "sketch_tuples_y",
-]
+_CSV_FIELDS = [f.name for f in fields(ReplicationRecord)]
 
 
 def _write_csv(path, fields: list[str], rows: list[dict]) -> None:

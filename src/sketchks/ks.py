@@ -241,7 +241,6 @@ def d_crit(alpha: float, n: int, m: int) -> float:
         raise ValueError("sample sizes must be positive")
     tol = min(1e-10, 1e-6 * alpha)
     lo, hi = 1e-6, 10.0
-    lam = 0.5 * (lo + hi)
     for _ in range(200):
         lam = 0.5 * (lo + hi)
         q = qks(lam)

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -162,6 +163,11 @@ _line = st.tuples(_space, st.one_of(_numbers, _numbers, _odd), _space,
 @example(lines=["\ufeff1\n", "2\n"], last_newline=True, skip_header=False,
          skip_invalid=False, block=4096)
 @example(lines=["1\n", "\ufeff2\n"], last_newline=True, skip_header=False,
+         skip_invalid=False, block=4096)
+# a header float() can read is skipped, not parsed, at any block size
+@example(lines=["2.5\n", "1\n"], last_newline=True, skip_header=True,
+         skip_invalid=False, block=1)
+@example(lines=["2.5\n", "1\n"], last_newline=True, skip_header=True,
          skip_invalid=False, block=4096)
 @given(
     lines=st.lists(_line, max_size=12),
@@ -363,11 +369,19 @@ def test_ks2_stdout_matches_run_test_on_ingested_files(
     fy.write_bytes(files[1])
     test = {"alpha": 0.5, **precision}
     flags = {"skip_header": skip_header, "skip_invalid": skip_invalid}
+    file_cdf, reads = cli._file_cdf, Counter()
+
+    def counting(path, *rest):
+        reads[path] += 1
+        return file_cdf(path, *rest)
+
     with mock.patch.object(cli, "_BLOCK_LINES", block), \
-            mock.patch.object(gk_sketch, "_CHUNK", chunk):
+            mock.patch.object(gk_sketch, "_CHUNK", chunk), \
+            mock.patch.object(cli, "_file_cdf", counting):
         got = _run(_ks2_argv(fx, fy, **test, **flags))
         want = reference_ks2(fx, fy, **test, **flags)
     assert got == want
+    assert max(reads.values(), default=0) <= 2  # each file read at most twice
 
 
 _VALUES = "".join(f"{v!r}\n" for v in np.linspace(-2, 2, 200).tolist()).encode()
@@ -437,14 +451,17 @@ def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
 
     monkeypatch.setattr(cli, "_floats", counting)
     # under --phi only the file whose count moved is read again; under
-    # --beta its count moves phi, so both are, but each at most twice
+    # --beta its count moves phi, so both are, but each at most twice; a
+    # count met on the first pass plans the files after it, so a clean
+    # file read after a dirty one is read once
     for x, y, precision, lines in [
             (fx, fy, {"phi": 0.05}, 6000), (fx, fy, {"beta": 0.025}, 6000),
             (cr_x, fy, {"beta": 0.025}, 6000),
             (bom_x, fy, {"beta": 0.025}, 6000),
             (fx, dirty, {"phi": 0.05}, 3000 + 2 * 3001),
             (fx, dirty, {"beta": 0.025}, 2 * 3000 + 2 * 3001),
-            (dirty_x, dirty, {"beta": 0.025}, 4 * 3001)]:
+            (dirty_x, dirty, {"beta": 0.025}, 4 * 3001),
+            (dirty_x, fy, {"beta": 0.025}, 2 * 3001 + 3000)]:
         parsed.clear()
         got = _run(_ks2_argv(x, y, alpha=0.05, **precision))
         assert sum(parsed) == lines
