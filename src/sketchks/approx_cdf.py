@@ -4,6 +4,9 @@ A CDF approximation is the pair of vectors (probs, quantiles): `a`
 equi-spaced probabilities from 1/N to 1 and the quantile summary's answers
 at those probabilities.  Linear interpolation between the knots gives a
 function within delta = 1/(a-1) + epsilon of the exact empirical CDF.
+Where the summary holds few distinct values most knots repeat a quantile;
+an ApproxCdf stores only the first and last knot of each run of equal
+quantiles, which interpolate to the same function.
 
 For a target delta the knot count / query accuracy trade-off follows the
 hyperbola a = 1/(delta - epsilon) + 1; `eps45` picks the unit-slope point
@@ -72,8 +75,13 @@ class CdfPlan:
 class ApproxCdf:
     """Immutable approximate CDF: quantiles at the plan's probability knots.
 
-    The knots are always `plan.a` equi-spaced probabilities from 1/n to 1,
-    so `error_bound(plan)` certifies every ApproxCdf.
+    It takes the quantiles at all `plan.a` equi-spaced probabilities from
+    1/n to 1, and stores `probs` and `quantiles` at the run ends of that
+    grid: the first and last knot of each run of equal quantiles.  Along a
+    run the interpolant is the step the run's last knot gives, so the
+    stored knots interpolate to the function of the full grid, and
+    `error_bound(plan)` certifies every ApproxCdf.  `knots()` gives the
+    full grid back.
     """
 
     def __init__(self, plan: CdfPlan, quantiles: np.ndarray):
@@ -86,10 +94,20 @@ class ApproxCdf:
         _check_finite(quantiles, "quantiles")
         if np.any(quantiles[1:] < quantiles[:-1]):  # a difference can overflow
             raise ValueError("quantiles must be non-decreasing")
+        # a knot is kept when it differs from either neighbour
+        keep = np.ones(plan.a, dtype=bool)
+        inner = quantiles[1:-1]
+        keep[1:-1] = (inner != quantiles[:-2]) | (inner != quantiles[2:])
         self.plan = plan
-        self.probs = _knot_probs(plan.n, plan.a)
-        self.quantiles = quantiles
-        self.probs.flags.writeable = quantiles.flags.writeable = False
+        self.probs = _knot_probs(plan.n, plan.a)[keep]
+        self.quantiles = quantiles[keep]
+        self.probs.flags.writeable = self.quantiles.flags.writeable = False
+
+    def knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """All `plan.a` knots (probs, quantiles): each dropped knot inside a
+        run takes the quantile of the run's last knot."""
+        probs = _knot_probs(self.plan.n, self.plan.a)
+        return probs, self.quantiles[np.searchsorted(self.probs, probs)]
 
 
 def eps45(delta: float, n: int) -> float:
@@ -177,7 +195,8 @@ def sketch_cdf(sketch: QuantileSketch, plan: CdfPlan) -> ApproxCdf:
         raise ValueError(
             f"sketch epsilon {sketch.epsilon} is coarser than the plan's {plan.epsilon}"
         )
-    # knots are made after ingest and dropped before ApproxCdf rebuilds them
+    # the a-long knots are made after ingest and dropped once ApproxCdf
+    # has kept their run ends
     return ApproxCdf(plan, sketch.query_quantiles(_knot_probs(plan.n, plan.a)))
 
 

@@ -303,7 +303,7 @@ def _cmd_cdf(args) -> int:
     plan = plan_from_phi(2 * args.delta, n)  # doubling is exact: delta is kept
     cdf = build_cdf(data, plan)
     out = Path(args.out)
-    _write_knots(out, cdf.probs, cdf.quantiles)
+    _write_knots(out, *cdf.knots())
     print(f"wrote {plan.a} knots (delta={plan.delta:g}, eps={plan.epsilon:g}) -> {out}")
     if args.with_exact:
         exact_path = out.with_suffix(".exact.csv")

@@ -139,15 +139,25 @@ def _ends(s: np.ndarray) -> np.ndarray:
 def _lead(a: np.ndarray, b: np.ndarray) -> int:
     """max over the tie-group ends t of sorted a of #(a <= t)*|b| - #(b <= t)*|a|.
 
-    Walks a in blocks of _PROBE_BLOCK values and probes each block at its
-    own tie-group ends; the result is the largest of the blocks' Python-int
-    maxima.  A block's last value may sit inside a tie group that the next
-    block ends.  Probing it is harmless: along a tie group #(b <= t) is
-    constant and #(a <= t) grows, so the group's end, probed in a later
-    block, gives a larger term.  It also gives every block a probe.  Only
-    one block's temporaries, ~17 bytes a block value, are alive at a time.
+    Walks a in blocks of up to _PROBE_BLOCK values and probes each block at
+    its own tie-group ends; the result is the largest of the blocks'
+    Python-int maxima.  A block's last value may sit inside a tie group
+    that a later block ends.  Probing it is harmless: along a tie group
+    #(b <= t) is constant and #(a <= t) grows, so the group's end gives a
+    larger term.  It also gives every block a probe.  The next block starts
+    at the end of that tie group, so the blocks inside a long tie group are
+    skipped.  Only one block's temporaries, ~17 bytes a block value, are
+    alive at a time.
     """
-    return max(_block_lead(a, b, lo) for lo in range(0, a.size, _PROBE_BLOCK))
+    # 0 is a floor: at a's maximum the term is |a|*(|b| - #(b <= t)) >= 0
+    best, lo = 0, 0
+    while True:
+        best = max(best, _block_lead(a, b, lo))
+        end = lo + _PROBE_BLOCK
+        if end >= a.size:
+            return best
+        # the last index of a[end - 1]'s tie group, which is >= end - 1
+        lo = max(end, int(np.searchsorted(a, a[end - 1], side="right")) - 1)
 
 
 def _block_lead(a: np.ndarray, b: np.ndarray, lo: int) -> int:
@@ -174,18 +184,23 @@ def approx_two_sample_ks(cdf1: ApproxCdf, cdf2: ApproxCdf) -> float:
     knots is the same x, so both interpolants, and their difference, repeat
     one value along the run.  There a CDF's own interpolant gives the
     largest tied probability, which is the stored probability at the run's
-    end (side="right"), exactly.  So each CDF is probed only at its own
-    tie-group ends, its own side read off `probs` and the other side from
-    one `eval_cdf` call.  On heavily tied quantiles that is a few hundred
-    probes instead of every knot.  Identical CDFs give exactly 0.  The
-    result is within delta1 + delta2 of the exact two-sample distance.
+    end (side="right"), exactly.  An ApproxCdf stores each run's first and
+    last knot, so each CDF is probed only at its stored tie-group ends, its
+    own side read off `probs` and the other side from one `eval_cdf` call.
+    On heavily tied quantiles that is a few hundred probes instead of every
+    knot.  Identical CDFs give exactly 0.  The result is within
+    delta1 + delta2 of the exact two-sample distance.
     """
     # np.maximum propagates a NaN, which KsOutcome then rejects
     return float(np.maximum(_gap(cdf1, cdf2), _gap(cdf2, cdf1)))
 
 
 def _gap(own: ApproxCdf, other: ApproxCdf) -> float:
-    """max |other - own| over the tie-group ends of own's knots."""
+    """max |other - own| over the tie-group ends of own's stored knots.
+
+    own stores the last knot of each run of its full knot grid, with that
+    knot's probability, so these are the grid's tie-group ends.
+    """
     ends = _ends(own.quantiles)
     diff = eval_cdf(other, own.quantiles[ends])
     diff -= own.probs[ends]

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sketchks.approx_cdf import (
     num_probs,
     plan_from_phi,
     sketch_cdf,
+    _knot_probs,
 )
 from sketchks.gk_sketch import QuantileSketch
 from sketchks.synth import normal, sample
@@ -406,3 +408,70 @@ def test_eval_monotone_property(data, probe):
     plan = CdfPlan(n=n, delta=0.35, epsilon=0.05, a=min(5, n))
     cdf = build_cdf(np.asarray(data), plan)
     assert eval_cdf(cdf, probe) <= eval_cdf(cdf, probe + 1.0)
+
+
+def full_grid(data, plan):
+    """All plan.a knots, read independently of ApproxCdf: the sketch's
+    answers at the knot grid, or exact order statistics at eps = 0."""
+    probs = _knot_probs(plan.n, plan.a)
+    if plan.epsilon == 0.0:
+        ranks = [1 + math.ceil(Fraction(i * (plan.n - 1), plan.a - 1))
+                 for i in range(plan.a)]
+        return probs, np.sort(data)[np.array(ranks) - 1]
+    sketch = QuantileSketch(plan.epsilon)
+    sketch.extend(data)
+    return probs, sketch.query_quantiles(probs)
+
+
+def assert_run_ends_give_full_interpolant(data, plan):
+    cdf = build_cdf(data, plan)
+    probs, quantiles = full_grid(data, plan)
+    got_probs, got_quantiles = cdf.knots()
+    assert got_probs.tobytes() == probs.tobytes()
+    assert got_quantiles.tobytes() == quantiles.tobytes()
+    # each stored knot is the first or last of a run of the full grid
+    distinct = np.unique(quantiles)
+    assert cdf.quantiles.size <= 2 * distinct.size
+    assert np.isin(cdf.probs, probs).all()
+    # the full-knot interpolant: eval_cdf's arithmetic over all a knots
+    full = SimpleNamespace(probs=probs, quantiles=quantiles)
+    rng = np.random.default_rng(plan.n)
+    lo, hi = quantiles[0], quantiles[-1]
+    xs = np.concatenate([
+        quantiles,
+        (distinct[1:] + distinct[:-1]) / 2,
+        rng.uniform(lo - 1, hi + 1, size=200),
+        [lo - 1e6, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), hi + 1e6],
+    ])
+    assert eval_cdf(cdf, xs).tobytes() == eval_cdf(full, xs).tobytes()
+    return cdf
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.one_of(
+        st.lists(st.integers(-3, 3).map(float), min_size=3, max_size=400),
+        st.lists(st.floats(min_value=-1e3, max_value=1e3,
+                           allow_nan=False, allow_infinity=False),
+                 min_size=3, max_size=400),
+        st.tuples(st.floats(min_value=-1e3, max_value=1e3), st.integers(3, 400))
+        .map(lambda c: [c[0]] * c[1]),
+    ),
+    a=st.integers(min_value=3, max_value=80),
+    eps=st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.1]),
+)
+def test_run_ends_give_the_full_knot_interpolant(data, a, eps):
+    # few distinct values, any floats, constant data; small n; eps = 0
+    # plans read exact order statistics
+    n = len(data)
+    a = min(a, n)
+    plan = CdfPlan(n=n, delta=1 / (a - 1) + eps, epsilon=eps, a=a)
+    assert_run_ends_give_full_interpolant(np.asarray(data), plan)
+
+
+@pytest.mark.parametrize("values", [5, 1000])
+def test_run_ends_on_a_planned_tie_heavy_sample(values):
+    data = np.random.default_rng(values).integers(0, values, 50000).astype(float)
+    plan = plan_from_phi(0.01, data.size)
+    cdf = assert_run_ends_give_full_interpolant(data, plan)
+    assert cdf.quantiles.size <= 2 * values < plan.a

@@ -42,10 +42,11 @@ def brute_force_ks(x, y):
 
 
 def all_knots_ks(cdf1, cdf2):
-    """Both interpolants at every knot of either CDF, kept as an oracle for
-    approx_two_sample_ks."""
-    d1 = np.max(np.abs(eval_cdf(cdf1, cdf1.quantiles) - eval_cdf(cdf2, cdf1.quantiles)))
-    d2 = np.max(np.abs(eval_cdf(cdf1, cdf2.quantiles) - eval_cdf(cdf2, cdf2.quantiles)))
+    """Both interpolants at every one of the a knots of either CDF, kept as
+    an oracle for approx_two_sample_ks."""
+    q1, q2 = cdf1.knots()[1], cdf2.knots()[1]
+    d1 = np.max(np.abs(eval_cdf(cdf1, q1) - eval_cdf(cdf2, q1)))
+    d2 = np.max(np.abs(eval_cdf(cdf1, q2) - eval_cdf(cdf2, q2)))
     return float(np.maximum(d1, d2))
 
 
@@ -132,6 +133,21 @@ class TestExactDistance:
         rng = np.random.default_rng(5)  # 1,000 values shared by both samples
         x, y = (rng.integers(0, 1000, size=10**5).astype(float) for _ in "xy")
         self.assert_peak_within_sorted_copies_and_one_block(x, y)
+
+    def test_long_tie_groups_skip_their_inner_blocks(self):
+        # 1e6 values over 5 distinct values: 123 blocks a side without the
+        # skip; with it, one block from each tie group's end (the first
+        # block from index 0) and a last one-value block at a's maximum
+        rng = np.random.default_rng(5)
+        x, y = (rng.integers(0, 5, size=10**6).astype(float) for _ in "xy")
+        with mock.patch.object(ks, "_block_lead", wraps=ks._block_lead) as spy:
+            d = ks.exact_ks_distance(x, y)
+        assert spy.call_count <= 2 * (5 + 1)
+        # the counts at each of the 5 values, in Python ints
+        t = np.union1d(x, y)
+        cx, cy = (np.searchsorted(np.sort(v), t, side="right").tolist() for v in (x, y))
+        best = max(abs(i * y.size - j * x.size) for i, j in zip(cx, cy))
+        assert d == float(Fraction(best, x.size * y.size))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -435,6 +451,21 @@ class TestRunTest:
         cdfs = [build_cdf(v, plan_from_phi(0.02, v.size)) for v in (x, y)]
         assert ks.decide(*cdfs, precision) == ks.run_test(x, y, precision)
 
+    def test_peak_memory_on_the_loose_1m_shape(self):
+        # two 1e6 samples at phi 0.01: 14,144 knots a side over <200 values.
+        # The peak is the sketch's 512 KiB chunk buffer plus the first CDF's
+        # run ends while the second sample is ingested; the first CDF's
+        # a-long knot arrays (~0.23 MB) are not held
+        x = sample(normal(0, 1), 10**6, 5)
+        y = sample(normal(0.05, 1), 10**6, 6)
+        tracemalloc.start()
+        try:
+            ks.run_test(x, y, ks.TestPrecision(alpha=0.05, phi=0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.65e6
+
     def test_precision_validation(self):
         with pytest.raises(ValueError):
             ks.TestPrecision(alpha=1.5, phi=0.01)
@@ -524,11 +555,16 @@ def test_exact_distance_is_correctly_rounded(pair):
 @given(block=st.sampled_from([1, 2, 3, 7]), data=st.data())
 def test_exact_distance_is_the_same_at_every_probe_block(block, data):
     # tie groups of _TIES straddle block ends and are shared by both
-    # samples; sizes include 1 and exact multiples of the block
+    # samples; sizes include 1 and exact multiples of the block, and runs
+    # of one value up to four blocks long give tie groups that span several
+    # blocks, whose inner blocks are skipped
     size = st.one_of(st.just(1), st.integers(1, 6).map(lambda k: k * block),
                      st.integers(1, 40))
-    x, y = (data.draw(size.flatmap(
-        lambda n: st.lists(_TIES, min_size=n, max_size=n))) for _ in "xy")
+    plain = size.flatmap(lambda n: st.lists(_TIES, min_size=n, max_size=n))
+    runs = st.lists(st.tuples(_TIES, st.integers(1, 4 * block)),
+                    min_size=1, max_size=6).map(
+        lambda rs: [v for v, k in rs for _ in range(k)])
+    x, y = (data.draw(st.one_of(plain, runs)) for _ in "xy")
     with mock.patch.object(ks, "_PROBE_BLOCK", block):
         assert ks.exact_ks_distance(x, y) == count_ks(x, y)
 
