@@ -139,25 +139,15 @@ def _ends(s: np.ndarray) -> np.ndarray:
 def _lead(a: np.ndarray, b: np.ndarray) -> int:
     """max over the tie-group ends t of sorted a of #(a <= t)*|b| - #(b <= t)*|a|.
 
-    Walks a in blocks of up to _PROBE_BLOCK values and probes each block at
-    its own tie-group ends; the result is the largest of the blocks'
-    Python-int maxima.  A block's last value may sit inside a tie group
-    that a later block ends.  Probing it is harmless: along a tie group
-    #(b <= t) is constant and #(a <= t) grows, so the group's end gives a
-    larger term.  It also gives every block a probe.  The next block starts
-    at the end of that tie group, so the blocks inside a long tie group are
-    skipped.  Only one block's temporaries, ~17 bytes a block value, are
-    alive at a time.
+    Walks a in blocks of _PROBE_BLOCK values and probes each block at its
+    own tie-group ends; the result is the largest of the blocks' Python-int
+    maxima.  A block's last value may sit inside a tie group that the next
+    block ends.  Probing it is harmless: along a tie group #(b <= t) is
+    constant and #(a <= t) grows, so the group's end, probed in a later
+    block, gives a larger term.  It also gives every block a probe.  Only
+    one block's temporaries, ~17 bytes a block value, are alive at a time.
     """
-    # 0 is a floor: at a's maximum the term is |a|*(|b| - #(b <= t)) >= 0
-    best, lo = 0, 0
-    while True:
-        best = max(best, _block_lead(a, b, lo))
-        end = lo + _PROBE_BLOCK
-        if end >= a.size:
-            return best
-        # the last index of a[end - 1]'s tie group, which is >= end - 1
-        lo = max(end, int(np.searchsorted(a, a[end - 1], side="right")) - 1)
+    return max(_block_lead(a, b, lo) for lo in range(0, a.size, _PROBE_BLOCK))
 
 
 def _block_lead(a: np.ndarray, b: np.ndarray, lo: int) -> int:

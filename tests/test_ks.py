@@ -42,11 +42,10 @@ def brute_force_ks(x, y):
 
 
 def all_knots_ks(cdf1, cdf2):
-    """Both interpolants at every one of the a knots of either CDF, kept as
-    an oracle for approx_two_sample_ks."""
-    q1, q2 = cdf1.knots()[1], cdf2.knots()[1]
-    d1 = np.max(np.abs(eval_cdf(cdf1, q1) - eval_cdf(cdf2, q1)))
-    d2 = np.max(np.abs(eval_cdf(cdf1, q2) - eval_cdf(cdf2, q2)))
+    """Both interpolants at every knot of either CDF, kept as an oracle for
+    approx_two_sample_ks."""
+    d1 = np.max(np.abs(eval_cdf(cdf1, cdf1.quantiles) - eval_cdf(cdf2, cdf1.quantiles)))
+    d2 = np.max(np.abs(eval_cdf(cdf1, cdf2.quantiles) - eval_cdf(cdf2, cdf2.quantiles)))
     return float(np.maximum(d1, d2))
 
 
@@ -133,21 +132,6 @@ class TestExactDistance:
         rng = np.random.default_rng(5)  # 1,000 values shared by both samples
         x, y = (rng.integers(0, 1000, size=10**5).astype(float) for _ in "xy")
         self.assert_peak_within_sorted_copies_and_one_block(x, y)
-
-    def test_long_tie_groups_skip_their_inner_blocks(self):
-        # 1e6 values over 5 distinct values: 123 blocks a side without the
-        # skip; with it, one block from each tie group's end (the first
-        # block from index 0) and a last one-value block at a's maximum
-        rng = np.random.default_rng(5)
-        x, y = (rng.integers(0, 5, size=10**6).astype(float) for _ in "xy")
-        with mock.patch.object(ks, "_block_lead", wraps=ks._block_lead) as spy:
-            d = ks.exact_ks_distance(x, y)
-        assert spy.call_count <= 2 * (5 + 1)
-        # the counts at each of the 5 values, in Python ints
-        t = np.union1d(x, y)
-        cx, cy = (np.searchsorted(np.sort(v), t, side="right").tolist() for v in (x, y))
-        best = max(abs(i * y.size - j * x.size) for i, j in zip(cx, cy))
-        assert d == float(Fraction(best, x.size * y.size))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -557,7 +541,7 @@ def test_exact_distance_is_the_same_at_every_probe_block(block, data):
     # tie groups of _TIES straddle block ends and are shared by both
     # samples; sizes include 1 and exact multiples of the block, and runs
     # of one value up to four blocks long give tie groups that span several
-    # blocks, whose inner blocks are skipped
+    # blocks
     size = st.one_of(st.just(1), st.integers(1, 6).map(lambda k: k * block),
                      st.integers(1, 40))
     plain = size.flatmap(lambda n: st.lists(_TIES, min_size=n, max_size=n))
