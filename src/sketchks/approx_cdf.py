@@ -35,6 +35,8 @@ __all__ = [
     "empirical_cdf",
 ]
 
+_QUERY_KNOTS = 1 << 12  # knots `sketch_cdf` queries at a time
+
 
 def _bound(a: int, epsilon: float) -> float:
     # the one certification rule: a plan holds iff this is <= delta
@@ -81,7 +83,8 @@ class ApproxCdf:
     run the interpolant is the step the run's last knot gives, so the
     stored knots interpolate to the function of the full grid, and
     `error_bound(plan)` certifies every ApproxCdf.  `knots()` gives the
-    full grid back.
+    full grid back.  `sketch_cdf` never holds the full grid: it keeps the
+    same run ends from the grid queried block by block.
     """
 
     def __init__(self, plan: CdfPlan, quantiles: np.ndarray):
@@ -91,15 +94,18 @@ class ApproxCdf:
                 f"quantiles must be 1-d with the plan's a = {plan.a} entries, "
                 f"got shape {quantiles.shape}"
             )
+        self._keep_run_ends(plan, _knot_probs(plan.n, plan.a), quantiles)
+
+    def _keep_run_ends(self, plan, probs, quantiles) -> None:
+        # knots (probs, quantiles) that hold every run end of the full grid,
+        # such as the grid itself: the rule keeps exactly those run ends, and
+        # the checks on them are the checks on the grid
         _check_finite(quantiles, "quantiles")
         if np.any(quantiles[1:] < quantiles[:-1]):  # a difference can overflow
             raise ValueError("quantiles must be non-decreasing")
-        # a knot is kept when it differs from either neighbour
-        keep = np.ones(plan.a, dtype=bool)
-        inner = quantiles[1:-1]
-        keep[1:-1] = (inner != quantiles[:-2]) | (inner != quantiles[2:])
+        keep = _run_ends(quantiles)
         self.plan = plan
-        self.probs = _knot_probs(plan.n, plan.a)[keep]
+        self.probs = probs[keep]
         self.quantiles = quantiles[keep]
         self.probs.flags.writeable = self.quantiles.flags.writeable = False
 
@@ -156,12 +162,24 @@ def plan_from_phi(phi: float, n: int) -> CdfPlan:
     return CdfPlan(n=n, delta=delta, epsilon=epsilon, a=a)
 
 
-def _knot_probs(n: int, a: int) -> np.ndarray:
-    # p_i = 1/n + i*(1 - 1/n)/(a-1); endpoints pinned exactly
+def _knot_probs(n: int, a: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    # p_i = 1/n + i*(1 - 1/n)/(a-1) for start <= i < stop (default a);
+    # endpoints pinned exactly
+    stop = a if stop is None else stop
     first = 1.0 / n
-    probs = first + np.arange(a) * ((1.0 - first) / (a - 1))
-    probs[-1] = 1.0
+    probs = first + np.arange(start, stop) * ((1.0 - first) / (a - 1))
+    if stop == a:
+        probs[-1] = 1.0
     return probs
+
+
+def _run_ends(quantiles: np.ndarray) -> np.ndarray:
+    # keep mask: the first and last knot of each run of equal quantiles,
+    # that is each knot that differs from either neighbour
+    keep = np.ones(quantiles.size, dtype=bool)
+    inner = quantiles[1:-1]
+    keep[1:-1] = (inner != quantiles[:-2]) | (inner != quantiles[2:])
+    return keep
 
 
 def build_cdf(data, plan: CdfPlan) -> ApproxCdf:
@@ -195,9 +213,24 @@ def sketch_cdf(sketch: QuantileSketch, plan: CdfPlan) -> ApproxCdf:
         raise ValueError(
             f"sketch epsilon {sketch.epsilon} is coarser than the plan's {plan.epsilon}"
         )
-    # the a-long knots are made after ingest and dropped once ApproxCdf
-    # has kept their run ends
-    return ApproxCdf(plan, sketch.query_quantiles(_knot_probs(plan.n, plan.a)))
+    # the grid is queried _QUERY_KNOTS knots at a time, and each block
+    # keeps its run ends, its own first and last knot among them.  A block
+    # starts on the knot the one before it ended on (kept there, so not
+    # here), so every pair of neighbours lies in one block and every run
+    # end of the full grid is kept; `_keep_run_ends` then drops the block
+    # ends that lie inside a run.
+    probs, quantiles = [], []
+    for start in range(0, plan.a - 1, _QUERY_KNOTS):
+        stop = min(start + _QUERY_KNOTS, plan.a - 1) + 1
+        p = _knot_probs(plan.n, plan.a, start, stop)
+        q = sketch.query_quantiles(p)
+        keep = _run_ends(q)
+        keep[0] = start == 0
+        probs.append(p[keep])
+        quantiles.append(q[keep])
+    cdf = ApproxCdf.__new__(ApproxCdf)  # __init__ takes the full grid
+    cdf._keep_run_ends(plan, np.concatenate(probs), np.concatenate(quantiles))
+    return cdf
 
 
 def eval_cdf(cdf: ApproxCdf, x):

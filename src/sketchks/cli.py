@@ -81,8 +81,9 @@ def _blocks(path, skip_header: bool, skip_invalid: bool):
                     path, skip_header, skip_invalid)
                 values = values[np.isfinite(values)]
             found = found or values.size > 0
-            yield values, skipped
             lineno += len(lines)
+            del lines  # the block's str objects go before the caller's work
+            yield values, skipped
     if not found:
         raise ValueError(f"{path}: no data values found")
 
@@ -106,8 +107,9 @@ def _file_cdf(path, plan, skip_header: bool, skip_invalid: bool):
     plan.epsilon; the CDF is None when the count is not plan.n.
 
     The sketch cuts its chunks from the stream, so the summary is that of
-    one `extend` of the whole file; the working set is one block, the
-    sketch's chunk buffer and its tuples.
+    one `extend` of the whole file.  The working set is one block's values
+    (`_blocks` drops its lines before it yields them), the sketch's tuples
+    and its chunk buffer, which a merge drops before its own arrays peak.
     """
     sketch = QuantileSketch(plan.epsilon)
     for values, _ in _blocks(path, skip_header, skip_invalid):

@@ -15,6 +15,9 @@ buffer, cut into a chunk every _CHUNK values and at each read.  Each chunk
 is sorted, thinned to an exact summary of itself and merged into the stored
 tuples, the one-sided case of merging summaries (Agarwal et al., PODS
 2012), where rank bounds add; COMPRESS then runs after every merged chunk.
+A buffer exists only while it holds values: the merge drops it once the
+kept values are copied out, before its own arrays peak, and the next
+`extend` makes a new one.
 Ranks are 1-based.  Ties are ordered by arrival: an item ranks after every
 equal item of an earlier chunk, and within a chunk by its sorted position.
 
@@ -117,8 +120,9 @@ class QuantileSketch:
     """Streaming epsilon-approximate quantile summary.
 
     Single-threaded while open, as reads merge the buffered values; `seal()`
-    stops writes and frees the buffer, so a sealed sketch is immutable and
-    shareable.  Reads need data, not a seal; `summary()` copies the tuples.
+    merges them and stops writes, so a sealed sketch holds no buffer and is
+    immutable and shareable.  Reads need data, not a seal; `summary()`
+    copies the tuples.
     """
 
     def __init__(self, epsilon: float):
@@ -154,9 +158,9 @@ class QuantileSketch:
         if batch.ndim != 1:
             raise ValueError("values must be a 1-d sequence")
         _check_finite(batch, "values")
-        if self._buffer is None:
-            self._buffer = np.empty(_CHUNK)
         while batch.size:
+            if self._buffer is None:
+                self._buffer = np.empty(_CHUNK)
             part, batch = np.split(batch, [_CHUNK - self._held])
             self._buffer[self._held:self._held + part.size] = part
             self._held += part.size
@@ -164,20 +168,23 @@ class QuantileSketch:
                 self._flush()
 
     def _flush(self) -> None:
-        """Merge the buffered values as one chunk; every read calls it."""
+        """Merge the buffered values as one chunk and drop the buffer;
+        every read calls it."""
         if self._held:
             # a separate call, so its temporaries are freed before compress
-            self._merge_chunk(self._buffer[:self._held])
-            self._count, self._held = self._count + self._held, 0
+            self._merge_chunk()
             self.compress()
 
-    def _merge_chunk(self, chunk: np.ndarray) -> None:
-        chunk.sort()  # in place: the merge copies out the values it keeps
-        k = chunk.size
+    def _merge_chunk(self) -> None:
+        k = self._held
+        chunk = self._buffer[:k]
+        chunk.sort()  # in place: the values it keeps are copied out
         ranks = np.arange(1, k + 1, math.floor(self.epsilon * k / 2) + 1)
         if ranks[-1] != k:
             ranks = np.append(ranks, k)
         kept = chunk[ranks - 1]
+        # the buffer goes before the merge peaks; `extend` makes the next
+        self._buffer, self._held, chunk = None, 0, None
         values, rmin, rmax = self._values, self._rmin, self._rmax
         # a kept value ranks after the stored values <= it, a stored value
         # after the chunk items < it: each side's interval in the other adds
@@ -189,14 +196,19 @@ class QuantileSketch:
         kept_hi += ranks
         grow_lo += rmin
         grow_hi += rmax
+        # each input is dropped once its last output is built
+        del ranks, rmin, rmax
         # merged slots: kept w_t goes after the pos[t] stored values <= it
         # and the t kept ones before it, stored v_i after the before[i]
         # kept values < it and the i stored ones before it
         pos += np.arange(kept.size)
         before += np.arange(values.size)
         self._values = _scatter(values, before, kept, pos)
+        del values, kept
         self._rmin = _scatter(grow_lo, before, kept_lo, pos)
+        del grow_lo, kept_lo
         self._rmax = _scatter(grow_hi, before, kept_hi, pos)
+        self._count += k
 
     def compress(self) -> None:
         """Delete tuples while the GK maintenance condition allows.
@@ -218,7 +230,10 @@ class QuantileSketch:
             return
         rmin, rmax = self._rmin, self._rmax
         below = np.searchsorted(rmin, rmax - threshold, side="left")
-        jump = np.maximum(np.minimum(np.arange(-1, rmin.size - 1), below), 0)
+        jump = np.arange(-1, rmin.size - 1)
+        np.minimum(jump, below, out=jump)
+        del below
+        np.maximum(jump, 0, out=jump)
         # after round r, `on` holds the first 2**r tuples of the path
         on = np.zeros(rmin.size, dtype=bool)
         on[-1] = True
@@ -230,9 +245,9 @@ class QuantileSketch:
         self._rmax = rmax[on]
 
     def seal(self) -> "QuantileSketch":
-        """Stop writes and release the buffer; reads are unaffected."""
+        """Stop writes; reads are unaffected.  The flush leaves no buffer."""
         self._flush()
-        self._sealed, self._buffer = True, None
+        self._sealed = True
         return self
 
     def check_invariants(self) -> None:

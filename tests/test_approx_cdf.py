@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchks import approx_cdf
 from sketchks.approx_cdf import (
     ApproxCdf,
     CdfPlan,
@@ -475,3 +477,56 @@ def test_run_ends_on_a_planned_tie_heavy_sample(values):
     plan = plan_from_phi(0.01, data.size)
     cdf = assert_run_ends_give_full_interpolant(data, plan)
     assert cdf.quantiles.size <= 2 * values < plan.a
+
+
+def assert_blocks_give_the_full_grid(sketch, plan):
+    cdf = sketch_cdf(sketch, plan)
+    full = ApproxCdf(plan, sketch.query_quantiles(_knot_probs(plan.n, plan.a)))
+    assert cdf.probs.tobytes() == full.probs.tobytes()
+    assert cdf.quantiles.tobytes() == full.quantiles.tobytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2, 3 * approx_cdf._QUERY_KNOTS + 5])
+def test_sketch_cdf_blocks_at_the_block_size(extra):
+    # a - 1 knot steps: one block less one, one block, one block and one
+    # knot (a second block of two knots), and several blocks
+    a = approx_cdf._QUERY_KNOTS + 1 + extra
+    data = sample(normal(0, 1), 4 * a, a)
+    eps = 1e-4
+    plan = CdfPlan(n=data.size, delta=1 / (a - 1) + 2 * eps, epsilon=eps, a=a)
+    sketch = QuantileSketch(eps)
+    sketch.extend(data)
+    assert_blocks_give_the_full_grid(sketch.seal(), plan)
+
+
+@pytest.mark.parametrize("values", [3, 12])
+def test_sketch_cdf_is_the_same_at_every_block_seam(values):
+    # every block size from one knot step to the whole grid puts a seam on
+    # each knot in turn: inside a run of equal quantiles, on its first knot
+    # and on its last
+    data = np.random.default_rng(values).integers(0, values, 400).astype(float)
+    plan = CdfPlan(n=data.size, delta=1 / 59 + 0.01, epsilon=0.01, a=60)
+    sketch = QuantileSketch(plan.epsilon)
+    sketch.extend(data)
+    sketch.seal()
+    quantiles = sketch.query_quantiles(_knot_probs(plan.n, plan.a))
+    run_ends = np.flatnonzero(np.diff(quantiles)) + 1  # first knot of a run
+    assert run_ends.size >= values - 1 and np.diff(run_ends).max() >= 3
+    for block in range(1, plan.a + 1):
+        with mock.patch.object(approx_cdf, "_QUERY_KNOTS", block):
+            assert_blocks_give_the_full_grid(sketch, plan)
+
+
+@pytest.mark.parametrize("answer, message", [
+    (lambda p: np.where(p > 0.5, 0.0, 1.0), "non-decreasing"),
+    (lambda p: np.where(p > 0.5, np.inf, 1.0), "non-finite"),
+])
+def test_sketch_cdf_checks_the_answers_across_block_seams(answer, message):
+    # a drop onto a seam knot, or a run of infinities that starts on one
+    plan = CdfPlan(n=100, delta=1 / 20 + 0.01, epsilon=0.01, a=21)
+    sketch = SimpleNamespace(count=plan.n, epsilon=plan.epsilon,
+                             query_quantiles=answer)
+    assert _knot_probs(plan.n, plan.a)[10] > 0.5 > _knot_probs(plan.n, plan.a)[9]
+    with mock.patch.object(approx_cdf, "_QUERY_KNOTS", 10):
+        with pytest.raises(ValueError, match=message):
+            sketch_cdf(sketch, plan)

@@ -433,6 +433,24 @@ def test_ks2_peak_memory_below_its_parsed_values(normal_files, newline):
     assert peak < 8 * (n + m), f"peak {peak} bytes"  # the two parsed arrays alone
 
 
+def test_ks2_planned_peak_memory(normal_files):
+    # the planned-file benchmark's shape: phi from --beta gives summaries of
+    # ~1e4 tuples and 40,580 knots.  The chunk buffer and each block's lines
+    # are gone before a merge peaks, and the knots are queried in blocks
+    n = m = 200_000
+    fx = normal_files("x.txt", 0, n, 31)
+    fy = normal_files("y.txt", 0.01, m, 32)
+    argv = ["ks2", "--file-x", fx, "--file-y", fy, "--alpha", "0.05", "--beta", "0.025"]
+    tracemalloc.start()
+    try:
+        rc, out, _ = _run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and json.loads(out)["params"]["a_x"] == 40580
+    assert peak <= 2.2e6, f"peak {peak} bytes"
+
+
 def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
     fx = normal_files("x.txt", 0, 3000, 33)
     fy = normal_files("y.txt", 0.1, 3000, 34)

@@ -280,7 +280,8 @@ class TestDeterminismAndSpace:
             assert np.array_equal(x, y)
 
     def test_extend_peak_memory(self):
-        # one reused 512 KiB chunk buffer plus a summary of ~190 tuples
+        # one 512 KiB chunk buffer at a time, dropped before each merge, plus
+        # a summary of ~190 tuples
         data = np.random.default_rng(5).normal(size=10**6)
         s = QuantileSketch(0.00493)
         tracemalloc.start()
@@ -293,8 +294,9 @@ class TestDeterminismAndSpace:
         s.check_invariants()
 
     def test_sealed_sketch_releases_its_buffer(self):
-        # an open sketch holds one 512 KiB chunk buffer; a sealed one keeps
-        # only its tuple arrays
+        # an open sketch holding values has one 512 KiB chunk buffer; the
+        # seal merges them and drops it, so a sealed one keeps only its
+        # tuple arrays
         data = np.random.default_rng(6).normal(size=5000)
         tracemalloc.start()
         try:
@@ -308,6 +310,19 @@ class TestDeterminismAndSpace:
         tuples = sum(a.nbytes for a in s.summary())
         assert open_size >= 8 * gk_sketch._CHUNK
         assert sealed_size <= tuples + 8192
+
+    def test_buffer_exists_only_while_it_holds_values(self):
+        data = np.random.default_rng(7).normal(size=gk_sketch._CHUNK + 5)
+        s = QuantileSketch(0.01)
+        s.extend(data[:gk_sketch._CHUNK])  # a full chunk is merged
+        assert s._held == 0 and s._buffer is None
+        s.extend(data[gk_sketch._CHUNK:])
+        assert s._held == 5 and s._buffer is not None
+        s.tuple_count  # a read of an open sketch merges what it holds
+        assert s._held == 0 and s._buffer is None
+        s.extend(data[:3])
+        s.seal()
+        assert s._held == 0 and s._buffer is None
 
     @pytest.mark.parametrize("eps,n", [(0.1, 5000), (0.01, 20000), (0.001, 20000)])
     def test_space_soft_bound(self, eps, n):
@@ -477,6 +492,33 @@ def test_batch_ingest_matches_exact_ranks(kind, n, seed, eps, chunk, cuts, reads
     probs = [k / 100 for k in range(1, 101)]
     for p, v in zip(probs, s.query_quantiles(probs)):
         assert eq4_holds(stream.tolist(), eps, p, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["as drawn", "constant", "sorted", "reversed", "distinct"]),
+    n=st.integers(min_value=1, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    eps=st.sampled_from([0.1, 0.01]),
+    chunk=st.sampled_from([1, 3, 17]),
+    cuts=st.lists(st.integers(min_value=0, max_value=30), max_size=6),
+)
+def test_reads_between_full_chunks_keep_the_summary_of_one_extend(
+        kind, n, seed, eps, chunk, cuts):
+    # batches end on chunk boundaries, so a read after each finds nothing
+    # held and no buffer; the next extend makes a new one
+    stream = _stream(kind, n, seed)
+    bounds = sorted({0, n} | {min(c * chunk, n) for c in cuts})
+    s, whole = QuantileSketch(eps), QuantileSketch(eps)
+    with mock.patch.object(gk_sketch, "_CHUNK", chunk):
+        whole.extend(stream)
+        for lo, hi in zip(bounds, bounds[1:]):
+            s.extend(stream[lo:hi])
+            assert (s._buffer is None) == (s._held == 0)
+            s.tuple_count
+            assert s._held == 0 and s._buffer is None
+    for got, want in zip(s.summary(), whole.summary()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def reference_ingest(stream, eps, chunk):
