@@ -173,12 +173,22 @@ def _knot_probs(n: int, a: int, start: int = 0, stop: int | None = None) -> np.n
     return probs
 
 
+def _ends(s: np.ndarray) -> np.ndarray:
+    """Mask of the last entry of each run of equal values in s (non-empty):
+    each entry that differs from the next one, and the final entry."""
+    ends = np.empty(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=ends[:-1])
+    ends[-1] = True
+    return ends
+
+
 def _run_ends(quantiles: np.ndarray) -> np.ndarray:
-    # keep mask: the first and last knot of each run of equal quantiles,
-    # that is each knot that differs from either neighbour
-    keep = np.ones(quantiles.size, dtype=bool)
-    inner = quantiles[1:-1]
-    keep[1:-1] = (inner != quantiles[:-2]) | (inner != quantiles[2:])
+    """Mask of the first and last knot of each run of equal quantiles
+    (non-empty): a run's first knot is the grid's first or follows a run's
+    last.  The shifted OR reads its operands as they were before it."""
+    keep = _ends(quantiles)
+    keep[1:] |= keep[:-1]
+    keep[0] = True
     return keep
 
 
@@ -213,19 +223,17 @@ def sketch_cdf(sketch: QuantileSketch, plan: CdfPlan) -> ApproxCdf:
         raise ValueError(
             f"sketch epsilon {sketch.epsilon} is coarser than the plan's {plan.epsilon}"
         )
-    # the grid is queried _QUERY_KNOTS knots at a time, and each block
-    # keeps its run ends, its own first and last knot among them.  A block
-    # starts on the knot the one before it ended on (kept there, so not
-    # here), so every pair of neighbours lies in one block and every run
-    # end of the full grid is kept; `_keep_run_ends` then drops the block
-    # ends that lie inside a run.
+    # the grid is queried _QUERY_KNOTS knots at a time, each knot once, and
+    # each block keeps its run ends, its own first and last knot among them.
+    # A knot inside a block has both neighbours there, and a block end is
+    # kept, so every run end of the full grid is kept; `_keep_run_ends`
+    # then drops the block ends that lie inside a run.
     probs, quantiles = [], []
-    for start in range(0, plan.a - 1, _QUERY_KNOTS):
-        stop = min(start + _QUERY_KNOTS, plan.a - 1) + 1
+    for start in range(0, plan.a, _QUERY_KNOTS):
+        stop = min(start + _QUERY_KNOTS, plan.a)
         p = _knot_probs(plan.n, plan.a, start, stop)
         q = sketch.query_quantiles(p)
         keep = _run_ends(q)
-        keep[0] = start == 0
         probs.append(p[keep])
         quantiles.append(q[keep])
     cdf = ApproxCdf.__new__(ApproxCdf)  # __init__ takes the full grid

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import ks
-from .approx_cdf import CdfPlan, build_cdf, empirical_cdf, error_bound, eval_cdf
+from .approx_cdf import CdfPlan, build_cdf, empirical_cdf, error_bound, eval_cdf, _bound
 from .gk_sketch import QuantileSketch
 from .synth import DistributionSpec, gamma, normal, sample, uniform
 
@@ -282,10 +282,12 @@ def run_convergence(
     Each replication's sample and exact CDF are computed once and shared by
     every configuration.
     """
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
     configs = [(a, eps) for a, eps in CONVERGENCE_ROWS if a <= n] + [(n, 0.0)]
-    plans = [CdfPlan(n=n, delta=1.0 / (a - 1) + eps, epsilon=eps, a=a)
+    plans = [CdfPlan(n=n, delta=_bound(a, eps), epsilon=eps, a=a)
              for a, eps in configs]
     worst = [0.0] * len(plans)
     for rep in range(replications):

@@ -223,8 +223,6 @@ class QuantileSketch:
         extreme tuples are never removed, so the exact minimum and maximum
         stay queryable.
         """
-        if self._values.size < 3:
-            return
         threshold = math.floor(2.0 * self.epsilon * self._count)
         if threshold < 2:  # deletes nothing, yet the pass costs ~0.45 ms/1e4 tuples
             return

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_cdf import ApproxCdf, CdfPlan, build_cdf, eval_cdf, plan_from_phi
+from .approx_cdf import ApproxCdf, CdfPlan, build_cdf, eval_cdf, plan_from_phi, _ends
 from .gk_sketch import QuantileSketch, _check_finite
 
 __all__ = [
@@ -44,8 +44,9 @@ def fmt17(x: float) -> str:
 class KsOutcome:
     """Result of one two-sample test.
 
-    `plans` holds the CDF plans built for the two samples, in argument
-    order; it is not part of `to_json()`.
+    `reject` is read off the fields, p_value <= alpha, so it cannot
+    disagree with them.  `plans` holds the CDF plans built for the two
+    samples, in argument order; it is not part of `to_json()`.
     """
 
     d: float
@@ -54,7 +55,6 @@ class KsOutcome:
     n: int
     m: int
     alpha: float
-    reject: bool
     plans: tuple[CdfPlan, CdfPlan] | None = None
 
     def __post_init__(self) -> None:
@@ -62,8 +62,11 @@ class KsOutcome:
             raise ValueError(f"d must be in [0, 1], got {self.d}")
         if not 0 <= self.p_value <= 1:
             raise ValueError(f"p_value must be in [0, 1], got {self.p_value}")
-        if self.reject != (self.p_value <= self.alpha):
-            raise ValueError("reject flag inconsistent with p_value and alpha")
+
+    @property
+    def reject(self) -> bool:
+        """The decision: the null is rejected when p_value <= alpha."""
+        return self.p_value <= self.alpha
 
     def to_json(self) -> str:
         """JSON with 17 significant digit decimals, fixed key order."""
@@ -126,14 +129,6 @@ def exact_ks_distance(x, y) -> float:
     if n * m >= 2**63:
         raise ValueError(f"n*m must be below 2**63 for int64 counts, got {n}*{m}")
     return max(_lead(xs, ys), _lead(ys, xs)) / (n * m)
-
-
-def _ends(s: np.ndarray) -> np.ndarray:
-    """Mask of the last entry of each run of equal values in sorted s (non-empty)."""
-    ends = np.empty(s.size, dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=ends[:-1])
-    ends[-1] = True
-    return ends
 
 
 def _lead(a: np.ndarray, b: np.ndarray) -> int:
@@ -353,6 +348,5 @@ def decide(cdf1: ApproxCdf, cdf2: ApproxCdf, precision: TestPrecision) -> KsOutc
         n=n,
         m=m,
         alpha=precision.alpha,
-        reject=p <= precision.alpha,
         plans=(cdf1.plan, cdf2.plan),
     )

@@ -488,9 +488,9 @@ def assert_blocks_give_the_full_grid(sketch, plan):
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, 2, 3 * approx_cdf._QUERY_KNOTS + 5])
 def test_sketch_cdf_blocks_at_the_block_size(extra):
-    # a - 1 knot steps: one block less one, one block, one block and one
-    # knot (a second block of two knots), and several blocks
-    a = approx_cdf._QUERY_KNOTS + 1 + extra
+    # a knots: one block less one, one block, one block and one knot, one
+    # block and two knots, and several blocks
+    a = approx_cdf._QUERY_KNOTS + extra
     data = sample(normal(0, 1), 4 * a, a)
     eps = 1e-4
     plan = CdfPlan(n=data.size, delta=1 / (a - 1) + 2 * eps, epsilon=eps, a=a)
@@ -501,9 +501,9 @@ def test_sketch_cdf_blocks_at_the_block_size(extra):
 
 @pytest.mark.parametrize("values", [3, 12])
 def test_sketch_cdf_is_the_same_at_every_block_seam(values):
-    # every block size from one knot step to the whole grid puts a seam on
-    # each knot in turn: inside a run of equal quantiles, on its first knot
-    # and on its last
+    # every block size from one knot to the whole grid puts a seam between
+    # each pair of neighbouring knots in turn: inside a run of equal
+    # quantiles, before its first knot and after its last
     data = np.random.default_rng(values).integers(0, values, 400).astype(float)
     plan = CdfPlan(n=data.size, delta=1 / 59 + 0.01, epsilon=0.01, a=60)
     sketch = QuantileSketch(plan.epsilon)
@@ -522,7 +522,8 @@ def test_sketch_cdf_is_the_same_at_every_block_seam(values):
     (lambda p: np.where(p > 0.5, np.inf, 1.0), "non-finite"),
 ])
 def test_sketch_cdf_checks_the_answers_across_block_seams(answer, message):
-    # a drop onto a seam knot, or a run of infinities that starts on one
+    # a drop across a block seam, or a run of infinities that starts on a
+    # block's first knot
     plan = CdfPlan(n=100, delta=1 / 20 + 0.01, epsilon=0.01, a=21)
     sketch = SimpleNamespace(count=plan.n, epsilon=plan.epsilon,
                              query_quantiles=answer)
@@ -530,3 +531,20 @@ def test_sketch_cdf_checks_the_answers_across_block_seams(answer, message):
     with mock.patch.object(approx_cdf, "_QUERY_KNOTS", 10):
         with pytest.raises(ValueError, match=message):
             sketch_cdf(sketch, plan)
+
+
+def test_sketch_cdf_queries_each_knot_once():
+    plan = CdfPlan(n=100, delta=1 / 20 + 0.01, epsilon=0.01, a=21)
+    for block in range(1, plan.a + 1):
+        asked = []
+
+        def answer(p):
+            asked.append(p.copy())
+            return p
+
+        sketch = SimpleNamespace(count=plan.n, epsilon=plan.epsilon,
+                                 query_quantiles=answer)
+        with mock.patch.object(approx_cdf, "_QUERY_KNOTS", block):
+            sketch_cdf(sketch, plan)
+        assert max(p.size for p in asked) <= block
+        assert np.concatenate(asked).tobytes() == _knot_probs(plan.n, plan.a).tobytes()

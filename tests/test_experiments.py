@@ -199,6 +199,12 @@ class TestConvergence:
         with pytest.raises(ValueError, match="replications"):
             ex.run_convergence(n=500, replications=0)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_small_sample(self, n, monkeypatch):
+        monkeypatch.setattr(ex, "sample", None)  # refused before sampling
+        with pytest.raises(ValueError, match=f"n must be at least 3, got {n}"):
+            ex.run_convergence(n=n, replications=1)
+
     def test_one_sample_per_replication(self, monkeypatch):
         calls = []
 

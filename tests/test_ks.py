@@ -472,7 +472,6 @@ class TestKsOutcomeJson:
             n=100,
             m=200,
             alpha=0.05,
-            reject=True,
         )
         doc = json.loads(out.to_json())
         assert list(doc) == [
@@ -482,19 +481,13 @@ class TestKsOutcomeJson:
         assert doc["n"] == 100 and doc["m"] == 200
         assert doc["reject"] is True
 
-    def test_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            ks.KsOutcome(d=0.1, d_error_bound=0.0, p_value=0.2, n=5, m=5,
-                         alpha=0.05, reject=True)
-
     @pytest.mark.parametrize("d, p, match", [
         (-0.1, 0.5, "d must be"), (1.5, 0.5, "d must be"),
         (0.1, -0.1, "p_value must be"), (0.1, 1.5, "p_value must be"),
     ])
     def test_range_enforced(self, d, p, match):
         with pytest.raises(ValueError, match=match):
-            ks.KsOutcome(d=d, d_error_bound=0.0, p_value=p, n=5, m=5,
-                         alpha=0.05, reject=p <= 0.05)
+            ks.KsOutcome(d=d, d_error_bound=0.0, p_value=p, n=5, m=5, alpha=0.05)
 
 
 @settings(max_examples=40, deadline=None)
