@@ -174,11 +174,12 @@ def _knot_probs(n: int, a: int, start: int = 0, stop: int | None = None) -> np.n
 
 
 def _ends(s: np.ndarray) -> np.ndarray:
-    """Mask of the last entry of each run of equal values in s (non-empty):
-    each entry that differs from the next one, and the final entry."""
+    """Mask of the last entry of each run of equal values in s: each entry
+    that differs from the next one, and the final entry (none if s is
+    empty)."""
     ends = np.empty(s.size, dtype=bool)
     np.not_equal(s[1:], s[:-1], out=ends[:-1])
-    ends[-1] = True
+    ends[-1:] = True
     return ends
 
 

@@ -113,14 +113,28 @@ def exact_ks_distance(x, y) -> float:
     maximum.  Within a tie group c_x is largest at the group's value, so
     each sample is probed only at its tie-group ends: one linear mask on
     the sorted sample and one searchsorted into the other sample, with no
-    pooled sort.  The probes walk the sorted sample in blocks of
-    _PROBE_BLOCK values (see `_lead`), so the working memory is the two
-    sorted copies, 8 bytes per input value, plus one block's temporaries.
-    Each product is at most n*m < 2**63, so the counts stay exact in int64,
-    and the one int/int division rounds once.
+    pooled sort.  Each product is at most n*m < 2**63, so the counts stay
+    exact in int64, and the one int/int division rounds once.
+
+    This function sorts a copy of each sample and hands both to the
+    private kernel `_sorted_ks_distance`, which checks them and walks the
+    sorted samples in blocks of _PROBE_BLOCK values (see `_lead`).  So the
+    working memory is the two sorted copies, 8 bytes per input value, plus
+    one block's temporaries.  A caller that owns its samples and is done
+    with their order can sort them in place and call the kernel, which
+    copies nothing.
     """
-    xs = np.sort(np.asarray(x, dtype=float).ravel())
-    ys = np.sort(np.asarray(y, dtype=float).ravel())
+    return _sorted_ks_distance(np.sort(np.asarray(x, dtype=float).ravel()),
+                               np.sort(np.asarray(y, dtype=float).ravel()))
+
+
+def _sorted_ks_distance(xs: np.ndarray, ys: np.ndarray) -> float:
+    """`exact_ks_distance` of two float arrays already sorted ascending.
+
+    Raises as `exact_ks_distance` does: on an empty or non-finite sample,
+    and when n*m reaches 2**63.  Reads xs and ys in place; its working
+    memory is one probe block's temporaries.
+    """
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be non-empty")
     _check_finite(xs, "x")
@@ -299,7 +313,12 @@ def lall_ks(sketch1: QuantileSketch, sketch2: QuantileSketch) -> float:
     Either sketch may still be open for writes; an empty one raises
     SketchStateError from `rank_bounds`.
     """
-    values = np.union1d(sketch1.summary()[0], sketch2.summary()[0])
+    # the union, sorted, with one entry per run of equal values: the run
+    # ends of the pooled stored values (np.union1d imports numpy.ma on
+    # first use)
+    values = np.concatenate((sketch1.summary()[0], sketch2.summary()[0]))
+    values.sort()
+    values = values[_ends(values)]
     lo1, hi1 = sketch1.rank_bounds(values)
     lo2, hi2 = sketch2.rank_bounds(values)
     n, m = sketch1.count, sketch2.count

@@ -3,8 +3,13 @@
 import bisect
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -138,6 +143,71 @@ class TestExactDistance:
             ks.exact_ks_distance([], [1.0])
         with pytest.raises(ValueError):
             ks.exact_ks_distance([1.0], [])
+
+
+class TestSortedKernel:
+    """`_sorted_ks_distance` is `exact_ks_distance` after the sort."""
+
+    @staticmethod
+    def assert_kernel_matches(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        assert ks._sorted_ks_distance(np.sort(x), np.sort(y)) == ks.exact_ks_distance(x, y)
+
+    def test_ties_across_samples(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n, m = rng.integers(1, 300, size=2)
+            self.assert_kernel_matches(rng.integers(0, 5, n), rng.integers(0, 5, m))
+
+    def test_constant_data(self):
+        self.assert_kernel_matches([2.0] * 7, [2.0] * 3)
+        self.assert_kernel_matches([2.0] * 7, [3.0] * 3)
+
+    def test_single_values(self):
+        self.assert_kernel_matches([1.0], [1.0])
+        self.assert_kernel_matches([1.0], [0.0])
+        self.assert_kernel_matches([0.5], sample(normal(0, 1), 1000, 4))
+
+    def test_unequal_sizes_past_one_block(self):
+        x = sample(normal(0, 1), 3 * ks._PROBE_BLOCK + 5, 12)
+        y = sample(normal(0.1, 1), 777, 13)
+        self.assert_kernel_matches(x, y)
+        self.assert_kernel_matches(y, x)
+
+    def test_same_errors(self):
+        empty, one = np.array([]), np.array([1.0])
+        for fn in (ks.exact_ks_distance, ks._sorted_ks_distance):
+            with pytest.raises(ValueError, match="non-empty"):
+                fn(empty, one)
+            with pytest.raises(ValueError, match="non-empty"):
+                fn(one, empty)
+            with pytest.raises(ValueError, match="x contains a non-finite value: nan"):
+                fn(np.array([0.0, np.nan]), one)
+            with pytest.raises(ValueError, match="y contains a non-finite value: inf"):
+                fn(one, np.array([0.0, np.inf]))
+
+    def test_count_guard(self):
+        # stride-0 views: 2**32 values a side with 8 bytes behind them; the
+        # finiteness scan is skipped, as it would read all of them.  The
+        # public function reaches this guard through the kernel.
+        big = np.broadcast_to(np.float64(1.0), (2**32,))
+        with mock.patch.object(ks, "_check_finite"):
+            with pytest.raises(ValueError, match="n\\*m must be below 2\\*\\*63"):
+                ks._sorted_ks_distance(big, big)
+
+    def test_reads_sorted_samples_in_place(self):
+        # exact_ks_distance needs 1.74 MB here; the kernel copies nothing,
+        # and holds only one probe block's temporaries
+        rng = np.random.default_rng(5)
+        xs = np.sort(rng.normal(size=10**5))
+        ys = np.sort(rng.normal(0.01, 1, size=10**5))
+        tracemalloc.start()
+        try:
+            ks._sorted_ks_distance(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25e6
 
 
 class TestApproxDistance:
@@ -392,6 +462,29 @@ class TestLallKs:
         sealed = self._sealed([1.0, 2.0], 0.1)
         with pytest.raises(SketchStateError):
             ks.lall_ks(QuantileSketch(0.1), sealed)
+        with pytest.raises(SketchStateError):
+            ks.lall_ks(QuantileSketch(0.1), QuantileSketch(0.1))
+
+    def test_first_call_imports_nothing(self):
+        # np.union1d would import numpy.ma on first use with numpy 2
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from sketchks import ks
+            from sketchks.gk_sketch import QuantileSketch
+            s1, s2 = QuantileSketch(0.01), QuantileSketch(0.01)
+            s1.extend(np.arange(1000.0))
+            s2.extend(np.arange(500.0, 1500.0))
+            s1.seal()
+            s2.seal()
+            before = set(sys.modules)
+            ks.lall_ks(s1, s2)
+            print(" ".join(sorted(set(sys.modules) - before)))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(ks.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == []
 
 
 class TestRunTest:
