@@ -72,7 +72,6 @@ class ExperimentSpec:
     alpha: float
     phi: float
     beta: float | None = None
-    with_sketch: bool = False
     replications: int = 20
     master_seed: int = DEFAULT_SEED
 
@@ -80,6 +79,12 @@ class ExperimentSpec:
         if self.replications < 1:
             raise ValueError(
                 f"replications must be at least 1, got {self.replications}")
+
+    @property
+    def with_sketch(self) -> bool:
+        """Table 3, with lall_ks sketches: a precision given directly, where
+        table 2 plans phi from (alpha, beta)."""
+        return self.beta is None
 
     @property
     def sketch_epsilon(self) -> float | None:
@@ -93,14 +98,11 @@ _PRESETS = {spec.id: spec for spec in [
     ExperimentSpec(3, normal(0, 1), normal(0, 1), 10000, 10000, 0.05, _PHI_GAUSS, 0.025),
     ExperimentSpec(4, gamma(0.5, 1), uniform(0, 1), 84000, 7000, 0.20, _PHI_GAMMA, 0.10),
     ExperimentSpec(5, gamma(0.5, 1), gamma(0.5, 1), 84000, 7000, 0.20, _PHI_GAMMA, 0.10),
-    ExperimentSpec(6, normal(0, 1), normal(1, 1), 10000, 10000, 0.05, 0.05, with_sketch=True),
-    ExperimentSpec(7, normal(0, 1), _VAR2, 10000, 10000, 0.05, 0.01, with_sketch=True),
-    ExperimentSpec(8, normal(0, 1), normal(0, 1), 100000, 100000, 0.05, 0.001,
-                   with_sketch=True),
-    ExperimentSpec(9, gamma(0.5, 1), uniform(0, 1), 84000, 84000, 0.05, 0.05,
-                   with_sketch=True),
-    ExperimentSpec(10, gamma(0.5, 1), gamma(0.5, 1), 84000, 84000, 0.05, 0.002,
-                   with_sketch=True),
+    ExperimentSpec(6, normal(0, 1), normal(1, 1), 10000, 10000, 0.05, 0.05),
+    ExperimentSpec(7, normal(0, 1), _VAR2, 10000, 10000, 0.05, 0.01),
+    ExperimentSpec(8, normal(0, 1), normal(0, 1), 100000, 100000, 0.05, 0.001),
+    ExperimentSpec(9, gamma(0.5, 1), uniform(0, 1), 84000, 84000, 0.05, 0.05),
+    ExperimentSpec(10, gamma(0.5, 1), gamma(0.5, 1), 84000, 84000, 0.05, 0.002),
 ]}
 
 

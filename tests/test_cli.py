@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -328,7 +330,8 @@ def _ks2_argv(fx, fy, *, alpha, phi=None, beta=None, skip_header=False,
 @st.composite
 def _value_file(draw):
     """Bytes of a value file: values with blank, invalid or undecodable lines
-    among them, an optional header and any newline convention."""
+    among them, an optional header, any newline convention and an optional
+    leading byte-order mark."""
     tiny = draw(st.sampled_from([True] + [False] * 7))
     n = draw(st.integers(min_value=0, max_value=3) if tiny
              else st.integers(min_value=40, max_value=200))
@@ -348,10 +351,18 @@ def _value_file(draw):
     if ends and not draw(st.booleans()):
         ends[-1] = ""  # an unterminated last line
     text = "".join(line + end for line, end in zip(lines, ends))
-    return text.encode("utf-8", "surrogateescape")
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + text.encode("utf-8", "surrogateescape")
+
+
+_HAS_FD = os.path.isdir("/dev/fd")
+_SIXTY = "".join(f"{v}\n" for v in range(60)).encode()
 
 
 @settings(max_examples=200, deadline=None)
+# the whole-file route must keep every flag: y's bad line is an error
+@example(files=(_SIXTY, _SIXTY + b"x\n"), precision={"phi": 0.3}, skip_header=False,
+         skip_invalid=False, block=4096, chunk=1 << 16, piped="y" if _HAS_FD else "")
 @given(
     files=st.tuples(_value_file(), _value_file()),
     precision=st.sampled_from([{"phi": 0.3}, {"phi": 0.1},
@@ -360,9 +371,12 @@ def _value_file(draw):
     skip_invalid=st.sampled_from([True, True, False]),
     block=st.sampled_from([1, 3, 4096]),
     chunk=st.sampled_from([5, 64, 1 << 16]),
+    piped=st.sampled_from(["", "x", "y", "xy"] if _HAS_FD else [""]),
 )
 def test_ks2_stdout_matches_run_test_on_ingested_files(
-        tmp_path_factory, files, precision, skip_header, skip_invalid, block, chunk):
+        tmp_path_factory, files, precision, skip_header, skip_invalid, block, chunk,
+        piped):
+    # a piped side is not a regular file, so ks2 ingests both files whole
     workdir = tmp_path_factory.mktemp("ks2")
     fx, fy = workdir / "x.txt", workdir / "y.txt"
     fx.write_bytes(files[0])
@@ -375,12 +389,27 @@ def test_ks2_stdout_matches_run_test_on_ingested_files(
         reads[path] += 1
         return file_cdf(path, *rest)
 
-    with mock.patch.object(cli, "_BLOCK_LINES", block), \
-            mock.patch.object(gk_sketch, "_CHUNK", chunk), \
-            mock.patch.object(cli, "_file_cdf", counting):
-        got = _run(_ks2_argv(fx, fy, **test, **flags))
-        want = reference_ks2(fx, fy, **test, **flags)
-    assert got == want
+    names, fds = {"x": str(fx), "y": str(fy)}, []
+    try:
+        for side, data in zip("xy", files):
+            if side in piped:
+                r, w = os.pipe()
+                fds.append(r)
+                try:
+                    os.write(w, data)  # a few KB: fits the pipe buffer
+                finally:
+                    os.close(w)
+                names[side] = f"/dev/fd/{r}"
+        with mock.patch.object(cli, "_BLOCK_LINES", block), \
+                mock.patch.object(gk_sketch, "_CHUNK", chunk), \
+                mock.patch.object(cli, "_file_cdf", counting):
+            got = _run(_ks2_argv(names["x"], names["y"], **test, **flags))
+            rc, out, err = reference_ks2(fx, fy, **test, **flags)
+    finally:
+        for fd in fds:
+            os.close(fd)
+    err = err.replace(str(fx), names["x"]).replace(str(fy), names["y"])
+    assert got == (rc, out, err)
     assert max(reads.values(), default=0) <= 2  # each file read at most twice
 
 
@@ -494,52 +523,25 @@ def test_ks2_refuses_a_file_that_changes_while_read(normal_files, monkeypatch):
     assert err == f"sketchks: error: {f}: file changed while it was read\n"
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-@pytest.mark.parametrize("piped", ["x", "y", "xy"])
-def test_ks2_reads_a_pipe_once(normal_files, piped):
-    files = {"x": normal_files("x.txt", 0, 500, 36),
-             "y": normal_files("y.txt", 0.2, 500, 37)}
-    want = reference_ks2(files["x"], files["y"], alpha=0.05, phi=0.1)
-    assert want[0] == 0
-    argv, fds = {}, []
-    try:
-        for side, path in files.items():
-            argv[side] = path
-            if side in piped:
-                r, w = os.pipe()
-                fds.append(r)
-                os.write(w, path.read_bytes())  # ~10 KB: fits the pipe buffer
-                os.close(w)
-                argv[side] = f"/dev/fd/{r}"
-        got = _run(["ks2", "--file-x", argv["x"], "--file-y", argv["y"],
-                    "--alpha", "0.05", "--phi", "0.1"])
-    finally:
-        for fd in fds:
-            os.close(fd)
-    assert got == want
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-@pytest.mark.parametrize("piped", [False, True], ids=["streamed", "piped"])
-def test_ks2_ignores_a_leading_byte_order_mark(tmp_path, normal_files, piped):
-    fx = normal_files("x.txt", 0, 500, 38)
-    fy = normal_files("y.txt", 0.2, 500, 39)
-    bom = tmp_path / "bom.txt"
-    bom.write_bytes(b"\xef\xbb\xbf" + fx.read_bytes())
-    want = _run(["ks2", "--file-x", fx, "--file-y", fy, "--phi", "0.1"])
-    assert want[0] == 0
-    fd = None
-    try:
-        if piped:
-            fd, w = os.pipe()
-            os.write(w, bom.read_bytes())  # ~10 KB: fits the pipe buffer
-            os.close(w)
-        got = _run(["ks2", "--file-x", bom if fd is None else f"/dev/fd/{fd}",
-                    "--file-y", fy, "--phi", "0.1"])
-    finally:
-        if fd is not None:
-            os.close(fd)
-    assert got == want
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_ks2_reads_piped_stdin(tmp_path):
+    # a header, a blank line and CRLF: 501 counted lines hold 500 values, so
+    # the regular files are streamed twice under --beta; stdin is a pipe,
+    # ingested whole in a process of its own
+    fx, fy = tmp_path / "h0.txt", tmp_path / "h1.txt"
+    for i, f in enumerate((fx, fy)):
+        v = [f"{(7 * j) % 100 + i}" for j in range(500)]
+        f.write_bytes(("\r\n".join(["value", *v[:250], "", *v[250:]]) + "\r\n").encode())
+    flags = ["--beta", "0.025", "--skip-header"]
+    rc, want, _ = _run(["ks2", "--file-x", fx, "--file-y", fy, *flags])
+    doc = json.loads(want)
+    assert rc == 0 and doc["n"] == doc["m"] == 500
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sketchks.cli", "ks2", "--file-x", str(fx),
+         "--file-y", "/dev/stdin", *flags],
+        input=fy.read_bytes(), env=env, capture_output=True, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want.encode(), b"")
 
 
 @pytest.mark.parametrize("data, lines", [
