@@ -134,11 +134,13 @@ def num_probs(n: int, delta: float, epsilon: float) -> int:
 
     ceil(1/(delta - epsilon) + 1), capped at n, plus one knot where float
     rounding of that quotient leaves 1/(a-1) + epsilon above delta.  Below
-    the cap the count therefore certifies the bound.
+    the cap the count therefore certifies the bound.  A quotient that
+    overflows, at a subnormal delta - epsilon, is over the cap.
     """
     if epsilon >= delta:
         raise ValueError(f"epsilon must be < delta, got {epsilon} >= {delta}")
-    a = min(math.ceil(1.0 / (delta - epsilon) + 1.0), n)
+    q = 1.0 / (delta - epsilon) + 1.0
+    a = n if q >= n else math.ceil(q)
     if a < n and _bound(a, epsilon) > delta:
         a += 1
     return a

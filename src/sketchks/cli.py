@@ -181,7 +181,7 @@ def _cmd_ks2(args) -> int:
         y, _ = ingest(args.file_y, skip_header=args.skip_header,
                       skip_invalid=args.skip_invalid)
         outcome = ks.run_test(x, y, _precision(args, x.size, y.size))
-    print(_ks2_json(outcome))
+    print(outcome.to_json())
     if outcome.reject and args.exit_on_reject:
         return 2
     return 0
@@ -229,21 +229,7 @@ def _streamed_ks2(args):
                                            args.skip_invalid)
             if cdfs[i] is None and second:
                 raise ValueError(f"{files[i]}: file changed while it was read")
-    return ks.decide(*cdfs, precision)
-
-
-def _ks2_json(outcome: ks.KsOutcome) -> str:
-    """`outcome.to_json()` with the test's params appended."""
-    plan_x, plan_y = outcome.plans
-    params = ", ".join([
-        f'"phi": {fmt17(outcome.d_error_bound)}',
-        f'"delta": {fmt17(plan_x.delta)}',
-        f'"epsilon_x": {fmt17(plan_x.epsilon)}',
-        f'"epsilon_y": {fmt17(plan_y.epsilon)}',
-        f'"a_x": {plan_x.a}',
-        f'"a_y": {plan_y.a}',
-    ])
-    return outcome.to_json()[:-1] + ', "params": {' + params + "}}"
+    return ks.decide(*cdfs, precision.alpha)
 
 
 def _check_out(path) -> None:

@@ -42,44 +42,67 @@ def fmt17(x: float) -> str:
 
 @dataclass(frozen=True)
 class KsOutcome:
-    """Result of one two-sample test.
+    """Result of one two-sample test: the distance estimate d, the level
+    alpha and the CDF plans built for the two samples, in argument order.
 
-    `reject` is read off the fields, p_value <= alpha, so it cannot
-    disagree with them.  `plans` holds the CDF plans built for the two
-    samples, in argument order; it is not part of `to_json()`.
+    The rest is read off these three, so it cannot disagree with them:
+    the sample sizes are the plans' n, the error bound on d is the sum of
+    the plans' deltas (each CDF is within its delta of its sample's
+    empirical CDF), the p-value is `p_value(d, n, m)` and the null is
+    rejected when p_value <= alpha.
     """
 
     d: float
-    d_error_bound: float
-    p_value: float
-    n: int
-    m: int
     alpha: float
-    plans: tuple[CdfPlan, CdfPlan] | None = None
+    plans: tuple[CdfPlan, CdfPlan]
 
     def __post_init__(self) -> None:
         if not 0 <= self.d <= 1:
             raise ValueError(f"d must be in [0, 1], got {self.d}")
-        if not 0 <= self.p_value <= 1:
-            raise ValueError(f"p_value must be in [0, 1], got {self.p_value}")
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+
+    @property
+    def n(self) -> int:
+        return self.plans[0].n
+
+    @property
+    def m(self) -> int:
+        return self.plans[1].n
+
+    @property
+    def d_error_bound(self) -> float:
+        return self.plans[0].delta + self.plans[1].delta
+
+    @property
+    def p_value(self) -> float:
+        return p_value(self.d, self.n, self.m)
 
     @property
     def reject(self) -> bool:
-        """The decision: the null is rejected when p_value <= alpha."""
         return self.p_value <= self.alpha
 
     def to_json(self) -> str:
-        """JSON with 17 significant digit decimals, fixed key order."""
-        fields = [
-            ("d_ks", fmt17(self.d)),
-            ("d_error_bound", fmt17(self.d_error_bound)),
-            ("p_value", fmt17(self.p_value)),
-            ("n", str(self.n)),
-            ("m", str(self.m)),
-            ("alpha", fmt17(self.alpha)),
-            ("reject", "true" if self.reject else "false"),
-        ]
-        return "{" + ", ".join(f'"{k}": {v}' for k, v in fields) + "}"
+        """JSON with 17 significant digit decimals, fixed key order; the
+        params block holds the plans (its delta is x's)."""
+        x, y = self.plans
+        params = {"phi": fmt17(self.d_error_bound), "delta": fmt17(x.delta),
+                  "epsilon_x": fmt17(x.epsilon), "epsilon_y": fmt17(y.epsilon),
+                  "a_x": x.a, "a_y": y.a}
+        return _json_object({
+            "d_ks": fmt17(self.d),
+            "d_error_bound": fmt17(self.d_error_bound),
+            "p_value": fmt17(self.p_value),
+            "n": self.n,
+            "m": self.m,
+            "alpha": fmt17(self.alpha),
+            "reject": "true" if self.reject else "false",
+            "params": _json_object(params),
+        })
+
+
+def _json_object(fields: dict) -> str:
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
 
 
 @dataclass(frozen=True)
@@ -346,26 +369,12 @@ def run_test(x, y, precision: TestPrecision) -> KsOutcome:
         raise ValueError("both samples must be non-empty")
     plans = (plan_from_phi(precision.phi, xs.size),
              plan_from_phi(precision.phi, ys.size))
-    return decide(build_cdf(xs, plans[0]), build_cdf(ys, plans[1]), precision)
+    return decide(build_cdf(xs, plans[0]), build_cdf(ys, plans[1]), precision.alpha)
 
 
-def decide(cdf1: ApproxCdf, cdf2: ApproxCdf, precision: TestPrecision) -> KsOutcome:
-    """The test outcome from the two samples' approximate CDFs.
-
-    Estimates the distance between the CDFs and converts it to a
-    significance decision at precision.alpha, with the sample sizes taken
-    from the CDFs' plans.  The plans' deltas are the caller's to fit in
-    precision.phi, which the outcome reports as its error bound.
-    """
-    n, m = cdf1.plan.n, cdf2.plan.n
-    d = approx_two_sample_ks(cdf1, cdf2)
-    p = p_value(d, n, m)
-    return KsOutcome(
-        d=d,
-        d_error_bound=precision.phi,
-        p_value=p,
-        n=n,
-        m=m,
-        alpha=precision.alpha,
-        plans=(cdf1.plan, cdf2.plan),
-    )
+def decide(cdf1: ApproxCdf, cdf2: ApproxCdf, alpha: float) -> KsOutcome:
+    """The test outcome at level alpha from the two samples' approximate
+    CDFs: the distance between them, with the CDFs' plans, from which the
+    outcome reads the sample sizes and its error bound."""
+    return KsOutcome(d=approx_two_sample_ks(cdf1, cdf2), alpha=alpha,
+                     plans=(cdf1.plan, cdf2.plan))

@@ -317,7 +317,7 @@ def reference_ks2(fx, fy, *, alpha, phi=None, beta=None, **flags):
         outcome = ks.run_test(x, y, ks.TestPrecision(alpha=alpha, phi=phi))
     except (ValueError, OSError) as exc:
         return 1, "", f"sketchks: error: {exc}\n"
-    return 0, cli._ks2_json(outcome) + "\n", ""
+    return 0, outcome.to_json() + "\n", ""
 
 
 def _ks2_argv(fx, fy, *, alpha, phi=None, beta=None, skip_header=False,

@@ -1,6 +1,7 @@
 """KS distances, significance function, critical values, sketch-direct test."""
 
 import bisect
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sketchks.ks as ks
@@ -526,7 +527,17 @@ class TestRunTest:
         y = sample(normal(0.1, 1), 2000, 81)
         precision = ks.TestPrecision(alpha=0.05, phi=0.02)
         cdfs = [build_cdf(v, plan_from_phi(0.02, v.size)) for v in (x, y)]
-        assert ks.decide(*cdfs, precision) == ks.run_test(x, y, precision)
+        assert ks.decide(*cdfs, precision.alpha) == ks.run_test(x, y, precision)
+
+    def test_error_bound_is_read_off_the_plans(self):
+        # CDFs planned at phi 0.2 certify |d - D| <= 0.2 and no less, so no
+        # caller's phi may stand in for the bound: here |d - D| ~ 0.14
+        x = sample(normal(0, 1), 20000, 3)
+        y = sample(normal(0, 1), 20000, 4)
+        cdfs = [build_cdf(v, plan_from_phi(0.2, v.size)) for v in (x, y)]
+        out = ks.decide(*cdfs, 0.05)
+        assert out.d_error_bound == 0.2
+        assert abs(out.d - ks.exact_ks_distance(x, y)) <= out.d_error_bound
 
     def test_peak_memory_on_the_loose_1m_shape(self):
         # two 1e6 samples at phi 0.01: 14,144 knots a side over <200 values.
@@ -557,30 +568,54 @@ class TestRunTest:
 
 
 class TestKsOutcomeJson:
+    PLANS = (plan_from_phi(0.2, 1000), plan_from_phi(0.2, 2000))
+
     def test_schema_and_precision(self):
-        out = ks.KsOutcome(
-            d=0.123456789012345678,
-            d_error_bound=0.01,
-            p_value=1e-12,
-            n=100,
-            m=200,
-            alpha=0.05,
-        )
+        assert [f.name for f in dataclasses.fields(ks.KsOutcome)] == [
+            "d", "alpha", "plans",
+        ]
+        out = ks.KsOutcome(d=0.123456789012345678, alpha=0.05, plans=self.PLANS)
         doc = json.loads(out.to_json())
         assert list(doc) == [
-            "d_ks", "d_error_bound", "p_value", "n", "m", "alpha", "reject",
+            "d_ks", "d_error_bound", "p_value", "n", "m", "alpha", "reject", "params",
         ]
+        assert list(doc["params"]) == [
+            "phi", "delta", "epsilon_x", "epsilon_y", "a_x", "a_y",
+        ]
+        plan_x, plan_y = self.PLANS
+        assert doc["params"] == {
+            "phi": 0.2, "delta": 0.1, "epsilon_x": plan_x.epsilon,
+            "epsilon_y": plan_y.epsilon, "a_x": plan_x.a, "a_y": plan_y.a,
+        }
         assert doc["d_ks"] == pytest.approx(0.12345678901234568, rel=1e-16)
-        assert doc["n"] == 100 and doc["m"] == 200
+        assert doc["d_error_bound"] == 0.2
+        assert doc["p_value"] == ks.p_value(out.d, 1000, 2000)
+        assert doc["n"] == 1000 and doc["m"] == 2000
         assert doc["reject"] is True
 
-    @pytest.mark.parametrize("d, p, match", [
+    @pytest.mark.parametrize("d, alpha, match", [
         (-0.1, 0.5, "d must be"), (1.5, 0.5, "d must be"),
-        (0.1, -0.1, "p_value must be"), (0.1, 1.5, "p_value must be"),
+        (0.1, 0.0, "alpha must be"), (0.1, 1.0, "alpha must be"),
+        (0.1, math.nan, "alpha must be"),
     ])
-    def test_range_enforced(self, d, p, match):
+    def test_range_enforced(self, d, alpha, match):
         with pytest.raises(ValueError, match=match):
-            ks.KsOutcome(d=d, d_error_bound=0.0, p_value=p, n=5, m=5, alpha=0.05)
+            ks.KsOutcome(d=d, alpha=alpha, plans=self.PLANS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi=st.floats(min_value=0, max_value=2, exclude_min=True, exclude_max=True),
+       n=st.integers(min_value=3, max_value=10**7))
+@example(phi=2.225073858507e-311, n=3)  # 1/delta overflows: refused, not raised
+def test_planned_deltas_sum_to_phi(phi, n):
+    # the outcome's bound delta_x + delta_y echoes the phi both sides were
+    # planned at, which ks2's golden and its JSON readers rely on; a phi no
+    # plan reaches raises ValueError
+    try:
+        plan = plan_from_phi(phi, n)
+    except ValueError:
+        return
+    assert plan.delta + plan.delta == phi
 
 
 @settings(max_examples=40, deadline=None)
