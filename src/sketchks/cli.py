@@ -1,9 +1,10 @@
 """Command-line front end: single tests, data ingestion, experiment harness.
 
 Commands: ks2 (one test, JSON to stdout), experiment (replicated synthetic
-runs, CSV), convergence (CDF error study, CSV), cdf (knot export for
-plotting).  Every command is byte-deterministic; experiment and convergence
-draw their samples from --seed (default 1729).
+runs, CSV), convergence (CDF error study, CSV), tables (the three result
+tables, CSV), cdf (knot export for plotting).  Every command is
+byte-deterministic but for the timing line of tables; experiment,
+convergence and tables draw their samples from --seed (default 1729).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import os
 import stat
 import sys
+import time
 from array import array
 from pathlib import Path
 
@@ -232,13 +234,13 @@ def _streamed_ks2(args):
     return ks.decide(*cdfs, precision.alpha)
 
 
-def _check_out(path) -> None:
-    """Fail before any work when the --out file cannot be written: an
+def _check_out(path, what: str = "--out") -> None:
+    """Fail before any work when an output file cannot be written: an
     existing file must be writable, a new one needs a writable directory."""
     target = Path(path)
     probe = target if target.exists() else target.parent
     if target.is_dir() or not os.access(probe, os.W_OK):
-        raise OSError(f"cannot write --out {path}")
+        raise OSError(f"cannot write {what} {path}")
 
 
 def _cmd_experiment(args) -> int:
@@ -271,6 +273,51 @@ def _cmd_convergence(args) -> int:
     for r in rows:
         print(experiments.convergence_line(r))
     return 0 if all(r["within_bound"] for r in rows) else 1
+
+
+# the files of `tables`; entry i (1-10) is experiment i's
+_TABLE_FILES = ["table1_convergence.csv"] + [
+    f"table{2 if i < 6 else 3}_experiment{i}.csv" for i in range(1, 11)]
+
+
+def _cmd_tables(args) -> int:
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name in _TABLE_FILES:
+        _check_out(outdir / name, "table")
+    reps = 3 if args.fast else 20
+    t0 = time.time()
+    print("== convergence study (table 1) ==")
+    rows = experiments.run_convergence(
+        n=2000 if args.fast else 10000, replications=reps, master_seed=args.seed)
+    experiments.write_convergence_csv(rows, outdir / _TABLE_FILES[0])
+    for r in rows:
+        print("  " + experiments.convergence_line(r))
+    print("== hypothesis tests (table 2, experiments 1-5) ==")
+    sizes = dict(n=2000, m=2000) if args.fast else {}
+    for i in range(1, 6):
+        spec = experiments.experiment_spec(i, replications=reps,
+                                           master_seed=args.seed, **sizes)
+        res = experiments.run_experiment(spec)
+        res.to_csv(outdir / _TABLE_FILES[i])
+        agg = res.aggregates()
+        print(f"  exp {i}: D in [{agg['d_exact_min']:.4f}, {agg['d_exact_max']:.4f}]"
+              f" max|err|={agg['max_abs_err']:.6f} (bound {spec.phi:g})"
+              f" rejections {agg['rejections_exact']}/{agg['rejections_approx']}")
+    print("== sketch comparison (table 3, experiments 6-10) ==")
+    # experiment 8's precision (delta = 0.0005) needs more than 2000 points
+    sizes = dict(n=4000, m=4000) if args.fast else {}
+    for i in range(6, 11):
+        spec = experiments.experiment_spec(i, replications=1,
+                                           master_seed=args.seed, **sizes)
+        res = experiments.run_experiment(spec)
+        res.to_csv(outdir / _TABLE_FILES[i])
+        rec = res.records[0]
+        print(f"  exp {i}: exact={rec.d_exact:.5f} cdf={rec.d_approx:.5f}"
+              f" sketch={rec.d_sketch:.5f} (precision {spec.phi:g})"
+              f" knots={rec.cdf_knots_x} tuples={rec.sketch_tuples_x}")
+    print(f"done in {time.time() - t0:.1f}s -> {outdir}/")
+    return 0
 
 
 def _write_knots(path: Path, probs, quantiles) -> None:
@@ -347,6 +394,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     add_seed(p)
     p.set_defaults(func=_cmd_convergence)
+
+    p = sub.add_parser("tables", help="reproduce the three result tables")
+    p.add_argument("outdir", nargs="?", default="results",
+                   help="directory for the eleven CSVs (default: results)")
+    p.add_argument("--fast", action="store_true",
+                   help="desk scale: smaller samples, 3 replications")
+    add_seed(p)
+    p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("cdf", help="export approximate CDF knots as CSV")
     p.add_argument("--file", required=True)

@@ -20,7 +20,7 @@ the CDF bound at precision/2 and the comparison sketches at precision/6.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,33 +131,66 @@ def experiment_spec(
                    master_seed=master_seed)
 
 
-# the field order is the experiment CSV's column order
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True)
 class ReplicationRecord:
+    """One replication: the test's outcome, the exact distance and, on ids
+    6-10, the lall_ks distance and tuple counts.  The other CSV columns are
+    read off these, the knot counts only next to the tuple counts."""
+
     replication: int
     seed: int
+    approx: ks.KsOutcome
     d_exact: float
-    d_approx: float
     d_sketch: float | None = None
-    p_exact: float
-    p_approx: float
-    reject_exact: bool
-    reject_approx: bool
-    abs_err: float
-    cdf_knots_x: int | None = None
-    cdf_knots_y: int | None = None
     sketch_tuples_x: int | None = None
     sketch_tuples_y: int | None = None
 
+    @property
+    def d_approx(self) -> float:
+        return self.approx.d
 
-# record fields with min / max aggregates; d_sketch last, as only ids 6-10 have it
+    @property
+    def p_approx(self) -> float:
+        return self.approx.p_value
+
+    @property
+    def reject_approx(self) -> bool:
+        return self.approx.reject
+
+    @property
+    def p_exact(self) -> float:
+        return ks.p_value(self.d_exact, self.approx.n, self.approx.m)
+
+    @property
+    def reject_exact(self) -> bool:
+        return self.p_exact <= self.approx.alpha
+
+    @property
+    def abs_err(self) -> float:
+        return abs(self.approx.d - self.d_exact)
+
+    @property
+    def cdf_knots_x(self) -> int | None:
+        return None if self.sketch_tuples_x is None else self.approx.plans[0].a
+
+    @property
+    def cdf_knots_y(self) -> int | None:
+        return None if self.sketch_tuples_x is None else self.approx.plans[1].a
+
+
+# the experiment CSV's columns, in order: record attributes and properties
+_CSV_FIELDS = ["replication", "seed", "d_exact", "d_approx", "d_sketch",
+               "p_exact", "p_approx", "reject_exact", "reject_approx", "abs_err",
+               "cdf_knots_x", "cdf_knots_y", "sketch_tuples_x", "sketch_tuples_y"]
+
+# record columns with min / max aggregates; d_sketch last, as only ids 6-10 have it
 _RANGED = ("d_exact", "d_approx", "p_exact", "p_approx", "d_sketch")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentResult:
     spec: ExperimentSpec
-    records: list[ReplicationRecord] = field(default_factory=list)
+    records: tuple[ReplicationRecord, ...]
 
     def aggregates(self) -> dict:
         recs = self.records
@@ -177,7 +210,7 @@ class ExperimentResult:
     def to_csv(self, path) -> None:
         """Per-replication rows, then min / max / summary aggregate rows."""
         agg = self.aggregates()
-        rows = [asdict(r) for r in self.records]
+        rows = [{k: getattr(r, k) for k in _CSV_FIELDS} for r in self.records]
         for stat in ("min", "max"):
             rows.append({"replication": stat,
                          **{k: agg.get(f"{k}_{stat}") for k in _RANGED}})
@@ -209,40 +242,21 @@ def run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
         s2 = QuantileSketch(spec.sketch_epsilon)
         s2.extend(y)
         s2.seal()
-        extra = {
-            "d_sketch": ks.lall_ks(s1, s2),
-            "cdf_knots_x": approx.plans[0].a,
-            "cdf_knots_y": approx.plans[1].a,
-            "sketch_tuples_x": s1.tuple_count,
-            "sketch_tuples_y": s2.tuple_count,
-        }
+        extra = {"d_sketch": ks.lall_ks(s1, s2), "sketch_tuples_x": s1.tuple_count,
+                  "sketch_tuples_y": s2.tuple_count}
 
     # The sketches above depend on arrival order and have read x and y as
     # drawn.  The oracle sorts them in place, so no copy is made, and
     # nothing may read them after this point expecting that order.
     x.sort()
     y.sort()
-    d_exact = ks._sorted_ks_distance(x, y)
-    p_exact = ks.p_value(d_exact, spec.n, spec.m)
-    return ReplicationRecord(
-        replication=rep,
-        seed=seed,
-        d_exact=d_exact,
-        d_approx=approx.d,
-        p_exact=p_exact,
-        p_approx=approx.p_value,
-        reject_exact=p_exact <= spec.alpha,
-        reject_approx=approx.reject,
-        abs_err=abs(approx.d - d_exact),
-        **extra,
-    )
+    return ReplicationRecord(replication=rep, seed=seed, approx=approx,
+                             d_exact=ks._sorted_ks_distance(x, y), **extra)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    result = ExperimentResult(spec=spec)
-    for rep in range(spec.replications):
-        result.records.append(run_replication(spec, rep))
-    return result
+    return ExperimentResult(spec, tuple(run_replication(spec, rep)
+                                        for rep in range(spec.replications)))
 
 
 # table style: a float column's value in [0, this), a p-value that
@@ -263,9 +277,6 @@ def _csv_num(x) -> str:
     if 0 <= x < P_VALUE_FLOOR:
         return "0.0"
     return ks.fmt17(x)
-
-
-_CSV_FIELDS = [f.name for f in fields(ReplicationRecord)]
 
 
 def _write_csv(path, fields: list[str], rows: list[dict]) -> None:

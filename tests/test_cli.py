@@ -1,4 +1,4 @@
-"""Command-line surface: ingestion, ks2 JSON, experiment/convergence/cdf CSV."""
+"""Command-line surface: ingestion, ks2 JSON, experiment/convergence/tables/cdf CSV."""
 
 import io
 import json
@@ -669,6 +669,34 @@ def test_bad_out_fails_before_sampling(tmp_path, monkeypatch, capsys, command):
     rc = main([*command, "--out", str(out)])
     assert rc == 1
     assert f"cannot write --out {out}" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", ["outdir-is-a-file", "last-table-refused"])
+def test_tables_bad_out_fails_before_sampling(tmp_path, monkeypatch, capsys, bad):
+    calls = []
+
+    def counting_sample(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample", counting_sample)
+    outdir = tmp_path / "t"
+    if bad == "outdir-is-a-file":
+        outdir.write_text("")
+    else:
+        # an existing file checked last; os.access, not chmod, as root
+        # passes every permission check
+        refused = outdir / "table3_experiment10.csv"
+        outdir.mkdir()
+        refused.write_text("")
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != refused)
+    rc = main(["tables", str(outdir), "--fast"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("sketchks: error: ")
+    if bad == "last-table-refused":
+        assert f"cannot write table {refused}" in err
     assert calls == []
 
 

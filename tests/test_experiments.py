@@ -1,5 +1,6 @@
 """Experiment harness: presets, replication records, CSV output, determinism."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -128,6 +129,39 @@ class TestReplications:
         finally:
             tracemalloc.stop()
         assert peak <= 2.9e6
+
+    def test_record_stores_its_outcome(self):
+        assert [f.name for f in dataclasses.fields(ex.ReplicationRecord)] == [
+            "replication", "seed", "approx", "d_exact", "d_sketch",
+            "sketch_tuples_x", "sketch_tuples_y"]
+
+    @pytest.mark.parametrize("exp_id", [1, 6])
+    def test_record_properties_read_off_the_outcome(self, exp_id):
+        spec = ex.experiment_spec(exp_id, n=2000, m=2000, replications=1)
+        rec = ex.run_replication(spec, 0)
+        out = rec.approx
+        assert (out.n, out.m, out.alpha) == (spec.n, spec.m, spec.alpha)
+        assert (rec.d_approx, rec.p_approx, rec.reject_approx) == (
+            out.d, out.p_value, out.reject)
+        assert rec.p_exact == ks.p_value(rec.d_exact, spec.n, spec.m)
+        assert rec.reject_exact == (rec.p_exact <= spec.alpha)
+        assert rec.abs_err == abs(out.d - rec.d_exact)
+        if exp_id == 1:
+            assert (rec.d_sketch, rec.sketch_tuples_x, rec.sketch_tuples_y) == (
+                None, None, None)
+            assert rec.cdf_knots_x is None and rec.cdf_knots_y is None
+        else:
+            assert rec.sketch_tuples_x > 0 and rec.sketch_tuples_y > 0
+            assert (rec.cdf_knots_x, rec.cdf_knots_y) == (
+                out.plans[0].a, out.plans[1].a)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.d_exact = 0.0
+
+    def test_result_is_frozen(self):
+        result = ex.run_experiment(ex.experiment_spec(3, n=500, m=500, replications=2))
+        assert isinstance(result.records, tuple) and len(result.records) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.records = ()
 
     def test_distinct_streams_within_replication(self):
         spec = ex.experiment_spec(3, n=500, m=500, replications=1)

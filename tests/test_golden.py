@@ -1,7 +1,7 @@
 """Byte-for-byte pins of the reproduced tables and of two CLI outputs.
 
 The files under tests/golden/ hold the desk-scale output of
-`scripts/reproduce_tables.py --fast` (seed 1729), the stdout of
+`sketchks tables --fast` (seed 1729), the stdout of
 `sketchks ks2 --beta 0.025` and the knots CSV of `sketchks cdf --delta 0.2`.
 Each test regenerates its output into a temporary directory and compares
 bytes, so a refactor that moves any digit of a reproduced number fails here.
@@ -10,7 +10,6 @@ and new values in CHANGES.md.
 """
 
 import contextlib
-import importlib.util
 import io
 from pathlib import Path
 
@@ -20,7 +19,6 @@ from sketchks.cli import main
 from sketchks.synth import normal, sample
 
 GOLDEN = Path(__file__).parent / "golden"
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
 
 TABLES = (
     ["table1_convergence.csv"]
@@ -45,11 +43,8 @@ def _write_sample(path: Path, mean: float, n: int, seed: int) -> Path:
 
 
 def reproduce_fast(outdir: Path) -> str:
-    """Run the table script with --fast; returns stdout minus the timing line."""
-    spec = importlib.util.spec_from_file_location("reproduce_tables", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    out = _capture(script.main, [str(outdir), "--fast", "--seed", "1729"])
+    """Run `tables --fast`; returns stdout minus the timing line."""
+    out = _capture(main, ["tables", str(outdir), "--fast", "--seed", "1729"])
     lines = out.splitlines(keepends=True)
     assert lines[-1].startswith("done in ")
     return "".join(lines[:-1])
