@@ -209,9 +209,14 @@ def build_cdf(data, plan: CdfPlan) -> ApproxCdf:
         n, a = plan.n, plan.a
         quantiles = np.sort(values)[-(-np.arange(a) * (n - 1) // (a - 1))]
         return ApproxCdf(plan, quantiles)
-    sketch = QuantileSketch(plan.epsilon)
+    return sketch_cdf(_sealed(values, plan.epsilon), plan)
+
+
+def _sealed(values: np.ndarray, epsilon: float) -> QuantileSketch:
+    """A sealed sketch of values at epsilon."""
+    sketch = QuantileSketch(epsilon)
     sketch.extend(values)
-    return sketch_cdf(sketch.seal(), plan)
+    return sketch.seal()
 
 
 def sketch_cdf(sketch: QuantileSketch, plan: CdfPlan) -> ApproxCdf:

@@ -10,6 +10,7 @@ convergence and tables draw their samples from --seed (default 1729).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -348,6 +349,9 @@ def _cmd_cdf(args) -> int:
     return 0
 
 
+# one parser per process: each is a web of reference cycles, which only
+# the cyclic collector frees
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sketchks",

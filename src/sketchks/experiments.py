@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ks
-from .approx_cdf import CdfPlan, build_cdf, empirical_cdf, error_bound, eval_cdf, _bound
-from .gk_sketch import QuantileSketch
+from .approx_cdf import (CdfPlan, build_cdf, error_bound, eval_cdf, sketch_cdf, _bound,
+                         _ends, _sealed)
 from .synth import DistributionSpec, gamma, normal, sample, uniform
 
 __all__ = [
@@ -236,12 +236,8 @@ def run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
     if spec.with_sketch:
         # each sketch is sealed, freeing its chunk buffer, before the next
         # is built, so one buffer is alive at a time
-        s1 = QuantileSketch(spec.sketch_epsilon)
-        s1.extend(x)
-        s1.seal()
-        s2 = QuantileSketch(spec.sketch_epsilon)
-        s2.extend(y)
-        s2.seal()
+        s1 = _sealed(x, spec.sketch_epsilon)
+        s2 = _sealed(y, spec.sketch_epsilon)
         extra = {"d_sketch": ks.lall_ks(s1, s2), "sketch_tuples_x": s1.tuple_count,
                   "sketch_tuples_y": s2.tuple_count}
 
@@ -298,8 +294,14 @@ def run_convergence(
     One output row per (a, epsilon) configuration; the final row is the
     exact-quantile plan (a = n, epsilon = 0), whose knots are the sorted
     sample, so its error is only the float noise of the knot probabilities.
-    Each replication's sample and exact CDF are computed once and shared by
-    every configuration.
+    Each replication's sample is drawn once and shared by every
+    configuration.  Plans with one epsilon read their CDFs off one sealed
+    sketch of it, which is what `build_cdf` would build for each.  Every
+    CDF is built before the sample is sorted in place, since a sketch
+    depends on arrival order.  The error of a CDF is then read at the
+    sorted sample's tie-group ends: there the exact CDF is the end's rank
+    over n, and a tied value has its group end's error.  The maximum does
+    not depend on the order of the points.
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
@@ -311,9 +313,16 @@ def run_convergence(
     worst = [0.0] * len(plans)
     for rep in range(replications):
         data = sample(normal(0, 1), n, master_seed + rep)
-        exact = empirical_cdf(data, data)
-        for i, plan in enumerate(plans):
-            err = np.max(np.abs(eval_cdf(build_cdf(data, plan), data) - exact))
+        sketches = {eps: _sealed(data, eps)
+                    for eps in dict.fromkeys(p.epsilon for p in plans) if eps}
+        cdfs = [sketch_cdf(sketches[p.epsilon], p) if p.epsilon else build_cdf(data, p)
+                for p in plans]
+        data.sort()
+        ends = _ends(data)
+        exact = (np.flatnonzero(ends) + 1) / n
+        points = data[ends]
+        for i, cdf in enumerate(cdfs):
+            err = np.max(np.abs(eval_cdf(cdf, points) - exact))
             worst[i] = max(worst[i], float(err))
     return [{
         "a": plan.a,

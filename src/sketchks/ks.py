@@ -31,8 +31,9 @@ __all__ = [
     "run_test",
 ]
 
-# sorted values `_lead` probes at a time: bounds its temporaries
-_PROBE_BLOCK = 1 << 13
+# values a step of the exact oracle's walk reads from each sample at most:
+# bounds its temporaries
+_PROBE_BLOCK = 1 << 11
 
 
 def fmt17(x: float) -> str:
@@ -129,23 +130,21 @@ def exact_ks_distance(x, y) -> float:
 
     F1 and F2 are right-continuous.  With c_x(t), c_y(t) the counts of
     values <= t in samples of n and m,
-    D = max_t |c_x(t)*m - c_y(t)*n| / (n*m).  Between consecutive x values
-    F1 is flat and F2 can only grow, so sup (F1 - F2) is reached at an x
-    value, and sup (F2 - F1) at a y value by symmetry; the larger of the
-    two is D, and it is >= 0 because both differences are 0 at the pooled
-    maximum.  Within a tie group c_x is largest at the group's value, so
-    each sample is probed only at its tie-group ends: one linear mask on
-    the sorted sample and one searchsorted into the other sample, with no
-    pooled sort.  Each product is at most n*m < 2**63, so the counts stay
-    exact in int64, and the one int/int division rounds once.
+    D = max_t |c_x(t)*m - c_y(t)*n| / (n*m).  Both counts change only at
+    a pooled value, so the supremum is reached at one; within a run of
+    equal pooled values (a pooled tie group) both counts are largest at
+    the run's end, where they count the whole group, so only the pooled
+    tie-group ends are read.  Each product is at most n*m < 2**63, so the
+    counts stay exact in int64, and the one int/int division rounds once.
 
     This function sorts a copy of each sample and hands both to the
     private kernel `_sorted_ks_distance`, which checks them and walks the
-    sorted samples in blocks of _PROBE_BLOCK values (see `_lead`).  So the
-    working memory is the two sorted copies, 8 bytes per input value, plus
-    one block's temporaries.  A caller that owns its samples and is done
-    with their order can sort them in place and call the kernel, which
-    copies nothing.
+    two sorted samples together, merging at most _PROBE_BLOCK values a
+    side per step (see `_step`).  So the working memory is the two sorted
+    copies, 8 bytes per input value, plus one step's temporaries, ~25
+    bytes a merged value (~0.1 MB).  A caller that owns its samples and is
+    done with their order can sort them in place and call the kernel,
+    which copies nothing.
     """
     return _sorted_ks_distance(np.sort(np.asarray(x, dtype=float).ravel()),
                                np.sort(np.asarray(y, dtype=float).ravel()))
@@ -155,47 +154,74 @@ def _sorted_ks_distance(xs: np.ndarray, ys: np.ndarray) -> float:
     """`exact_ks_distance` of two float arrays already sorted ascending.
 
     Raises as `exact_ks_distance` does: on an empty or non-finite sample,
-    and when n*m reaches 2**63.  Reads xs and ys in place; its working
-    memory is one probe block's temporaries.
+    and when n*m reaches 2**63.  Reads xs and ys in place, in one merged
+    walk: each `_step` starts from the counts c_x = i and c_y = j at the
+    last cut and ends past the next one, until both samples are read, and
+    the largest |c_x*m - c_y*n| of the steps, a Python int, is divided
+    once.  Its working memory is one step's temporaries.
     """
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be non-empty")
-    _check_finite(xs, "x")
-    _check_finite(ys, "y")
+    # a sorted sample's extremes are its ends (a sort puts NaN last)
+    _check_finite(xs[[0, -1]], "x")
+    _check_finite(ys[[0, -1]], "y")
     n, m = xs.size, ys.size
     if n * m >= 2**63:
         raise ValueError(f"n*m must be below 2**63 for int64 counts, got {n}*{m}")
-    return max(_lead(xs, ys), _lead(ys, xs)) / (n * m)
+    i = j = lead = 0
+    while i < n or j < m:
+        i, j, step_lead = _step(xs, ys, i, j)
+        lead = max(lead, step_lead)
+    return lead / (n * m)
 
 
-def _lead(a: np.ndarray, b: np.ndarray) -> int:
-    """max over the tie-group ends t of sorted a of #(a <= t)*|b| - #(b <= t)*|a|.
+def _step(xs: np.ndarray, ys: np.ndarray, i: int, j: int) -> tuple[int, int, int]:
+    """One step of the oracle walk from c_x = i, c_y = j: the counts past
+    the step's cut v, and the step's largest |c_x*m - c_y*n|.
 
-    Walks a in blocks of _PROBE_BLOCK values and probes each block at its
-    own tie-group ends; the result is the largest of the blocks' Python-int
-    maxima.  A block's last value may sit inside a tie group that the next
-    block ends.  Probing it is harmless: along a tie group #(b <= t) is
-    constant and #(a <= t) grows, so the group's end, probed in a later
-    block, gives a larger term.  It also gives every block a probe.  Only
-    one block's temporaries, ~17 bytes a block value, are alive at a time.
+    v is the smaller of the two samples' values _PROBE_BLOCK ahead (the
+    pooled maximum once neither sample has one), so it lies above every
+    value already read, and each sample has at most _PROBE_BLOCK values
+    below it, which `_merged_lead` reads.  Then v's whole tie group is
+    read at once: two binary searches give both counts at v, so a long
+    tie group costs one step.
     """
-    return max(_block_lead(a, b, lo) for lo in range(0, a.size, _PROBE_BLOCK))
+    n, m = xs.size, ys.size
+    ahead = [s[k + _PROBE_BLOCK] for s, k in ((xs, i), (ys, j))
+             if k + _PROBE_BLOCK < s.size]
+    v = min(ahead) if ahead else max(xs[-1], ys[-1])
+    a, b = xs[i:i + _PROBE_BLOCK], ys[j:j + _PROBE_BLOCK]
+    lead = _merged_lead(a[:a.searchsorted(v)], b[:b.searchsorted(v)],
+                        i * m - j * n, n, m)
+    i, j = int(xs.searchsorted(v, "right")), int(ys.searchsorted(v, "right"))
+    return i, j, max(lead, abs(i * m - j * n))
 
 
-def _block_lead(a: np.ndarray, b: np.ndarray, lo: int) -> int:
-    """`_lead`'s largest term over the tie-group ends of a[lo:lo + _PROBE_BLOCK]."""
-    block = a[lo:lo + _PROBE_BLOCK]
-    ends = _ends(block)
-    # the probe values block[ends] are freed before ca exists, and the
-    # arithmetic is in place: the mask and two int64 arrays live at a time,
-    # all freed on return, before the next block allocates
-    cb = np.searchsorted(b, block[ends], side="right")
-    ca = np.flatnonzero(ends)
-    ca += lo + 1
-    ca *= b.size
-    cb *= a.size
-    ca -= cb
-    return int(ca.max())
+def _merged_lead(a: np.ndarray, b: np.ndarray, base: int, n: int, m: int) -> int:
+    """max |c_x*m - c_y*n| over the pooled tie-group ends of a run a of
+    sorted x values and a run b of sorted y values, with base the value of
+    c_x*m - c_y*n just below both runs.
+
+    One stable argsort of the concatenation merges the two runs (timsort
+    finds them and merges them in linear time).  A running sum in int64 of
+    +m for each x value and -n for each y value, from base, is
+    c_x*m - c_y*n after each value, and it is read at the pooled tie-group
+    ends, where each count holds its whole group.  At most three float or
+    index arrays of the pooled length, ~25 bytes a pooled value, are
+    alive at a time, all freed on return.
+    """
+    if a.size == 0 and b.size == 0:
+        return 0
+    pooled = np.concatenate((a, b))
+    lead = pooled.argsort(kind="stable")
+    pooled = pooled[lead]
+    # the merged order's x mask, then the steps written over the order
+    np.multiply(lead < a.size, m + n, out=lead)
+    lead -= n
+    lead[0] += base
+    np.cumsum(lead, out=lead)
+    np.abs(lead, out=lead)
+    return int(lead.max(where=_ends(pooled), initial=0))
 
 
 def approx_two_sample_ks(cdf1: ApproxCdf, cdf2: ApproxCdf) -> float:

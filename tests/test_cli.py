@@ -1,5 +1,7 @@
 """Command-line surface: ingestion, ks2 JSON, experiment/convergence/tables/cdf CSV."""
 
+import argparse
+import gc
 import io
 import json
 import math
@@ -290,6 +292,25 @@ class TestKs2Command:
         err = capsys.readouterr().err
         assert err.startswith("sketchks: error:")
         assert "cannot reach" in err
+
+    def test_warm_call_leaves_no_parser_garbage(self, normal_files, capsys):
+        # main builds its parser once per process; one parser a call would
+        # leave ~58 KB of argparse reference cycles to the cyclic collector
+        argv = ["ks2", "--file-x", str(normal_files("x.txt", 0, 500, 1)),
+                "--file-y", str(normal_files("y.txt", 0, 500, 2)), "--phi", "0.2"]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert parsers == []
 
     def test_zero_beta_names_beta(self, normal_files, capsys):
         f = normal_files("x.txt", 0, 100, 10)

@@ -8,6 +8,7 @@ import pytest
 
 import sketchks.ks as ks
 from sketchks import experiments as ex
+from sketchks.gk_sketch import QuantileSketch
 from sketchks.synth import gamma, normal, sample, uniform
 
 
@@ -252,3 +253,16 @@ class TestConvergence:
         rows = ex.run_convergence(n=500, replications=3)
         assert len(rows) == 9
         assert [seed for *_, seed in calls] == [ex.DEFAULT_SEED + rep for rep in range(3)]
+
+    def test_one_sketch_per_epsilon_per_replication(self, monkeypatch):
+        # the nine study rows share three epsilons, and each replication
+        # reads each row's CDF off the one sketch of its epsilon
+        eps, extend = [], QuantileSketch.extend
+
+        def counting_extend(sketch, values):
+            eps.append(sketch.epsilon)
+            return extend(sketch, values)
+
+        monkeypatch.setattr(QuantileSketch, "extend", counting_extend)
+        ex.run_convergence(n=10_000, replications=2)
+        assert eps == [0.1, 0.01, 0.001] * 2

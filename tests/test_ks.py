@@ -125,9 +125,10 @@ class TestExactDistance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the two sorted copies, then one probe block's mask and two int64
-        # arrays (17 bytes a block value), plus 16 KiB for small objects
-        assert peak <= 8 * (x.size + y.size) + 17 * ks._PROBE_BLOCK + 2**14
+        # the two sorted copies, then one walk step's temporaries: up to
+        # _PROBE_BLOCK values a side, 25 bytes a pooled value, plus 16 KiB
+        # for small objects
+        assert peak <= 8 * (x.size + y.size) + 25 * 2 * ks._PROBE_BLOCK + 2**14
 
     def test_peak_memory_per_value(self):
         rng = np.random.default_rng(5)
@@ -186,19 +187,31 @@ class TestSortedKernel:
                 fn(np.array([0.0, np.nan]), one)
             with pytest.raises(ValueError, match="y contains a non-finite value: inf"):
                 fn(one, np.array([0.0, np.inf]))
+            with pytest.raises(ValueError, match="x contains a non-finite value: -inf"):
+                fn(np.array([-np.inf, 0.0]), one)
 
     def test_count_guard(self):
         # stride-0 views: 2**32 values a side with 8 bytes behind them; the
-        # finiteness scan is skipped, as it would read all of them.  The
-        # public function reaches this guard through the kernel.
+        # kernel's finiteness check reads only each sorted sample's ends.
+        # The public function reaches this guard through the kernel.
         big = np.broadcast_to(np.float64(1.0), (2**32,))
-        with mock.patch.object(ks, "_check_finite"):
-            with pytest.raises(ValueError, match="n\\*m must be below 2\\*\\*63"):
-                ks._sorted_ks_distance(big, big)
+        with pytest.raises(ValueError, match="n\\*m must be below 2\\*\\*63"):
+            ks._sorted_ks_distance(big, big)
+
+    def test_walk_reads_a_tie_group_in_one_step(self):
+        # 10**6 values a side over 5 distinct values: each step reads the
+        # next value's whole tie group with two binary searches, so the
+        # walk takes one step per distinct value, where reading every
+        # value takes ~10**6 / _PROBE_BLOCK steps
+        xs = np.repeat(np.arange(5.0), 200_000)
+        ys = np.repeat(np.arange(5.0), [300_000, 100_000, 250_000, 150_000, 200_000])
+        with mock.patch.object(ks, "_step", wraps=ks._step) as step:
+            assert ks._sorted_ks_distance(xs, ys) == 0.1
+        assert step.call_count == 5
 
     def test_reads_sorted_samples_in_place(self):
-        # exact_ks_distance needs 1.74 MB here; the kernel copies nothing,
-        # and holds only one probe block's temporaries
+        # exact_ks_distance needs 1.71 MB here; the kernel copies nothing,
+        # and holds only one walk step's temporaries
         rng = np.random.default_rng(5)
         xs = np.sort(rng.normal(size=10**5))
         ys = np.sort(rng.normal(0.01, 1, size=10**5))
@@ -657,19 +670,23 @@ def test_exact_distance_is_correctly_rounded(pair):
 
 
 @settings(max_examples=200, deadline=None)
-@given(block=st.sampled_from([1, 2, 3, 7]), data=st.data())
-def test_exact_distance_is_the_same_at_every_probe_block(block, data):
-    # tie groups of _TIES straddle block ends and are shared by both
-    # samples; sizes include 1 and exact multiples of the block, and runs
-    # of one value up to four blocks long give tie groups that span several
-    # blocks
-    size = st.one_of(st.just(1), st.integers(1, 6).map(lambda k: k * block),
+@given(block=st.sampled_from([1, 2, 3, 7]), below=st.booleans(), data=st.data())
+def test_exact_distance_is_the_same_at_every_probe_block(block, below, data):
+    # tie groups of _TIES straddle step ends and are shared by both
+    # samples; sizes include 1, exact multiples of the step and up to
+    # twelve steps, so one sample can run out many steps before the other;
+    # runs of one value up to four steps long give tie groups that span
+    # several steps; under `below` every x value lies below every y value,
+    # so the walk reads x alone, then y alone
+    size = st.one_of(st.just(1), st.integers(1, 12).map(lambda k: k * block),
                      st.integers(1, 40))
     plain = size.flatmap(lambda n: st.lists(_TIES, min_size=n, max_size=n))
     runs = st.lists(st.tuples(_TIES, st.integers(1, 4 * block)),
                     min_size=1, max_size=6).map(
         lambda rs: [v for v, k in rs for _ in range(k)])
     x, y = (data.draw(st.one_of(plain, runs)) for _ in "xy")
+    if below:
+        y = [v + 10 for v in y]
     with mock.patch.object(ks, "_PROBE_BLOCK", block):
         assert ks.exact_ks_distance(x, y) == count_ks(x, y)
 
