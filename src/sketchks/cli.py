@@ -14,6 +14,8 @@ import functools
 import itertools
 import math
 import os
+import pickle
+import signal
 import stat
 import sys
 import time
@@ -31,6 +33,12 @@ __all__ = ["main", "ingest"]
 
 _BLOCK_LINES = 1 << 12  # lines `_blocks` holds and parses at a time
 _COUNT_CHARS = 1 << 16  # characters `_line_count` reads at a time
+# counted lines each `ks2` input needs before y is read in a forked worker.
+# On a 2-vCPU virtual machine (BENCH_fork_cutoff.json) a fork and its pipe
+# cost ~5 ms: one process was faster in every pair at 1,000 and 4,000 lines
+# a file, neither reliably from 8,000 to 24,000, and the fork in every pair
+# at 32,768 in both runs that measured it
+_FORK_LINES = 1 << 15
 
 
 def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
@@ -105,21 +113,33 @@ def _line_count(path, skip_header: bool) -> int:
     return max(lines - skip_header, 0)
 
 
-def _file_cdf(path, plan, skip_header: bool, skip_invalid: bool):
-    """(value count, CDF under plan) of a file streamed into a sketch at
-    plan.epsilon; the CDF is None when the count is not plan.n.
+def _file_sketch(path, epsilon: float, skip_header: bool, skip_invalid: bool):
+    """The sealed sketch at epsilon of a file streamed through `_blocks`,
+    the read of both `ks2` routes.
 
     The sketch cuts its chunks from the stream, so the summary is that of
     one `extend` of the whole file.  The working set is one block's values
     (`_blocks` drops its lines before it yields them), the sketch's tuples
     and its chunk buffer, which a merge drops before its own arrays peak.
     """
-    sketch = QuantileSketch(plan.epsilon)
+    sketch = QuantileSketch(epsilon)
     for values, _ in _blocks(path, skip_header, skip_invalid):
         sketch.extend(values)
+    return sketch.seal()
+
+
+def _plan_cdf(sketch, plan):
+    """(value count, CDF under plan) of a file's sealed sketch; the CDF is
+    None when the count is not plan.n."""
     if sketch.count != plan.n:
         return sketch.count, None
-    return plan.n, sketch_cdf(sketch.seal(), plan)
+    return plan.n, sketch_cdf(sketch, plan)
+
+
+def _file_cdf(path, plan, skip_header: bool, skip_invalid: bool):
+    """(value count, CDF under plan) of a file read in this process."""
+    return _plan_cdf(_file_sketch(path, plan.epsilon, skip_header, skip_invalid),
+                     plan)
 
 
 def _floats(lines):
@@ -196,40 +216,175 @@ def _precision(args, n: int, m: int) -> ks.TestPrecision:
     return ks.TestPrecision(alpha=args.alpha, phi=phi)
 
 
+def _plans(args, counts):
+    """(precision, [plan_x, plan_y]) at the value counts given; raises
+    ValueError when they admit no certified plan."""
+    precision = _precision(args, *counts)
+    return precision, [plan_from_phi(precision.phi, c) for c in counts]
+
+
+def _stat():
+    """The fields of Linux's /proc/self/stat after the parenthesised
+    command name (field k is [k - 3]), or None where it cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return fh.read().rsplit(b")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _forks(counts) -> bool:
+    """Whether `ks2` reads y in a forked worker while it reads x: on Linux,
+    each file counts at least _FORK_LINES lines, two CPUs are usable and
+    this process runs one OS thread, as field 20 of /proc/self/stat counts.
+
+    A fork copies only the calling thread.  The count includes native
+    threads, such as the pool numpy's OpenBLAS starts at import unless
+    OPENBLAS_NUM_THREADS=1, and it is the count CPython 3.12+ reads before
+    it warns that a fork may deadlock, so the route never forks where that
+    warning would be raised.
+    """
+    if not sys.platform.startswith("linux") or min(counts) < _FORK_LINES:
+        return False
+    fields = _stat()
+    return (fields is not None and int(fields[17]) == 1
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _leave(cpu) -> None:
+    """Move this process off CPU `cpu` now, free to run anywhere after.
+
+    A scheduler may start a forked child on its parent's CPU and keep both
+    there while another CPU idles.  It did on the one machine this was
+    measured on, a 2-vCPU virtual machine (Intel Xeon, Linux 6.18): there
+    a forked `ks2` whose worker did not move was slower than one process
+    at 32,768 and 65,536 lines a file, and at 200,000 was faster in some
+    runs but not in others (BENCH_fork_cutoff.json).
+    """
+    cpus = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, cpus - {cpu})
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # `cpu` was the only one allowed, or went offline
+        pass
+
+
+class _Worker:
+    """fn(*args) in a forked child, which sends back through a pipe only
+    its pickled result, or the exception it raised.
+
+    Raises OSError, holding no descriptor, when no pipe or process can be
+    made.  The child first leaves its parent's CPU (`_leave`).  It exits by
+    os._exit, so it flushes no stdio buffer it inherited and runs no
+    atexit hook: it writes nothing but the pipe.  Leaving the `with` block
+    before `result()` has returned kills and reaps the child, so none
+    outlives the caller.
+    """
+
+    def __init__(self, fn, *args):
+        cpu = int(_stat()[36])  # field 39: the CPU this process last ran on
+        r, w = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:  # EAGAIN or ENOMEM: keep no descriptor
+            os.close(r)
+            os.close(w)
+            raise
+        if self._pid == 0:  # the child
+            status = 1
+            try:
+                os.close(r)
+                _leave(cpu)
+                try:
+                    result = True, fn(*args)
+                except BaseException as exc:  # the parent raises it
+                    result = False, exc
+                with open(w, "wb") as out:
+                    pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self._pipe = open(r, "rb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pid:
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+        self._pipe.close()
+
+    def _reap(self):
+        os.waitpid(self._pid, 0)
+        self._pid = 0
+
+    def result(self):
+        """fn's return value; raises what fn raised."""
+        try:
+            ok, value = pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError("a worker process ended without a result") from None
+        self._reap()
+        if not ok:
+            raise value
+        return value
+
+
 def _streamed_ks2(args):
     """The ks2 outcome with each file streamed into its sketch, or None
     when an input is not a regular file or the sizes known so far admit
     no certified plan.
 
-    Two passes, so each file is read at most twice.  The first reads the
-    files in order, each planned from the counts known so far: the line
-    counts, then each value count as a read finds it (under --beta a
-    count moves phi, and so the other file's plan too).  The second reads
-    again only a file whose plan moved since its read; a count that moves
-    again means the file changed.  Each CDF is made, and its sketch
-    dropped, before the next file is read.  A pipe or other non-regular
-    file may not be read twice, so it is not streamed.
+    Two passes, so each file is read at most twice.  The first plans each
+    file from the counts known so far.  Where `_forks` holds, those are
+    the line counts of both, and the files are read at once: x here and y
+    in a `_Worker` that parses and sketches it and sends back only the
+    sealed summary (~1e4 tuples for 2e5 lines), whose CDF is then read
+    here.  An error in x is raised first, and one in y only after x's
+    read succeeded.  Otherwise, or when no worker can be started, the
+    files are read in order, each CDF made and its sketch dropped before
+    the next read, and after the line counts each value count is used as
+    a read finds it (under --beta a count moves phi, and so the other
+    file's plan too).  The second pass
+    reads again, in this process, only a file whose plan moved since its
+    read; a count that moves again means the file changed.  A pipe or
+    other non-regular file may not be read twice, so it is not streamed.
     """
     files = (args.file_x, args.file_y)
+    flags = (args.skip_header, args.skip_invalid)
     try:
         if not all(stat.S_ISREG(os.stat(f).st_mode) for f in files):
             return None
         counts = [_line_count(f, args.skip_header) for f in files]
     except OSError:
         return None
-    cdfs = [None, None]
-    for second in (False, True):
+    cdfs, passes = [None, None], (False, True)
+    if _forks(counts):
+        try:
+            precision, plans = _plans(args, counts)
+        except ValueError:
+            return None
+        try:
+            worker = _Worker(_file_sketch, files[1], plans[1].epsilon, *flags)
+        except OSError:  # no pipe or process to spare: read in one process
+            worker = None
+        if worker is not None:
+            with worker:
+                counts[0], cdfs[0] = _file_cdf(files[0], plans[0], *flags)
+                counts[1], cdfs[1] = _plan_cdf(worker.result(), plans[1])
+            passes = (True,)
+    for second in passes:
         for i in (0, 1):
             try:
-                precision = _precision(args, *counts)
-                plans = [plan_from_phi(precision.phi, c) for c in counts]
+                precision, plans = _plans(args, counts)
             except ValueError:
                 return None
             if cdfs[i] is not None and cdfs[i].plan == plans[i]:
                 continue
             cdfs[i] = None  # a stale CDF goes before the next read
-            counts[i], cdfs[i] = _file_cdf(files[i], plans[i], args.skip_header,
-                                           args.skip_invalid)
+            counts[i], cdfs[i] = _file_cdf(files[i], plans[i], *flags)
             if cdfs[i] is None and second:
                 raise ValueError(f"{files[i]}: file changed while it was read")
     return ks.decide(*cdfs, precision.alpha)

@@ -1,11 +1,13 @@
 """Command-line surface: ingestion, ks2 JSON, experiment/convergence/tables/cdf CSV."""
 
 import argparse
+import errno
 import gc
 import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sketchks import cli, experiments, gk_sketch, ks
+from sketchks.approx_cdf import plan_from_phi
 from sketchks.cli import ingest, main
 from sketchks.synth import normal, sample
 
@@ -383,7 +386,15 @@ _SIXTY = "".join(f"{v}\n" for v in range(60)).encode()
 @settings(max_examples=200, deadline=None)
 # the whole-file route must keep every flag: y's bad line is an error
 @example(files=(_SIXTY, _SIXTY + b"x\n"), precision={"phi": 0.3}, skip_header=False,
-         skip_invalid=False, block=4096, chunk=1 << 16, piped="y" if _HAS_FD else "")
+         skip_invalid=False, block=4096, chunk=1 << 16, piped="y" if _HAS_FD else "",
+         forked=False)
+# an error a forked worker raises reaches stderr as the one-process route writes it
+@example(files=(_SIXTY, _SIXTY + b"x\n"), precision={"phi": 0.3}, skip_header=False,
+         skip_invalid=False, block=4096, chunk=1 << 16, piped="", forked=True)
+@example(files=(_SIXTY, _SIXTY + b"\xff\n"), precision={"beta": 0.3}, skip_header=False,
+         skip_invalid=True, block=4096, chunk=1 << 16, piped="", forked=True)
+@example(files=(_SIXTY, b"\n" * 60), precision={"phi": 0.3}, skip_header=False,
+         skip_invalid=False, block=4096, chunk=1 << 16, piped="", forked=True)
 @given(
     files=st.tuples(_value_file(), _value_file()),
     precision=st.sampled_from([{"phi": 0.3}, {"phi": 0.1},
@@ -393,22 +404,26 @@ _SIXTY = "".join(f"{v}\n" for v in range(60)).encode()
     block=st.sampled_from([1, 3, 4096]),
     chunk=st.sampled_from([5, 64, 1 << 16]),
     piped=st.sampled_from(["", "x", "y", "xy"] if _HAS_FD else [""]),
+    forked=st.booleans(),
 )
 def test_ks2_stdout_matches_run_test_on_ingested_files(
         tmp_path_factory, files, precision, skip_header, skip_invalid, block, chunk,
-        piped):
-    # a piped side is not a regular file, so ks2 ingests both files whole
+        piped, forked):
+    # a piped side is not a regular file, so ks2 ingests both files whole;
+    # `forked` lets streamed files of any size read y in a forked worker
     workdir = tmp_path_factory.mktemp("ks2")
     fx, fy = workdir / "x.txt", workdir / "y.txt"
     fx.write_bytes(files[0])
     fy.write_bytes(files[1])
     test = {"alpha": 0.5, **precision}
     flags = {"skip_header": skip_header, "skip_invalid": skip_invalid}
-    file_cdf, reads = cli._file_cdf, Counter()
+    file_sketch, log = cli._file_sketch, workdir / "reads.log"
 
-    def counting(path, *rest):
-        reads[path] += 1
-        return file_cdf(path, *rest)
+    def logged(path, *rest):
+        # a file, not a counter in memory, so a forked worker's read counts
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{path}\n")
+        return file_sketch(path, *rest)
 
     names, fds = {"x": str(fx), "y": str(fy)}, []
     try:
@@ -423,7 +438,8 @@ def test_ks2_stdout_matches_run_test_on_ingested_files(
                 names[side] = f"/dev/fd/{r}"
         with mock.patch.object(cli, "_BLOCK_LINES", block), \
                 mock.patch.object(gk_sketch, "_CHUNK", chunk), \
-                mock.patch.object(cli, "_file_cdf", counting):
+                mock.patch.object(cli, "_FORK_LINES", 0 if forked else cli._FORK_LINES), \
+                mock.patch.object(cli, "_file_sketch", logged):
             got = _run(_ks2_argv(names["x"], names["y"], **test, **flags))
             rc, out, err = reference_ks2(fx, fy, **test, **flags)
     finally:
@@ -431,6 +447,7 @@ def test_ks2_stdout_matches_run_test_on_ingested_files(
             os.close(fd)
     err = err.replace(str(fx), names["x"]).replace(str(fy), names["y"])
     assert got == (rc, out, err)
+    reads = Counter(log.read_text(encoding="utf-8").splitlines() if log.exists() else [])
     assert max(reads.values(), default=0) <= 2  # each file read at most twice
 
 
@@ -453,6 +470,9 @@ _VALUES = "".join(f"{v!r}\n" for v in np.linspace(-2, 2, 200).tolist()).encode()
     (b"1\nx\n" + _VALUES, _VALUES, ["--beta", "0"],
      "{x}:2: not a finite number: 'x'"),
     (_VALUES, _VALUES, ["--beta", "0"], "beta must be positive, got 0.0"),
+    # on the forked route y's worker is running when x's bad line is met
+    (b"1\nbogus\n" + _VALUES, _VALUES, ["--phi", "0.1"],
+     "{x}:2: not a finite number: 'bogus'"),
 ])
 def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message):
     fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
@@ -460,15 +480,129 @@ def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message):
     if y is not None:
         fy.write_bytes(y)
     expected = (1, "", f"sketchks: error: {message.format(x=fx, y=fy)}\n")
-    assert _run(["ks2", "--file-x", fx, "--file-y", fy, *precision]) == expected
+    for fork_lines in (cli._FORK_LINES, 0):  # in one process, then forked
+        with mock.patch.object(cli, "_FORK_LINES", fork_lines):
+            assert _run(["ks2", "--file-x", fx, "--file-y", fy, *precision]) == expected
     beta = {"beta": float(precision[1])} if precision[0] == "--beta" else {
         "phi": float(precision[1])}
     assert reference_ks2(fx, fy, alpha=0.05, **beta) == expected
 
 
+@pytest.fixture
+def fork_route(monkeypatch):
+    """ks2 reads y in a forked worker at any input size; lists the files
+    the workers it starts read."""
+    if not cli._forks([cli._FORK_LINES] * 2):
+        pytest.skip("not Linux, one usable CPU or a second OS thread")
+    monkeypatch.setattr(cli, "_FORK_LINES", 0)
+    started, worker = [], cli._Worker
+
+    def starting(fn, path, *rest):
+        started.append(str(path))
+        return worker(fn, path, *rest)
+
+    monkeypatch.setattr(cli, "_Worker", starting)
+    return started
+
+
+_BIG = "".join(f"{v!r}\n" for v in np.linspace(-2, 2, 50_000).tolist()).encode()
+
+
+@pytest.mark.parametrize("x, y, error", [
+    (_VALUES, _BIG, None),
+    # x fails while y's worker still parses 50,000 lines: it is killed
+    (b"1\nbogus\n" + _VALUES, _BIG, "{x}:2: not a finite number: 'bogus'"),
+    (_VALUES, _BIG + b"x\n", "{y}:50001: not a finite number: 'x'"),
+], ids=["success", "x-fails", "y-fails"])
+def test_ks2_leaves_no_worker(tmp_path, fork_route, x, y, error):
+    fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
+    fx.write_bytes(x)
+    fy.write_bytes(y)
+    got = _run(_ks2_argv(fx, fy, alpha=0.05, phi=0.1))
+    assert got == reference_ks2(fx, fy, alpha=0.05, phi=0.1)
+    if error is not None:
+        assert got[2] == f"sketchks: error: {error.format(x=fx, y=fy)}\n"
+    assert fork_route == [str(fy)]
+    with pytest.raises(ChildProcessError):  # no child left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("y_tail", [b"", b"x\n"], ids=["success", "y-fails"])
+def test_forked_worker_writes_no_output(tmp_path, fork_route, y_tail):
+    # stdout is a pipe, so the text written before ks2 is still buffered
+    # when it forks; a worker that flushed it on exit would write it twice
+    fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
+    fx.write_bytes(_VALUES)
+    fy.write_bytes(_VALUES + y_tail)
+    script = ("import sys\n"
+              "from sketchks import cli\n"
+              "cli._FORK_LINES = 0\n"
+              "assert cli._forks([0, 0])\n"
+              "sys.stdout.write('pending\\n')\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, _ks2_argv(fx, fy, alpha=0.05, phi=0.1))],
+        env=env, capture_output=True, check=False)
+    rc, out, err = reference_ks2(fx, fy, alpha=0.05, phi=0.1)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        rc, b"pending\n" + out.encode(), err.encode())
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/stat")
+def test_forked_route_runs_here():
+    # the forked route's tests skip where `_forks` does not hold; on Linux
+    # with two CPUs it must, as conftest.py keeps numpy to one thread
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU")
+    assert cli._forks([cli._FORK_LINES] * 2)
+    assert not cli._forks([cli._FORK_LINES - 1, cli._FORK_LINES])
+
+
+@pytest.mark.parametrize("fails", ["pipe", "fork"])
+def test_ks2_reads_in_one_process_when_no_worker_starts(tmp_path, fork_route, fails):
+    # EMFILE or EAGAIN: ks2 still succeeds, and the failed start keeps no
+    # descriptor
+    fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
+    fx.write_bytes(_VALUES)
+    fy.write_bytes(b"0.5\n" + _VALUES)
+    want = reference_ks2(fx, fy, alpha=0.05, phi=0.1)
+    opened, pipe = [], os.pipe
+
+    def recording_pipe():
+        if fails == "pipe":
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        fds = pipe()
+        opened.extend(fds)
+        return fds
+
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    with mock.patch.object(os, "pipe", recording_pipe), \
+            mock.patch.object(os, "fork", failing_fork):
+        assert _run(_ks2_argv(fx, fy, alpha=0.05, phi=0.1)) == want
+    assert fork_route == [str(fy)] and len(opened) == (2 if fails == "fork" else 0)
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/stat")
+def test_leave_keeps_the_affinity():
+    # a worker moves off its parent's CPU, then may run anywhere again
+    cpus = os.sched_getaffinity(0)
+    cpu = int(cli._stat()[36])
+    assert cpu in cpus
+    cli._leave(cpu)
+    assert os.sched_getaffinity(0) == cpus
+
+
 @pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "crlf"])
-def test_ks2_peak_memory_below_its_parsed_values(normal_files, newline):
+def test_ks2_peak_memory_below_its_parsed_values(normal_files, monkeypatch, newline):
+    # in one process: tracemalloc traces only the process it runs in
     n = m = 200_000
+    monkeypatch.setattr(cli, "_FORK_LINES", n + 1)
     fx = normal_files("x.txt", 0, n, 31)
     fy = normal_files("y.txt", 0.01, m, 32)
     for f in (fx, fy):
@@ -483,11 +617,13 @@ def test_ks2_peak_memory_below_its_parsed_values(normal_files, newline):
     assert peak < 8 * (n + m), f"peak {peak} bytes"  # the two parsed arrays alone
 
 
-def test_ks2_planned_peak_memory(normal_files):
+def test_ks2_planned_peak_memory(normal_files, monkeypatch):
     # the planned-file benchmark's shape: phi from --beta gives summaries of
     # ~1e4 tuples and 40,580 knots.  The chunk buffer and each block's lines
-    # are gone before a merge peaks, and the knots are queried in blocks
+    # are gone before a merge peaks, and the knots are queried in blocks.
+    # In one process: tracemalloc traces only the process it runs in
     n = m = 200_000
+    monkeypatch.setattr(cli, "_FORK_LINES", n + 1)
     fx = normal_files("x.txt", 0, n, 31)
     fy = normal_files("y.txt", 0.01, m, 32)
     argv = ["ks2", "--file-x", fx, "--file-y", fy, "--alpha", "0.05", "--beta", "0.025"]
@@ -498,6 +634,24 @@ def test_ks2_planned_peak_memory(normal_files):
     finally:
         tracemalloc.stop()
     assert rc == 0 and json.loads(out)["params"]["a_x"] == 40580
+    assert peak <= 2.2e6, f"peak {peak} bytes"
+
+
+def test_worker_peak_memory(normal_files):
+    # what a forked worker does with y on the planned-file shape, in this
+    # process, where tracemalloc sees it: parse, sketch, seal and send
+    n = 200_000
+    fy = normal_files("y.txt", 0.01, n, 32)
+    plan = plan_from_phi(ks.phi_for_test(0.05, 0.025, n, n), n)
+    with open(os.devnull, "wb") as sink:
+        tracemalloc.start()
+        try:
+            sketch = cli._file_sketch(fy, plan.epsilon, False, False)
+            pickle.dump((True, sketch), sink, pickle.HIGHEST_PROTOCOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sketch.count == n and plan.a == 40580
     assert peak <= 2.2e6, f"peak {peak} bytes"
 
 
