@@ -10,6 +10,7 @@ convergence and tables draw their samples from --seed (default 1729).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
@@ -115,7 +116,7 @@ def _line_count(path, skip_header: bool) -> int:
 
 def _file_sketch(path, epsilon: float, skip_header: bool, skip_invalid: bool):
     """The sealed sketch at epsilon of a file streamed through `_blocks`,
-    the read of both `ks2` routes.
+    the read of each `ks2` pass, here or in its worker.
 
     The sketch cuts its chunks from the stream, so the summary is that of
     one `extend` of the whole file.  The working set is one block's values
@@ -126,20 +127,6 @@ def _file_sketch(path, epsilon: float, skip_header: bool, skip_invalid: bool):
     for values, _ in _blocks(path, skip_header, skip_invalid):
         sketch.extend(values)
     return sketch.seal()
-
-
-def _plan_cdf(sketch, plan):
-    """(value count, CDF under plan) of a file's sealed sketch; the CDF is
-    None when the count is not plan.n."""
-    if sketch.count != plan.n:
-        return sketch.count, None
-    return plan.n, sketch_cdf(sketch, plan)
-
-
-def _file_cdf(path, plan, skip_header: bool, skip_invalid: bool):
-    """(value count, CDF under plan) of a file read in this process."""
-    return _plan_cdf(_file_sketch(path, plan.epsilon, skip_header, skip_invalid),
-                     plan)
 
 
 def _floats(lines):
@@ -334,22 +321,22 @@ class _Worker:
 
 def _streamed_ks2(args):
     """The ks2 outcome with each file streamed into its sketch, or None
-    when an input is not a regular file or the sizes known so far admit
-    no certified plan.
+    when an input is not a regular file or the counts known admit no
+    certified plan.
 
-    Two passes, so each file is read at most twice.  The first plans each
-    file from the counts known so far.  Where `_forks` holds, those are
-    the line counts of both, and the files are read at once: x here and y
-    in a `_Worker` that parses and sketches it and sends back only the
-    sealed summary (~1e4 tuples for 2e5 lines), whose CDF is then read
-    here.  An error in x is raised first, and one in y only after x's
-    read succeeded.  Otherwise, or when no worker can be started, the
-    files are read in order, each CDF made and its sketch dropped before
-    the next read, and after the line counts each value count is used as
-    a read finds it (under --beta a count moves phi, and so the other
-    file's plan too).  The second pass
-    reads again, in this process, only a file whose plan moved since its
-    read; a count that moves again means the file changed.  A pipe or
+    At most two passes, so each file is read at most twice, under one
+    rule: a pass plans both files from the counts it starts with (the
+    line counts, then the value counts the first pass found), drops each
+    CDF made under another plan and reads each such file in order, x then
+    y, making its CDF and dropping its sketch before the next read.  A
+    file whose value count is not its plan's gets no CDF, and on the
+    second pass is refused as changed while read.  Under --beta a count
+    moves phi, so the second pass may read both files.  The first pass
+    reads both, and is the only one that forks: where `_forks` holds, y
+    is parsed and sketched in a `_Worker`, which sends back only the
+    sealed summary (~1e4 tuples for 2e5 lines), while x is read here;
+    when no worker can be started, y is read here too.  An error in x is
+    raised first, and one in y only after x's read succeeded.  A pipe or
     other non-regular file may not be read twice, so it is not streamed.
     """
     files = (args.file_x, args.file_y)
@@ -360,33 +347,31 @@ def _streamed_ks2(args):
         counts = [_line_count(f, args.skip_header) for f in files]
     except OSError:
         return None
-    cdfs, passes = [None, None], (False, True)
-    if _forks(counts):
+    cdfs = [None, None]
+    for second in (False, True):
         try:
             precision, plans = _plans(args, counts)
         except ValueError:
             return None
-        try:
-            worker = _Worker(_file_sketch, files[1], plans[1].epsilon, *flags)
-        except OSError:  # no pipe or process to spare: read in one process
-            worker = None
-        if worker is not None:
-            with worker:
-                counts[0], cdfs[0] = _file_cdf(files[0], plans[0], *flags)
-                counts[1], cdfs[1] = _plan_cdf(worker.result(), plans[1])
-            passes = (True,)
-    for second in passes:
-        for i in (0, 1):
-            try:
-                precision, plans = _plans(args, counts)
-            except ValueError:
-                return None
-            if cdfs[i] is not None and cdfs[i].plan == plans[i]:
-                continue
+        stale = [i for i in (0, 1) if cdfs[i] is None or cdfs[i].plan != plans[i]]
+        for i in stale:
             cdfs[i] = None  # a stale CDF goes before the next read
-            counts[i], cdfs[i] = _file_cdf(files[i], plans[i], *flags)
-            if cdfs[i] is None and second:
-                raise ValueError(f"{files[i]}: file changed while it was read")
+        worker = None
+        if not second and _forks(counts):
+            try:
+                worker = _Worker(_file_sketch, files[1], plans[1].epsilon, *flags)
+            except OSError:  # no pipe or process to spare: read in one process
+                pass
+        with worker or contextlib.nullcontext():
+            for i in stale:
+                sketch = (worker.result() if worker and i else
+                          _file_sketch(files[i], plans[i].epsilon, *flags))
+                counts[i] = sketch.count
+                if counts[i] == plans[i].n:
+                    cdfs[i] = sketch_cdf(sketch, plans[i])
+                elif second:
+                    raise ValueError(f"{files[i]}: file changed while it was read")
+                del sketch  # before the next read
     return ks.decide(*cdfs, precision.alpha)
 
 

@@ -1,17 +1,22 @@
 """Seeded synthetic samples for the normal / gamma / uniform experiments.
 
-Each call draws from its own ``numpy.random.RandomState``, whose output
-stream numpy keeps frozen across versions (NEP 19), so a given
-(spec, n, seed) always produces the identical sequence.  The generator is
-seeded with ``init_by_array`` on the two 32-bit words of
-``seed & (2**64 - 1)``, low word first, so seeds of 2**32 and above and
-negative seeds are accepted.  ``RandomState`` computes its values with the
-platform's scalar libm calls (log, sqrt, exp, ...), which is where a
-different platform could differ in the last bits.
+Each call reseeds its thread's one ``numpy.random.RandomState``, whose
+output stream numpy keeps frozen across versions (NEP 19), so a given
+(spec, n, seed) always produces the identical sequence: the draw of a new
+generator with that seed, since ``seed`` also drops the Gaussian a normal
+draw of odd length leaves cached.  The generator is seeded with
+``init_by_array`` on the two 32-bit words of ``seed & (2**64 - 1)``, low
+word first, so seeds of 2**32 and above and negative seeds are accepted.
+Reseeding skips what constructing a generator costs: a ``SeedSequence``
+seeded from OS entropy before the seed replaces it.  ``RandomState``
+computes its values with the platform's scalar libm calls (log, sqrt,
+exp, ...), which is where a different platform could differ in the last
+bits.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +24,11 @@ import numpy as np
 __all__ = ["DistributionSpec", "sample", "normal", "gamma", "uniform"]
 
 _FAMILIES = ("normal", "gamma", "uniform")
+
+# each thread's ``RandomState``, reseeded by `sample`; made at the thread's
+# first draw, so that importing this module does not load numpy.random,
+# which numpy 2 loads only at its first use (~15 ms)
+_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,9 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     word = seed & 0xFFFFFFFFFFFFFFFF
-    rs = np.random.RandomState([word & 0xFFFFFFFF, word >> 32])
+    rs = getattr(_THREAD, "rs", None)
+    if rs is None:
+        rs = _THREAD.rs = np.random.RandomState()
+    rs.seed([word & 0xFFFFFFFF, word >> 32])
     # the family names are RandomState's method names: normal, gamma, uniform
     return getattr(rs, spec.family)(spec.param1, spec.param2, n)

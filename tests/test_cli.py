@@ -13,7 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -488,21 +488,28 @@ def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message):
     assert reference_ks2(fx, fy, alpha=0.05, **beta) == expected
 
 
-@pytest.fixture
-def fork_route(monkeypatch):
-    """ks2 reads y in a forked worker at any input size; lists the files
-    the workers it starts read."""
-    if not cli._forks([cli._FORK_LINES] * 2):
-        pytest.skip("not Linux, one usable CPU or a second OS thread")
-    monkeypatch.setattr(cli, "_FORK_LINES", 0)
+@contextmanager
+def _forking():
+    """ks2 reads y in a forked worker at any input size; yields the list
+    of the files the workers it starts read."""
     started, worker = [], cli._Worker
 
     def starting(fn, path, *rest):
         started.append(str(path))
         return worker(fn, path, *rest)
 
-    monkeypatch.setattr(cli, "_Worker", starting)
-    return started
+    with mock.patch.object(cli, "_FORK_LINES", 0), \
+            mock.patch.object(cli, "_Worker", starting):
+        yield started
+
+
+@pytest.fixture
+def fork_route():
+    """`_forking` for a whole test, which skips where ks2 cannot fork."""
+    if not cli._forks([cli._FORK_LINES] * 2):
+        pytest.skip("not Linux, one usable CPU or a second OS thread")
+    with _forking() as started:
+        yield started
 
 
 _BIG = "".join(f"{v!r}\n" for v in np.linspace(-2, 2, 50_000).tolist()).encode()
@@ -637,6 +644,40 @@ def test_ks2_planned_peak_memory(normal_files, monkeypatch):
     assert peak <= 2.2e6, f"peak {peak} bytes"
 
 
+def test_ks2_second_pass_peak_memory(normal_files, monkeypatch):
+    # the planned-file shape with a blank first line in x: its value count
+    # moves phi, so the second pass reads both files again.  x's first
+    # read makes no CDF and y's first CDF is stale by the second pass, so
+    # the first three reads start holding no more than the first did; a
+    # stale CDF or a sketch kept after its CDF is made would still be
+    # held.  In one process, as tracemalloc traces only the process it
+    # runs in
+    n = m = 200_000
+    monkeypatch.setattr(cli, "_FORK_LINES", n + 1)
+    fx = normal_files("x.txt", 0, n, 31)
+    fy = normal_files("y.txt", 0.01, m, 32)
+    fx.write_bytes(b"\n" + fx.read_bytes())
+    file_sketch, reads, held = cli._file_sketch, [], []
+
+    def counted(path, *rest):
+        reads.append(str(path))
+        held.append(tracemalloc.get_traced_memory()[0])
+        return file_sketch(path, *rest)
+
+    monkeypatch.setattr(cli, "_file_sketch", counted)
+    argv = ["ks2", "--file-x", fx, "--file-y", fy, "--alpha", "0.05", "--beta", "0.025"]
+    tracemalloc.start()
+    try:
+        rc, out, _ = _run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and json.loads(out)["params"]["a_x"] == 40580
+    assert reads == [str(fx), str(fy)] * 2
+    assert max(held[:3]) - held[0] < 1e5, f"held {held} bytes"  # a sealed sketch is ~2.5e5
+    assert peak <= 2.2e6, f"peak {peak} bytes"
+
+
 def test_worker_peak_memory(normal_files):
     # what a forked worker does with y on the planned-file shape, in this
     # process, where tracemalloc sees it: parse, sketch, seal and send
@@ -665,37 +706,57 @@ def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
     cr_x.write_bytes(fx.read_bytes().replace(b"\n", b"\r"))
     bom_x = tmp_path / "bom_x.txt"  # a byte-order mark and CRLF newlines
     bom_x.write_bytes(b"\xef\xbb\xbf" + fx.read_bytes().replace(b"\n", b"\r\n"))
-    floats, parsed = cli._floats, []
+    floats, log = cli._floats, tmp_path / "parsed.log"
 
     def counting(lines):
-        parsed.append(len(lines))
+        # a file, not a counter in memory, so a forked worker's parses count
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(lines)}\n")
         return floats(lines)
 
     monkeypatch.setattr(cli, "_floats", counting)
-    # under --phi only the file whose count moved is read again; under
-    # --beta its count moves phi, so both are, but each at most twice; a
-    # count met on the first pass plans the files after it, so a clean
-    # file read after a dirty one is read once
-    for x, y, precision, lines in [
-            (fx, fy, {"phi": 0.05}, 6000), (fx, fy, {"beta": 0.025}, 6000),
-            (cr_x, fy, {"beta": 0.025}, 6000),
-            (bom_x, fy, {"beta": 0.025}, 6000),
-            (fx, dirty, {"phi": 0.05}, 3000 + 2 * 3001),
-            (fx, dirty, {"beta": 0.025}, 2 * 3000 + 2 * 3001),
-            (dirty_x, dirty, {"beta": 0.025}, 4 * 3001),
-            (dirty_x, fy, {"beta": 0.025}, 2 * 3001 + 3000)]:
-        parsed.clear()
-        got = _run(_ks2_argv(x, y, alpha=0.05, **precision))
-        assert sum(parsed) == lines
-        assert got == reference_ks2(x, y, alpha=0.05, **precision)
+    # one table for both layouts: the first pass plans both files from
+    # their line counts and reads both; the second reads again each file
+    # whose plan moved, under --phi only a file whose count moved, under
+    # --beta, where that count moves phi, both files
+    table = [(fx, fy, {"phi": 0.05}, 6000), (fx, fy, {"beta": 0.025}, 6000),
+             (cr_x, fy, {"beta": 0.025}, 6000),
+             (bom_x, fy, {"beta": 0.025}, 6000),
+             (fx, dirty, {"phi": 0.05}, 3000 + 2 * 3001),
+             (fx, dirty, {"beta": 0.025}, 2 * 3000 + 2 * 3001),
+             (dirty_x, dirty, {"beta": 0.025}, 4 * 3001),
+             (dirty_x, fy, {"beta": 0.025}, 2 * 3001 + 2 * 3000)]
+    layouts = [nullcontext()]  # in one process, then forked
+    if cli._forks([cli._FORK_LINES] * 2):
+        layouts.append(_forking())
+    for layout in layouts:
+        with layout as started:
+            for x, y, precision, lines in table:
+                log.unlink(missing_ok=True)
+                got = _run(_ks2_argv(x, y, alpha=0.05, **precision))
+                assert sum(map(int, log.read_text(encoding="utf-8").split())) == lines
+                assert got == reference_ks2(x, y, alpha=0.05, **precision)
+            if started is not None:  # only the first pass forks
+                assert started == [str(y) for _, y, _, _ in table]
 
 
 def test_ks2_refuses_a_file_that_changes_while_read(normal_files, monkeypatch):
-    f = normal_files("x.txt", 0, 500, 35)
-    monkeypatch.setattr(cli, "_file_cdf", lambda path, plan, *flags: (plan.n - 1, None))
-    rc, out, err = _run(["ks2", "--file-x", f, "--file-y", f, "--phi", "0.1"])
+    # each read of a file finds one value fewer than its plan: the first
+    # pass re-plans from the counts found, the second refuses x
+    fx, fy = normal_files("x.txt", 0, 500, 35), normal_files("y.txt", 0, 500, 36)
+    reads = Counter()
+
+    def short(path, epsilon, *flags):
+        reads[path] += 1
+        sketch = gk_sketch.QuantileSketch(epsilon)
+        sketch.extend(ingest(path)[0][reads[path]:])
+        return sketch.seal()
+
+    monkeypatch.setattr(cli, "_file_sketch", short)
+    rc, out, err = _run(["ks2", "--file-x", fx, "--file-y", fy, "--phi", "0.1"])
     assert (rc, out) == (1, "")
-    assert err == f"sketchks: error: {f}: file changed while it was read\n"
+    assert err == f"sketchks: error: {fx}: file changed while it was read\n"
+    assert reads == {str(fx): 2, str(fy): 1}
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")

@@ -1,6 +1,8 @@
 """Seeded sampler: determinism, moments, distribution sanity."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -78,6 +80,60 @@ class TestPinnedStream:
     ])
     def test_wide_and_negative_seeds(self, seed, first):
         assert sample(normal(0, 1), 3, seed).tolist() == first
+
+
+def _fresh(spec, n, seed):
+    """The draw of a new RandomState seeded as `sample` documents."""
+    word = seed & (2**64 - 1)
+    rs = np.random.RandomState([word & 0xFFFFFFFF, word >> 32])
+    return getattr(rs, spec.family)(spec.param1, spec.param2, n)
+
+
+_SPECS = [normal(0, 1), normal(3, 0.5), gamma(0.5, 1), gamma(2.5, 3), uniform(-1, 4)]
+_SEEDS = [0, 1729, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**70 + 5, -1, -(2**33) - 7]
+
+
+class TestReseededGenerator:
+    """`sample` reseeds one generator per thread; each draw is still the
+    draw of a new generator with its seed."""
+
+    @pytest.mark.parametrize("spec", _SPECS, ids=repr)
+    def test_matches_a_fresh_generator(self, spec):
+        for seed in _SEEDS:
+            for n in (1, 2, 7, 1000):
+                assert sample(spec, n, seed).tobytes() == _fresh(spec, n, seed).tobytes()
+
+    @pytest.mark.parametrize("spec", _SPECS, ids=repr)
+    def test_after_an_odd_length_normal_draw(self, spec):
+        # an odd normal draw leaves a cached Gaussian in the generator,
+        # which reseeding must drop as a new generator has none
+        for seed in _SEEDS:
+            sample(normal(0, 1), 3, seed + 1)
+            assert sample(spec, 5, seed).tobytes() == _fresh(spec, 5, seed).tobytes()
+
+    def test_from_two_threads(self):
+        # each thread has its own generator, so draws interleaved across
+        # threads stay those of fresh generators; a short switch interval
+        # lets a thread run between another's reseed and its draw
+        cases = [(spec, n, seed) for spec in _SPECS for seed in _SEEDS for n in (1, 3, 257)]
+        barrier, results = threading.Barrier(2), [None, None]
+
+        def draw(k):
+            barrier.wait()
+            results[k] = [sample(*case).tobytes() for case in cases[k::2] * 20]
+
+        threads = [threading.Thread(target=draw, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for k in (0, 1):
+            assert results[k] == [_fresh(*case).tobytes() for case in cases[k::2] * 20]
 
 
 def test_gamma_draw_holds_little_beyond_its_output():
