@@ -183,9 +183,9 @@ def _cmd_ks2(args) -> int:
         raise ValueError("provide exactly one of --phi or --beta")
     outcome = _streamed_ks2(args)
     if outcome is None:
-        # no certified plan at the sizes known, or a file that cannot be
-        # streamed: ingest both files, then plan, so every error is the
-        # one that order meets first
+        # a file that cannot be streamed, or line counts that admit no
+        # certified plan: ingest both files, then plan, so every error is
+        # the one that order meets first
         x, _ = ingest(args.file_x, skip_header=args.skip_header,
                       skip_invalid=args.skip_invalid)
         y, _ = ingest(args.file_y, skip_header=args.skip_header,
@@ -201,13 +201,6 @@ def _precision(args, n: int, m: int) -> ks.TestPrecision:
     phi = args.phi if args.beta is None else ks.phi_for_test(
         args.alpha, args.beta, n, m)
     return ks.TestPrecision(alpha=args.alpha, phi=phi)
-
-
-def _plans(args, counts):
-    """(precision, [plan_x, plan_y]) at the value counts given; raises
-    ValueError when they admit no certified plan."""
-    precision = _precision(args, *counts)
-    return precision, [plan_from_phi(precision.phi, c) for c in counts]
 
 
 def _stat():
@@ -256,73 +249,65 @@ def _leave(cpu) -> None:
         pass
 
 
-class _Worker:
-    """fn(*args) in a forked child, which sends back through a pipe only
-    its pickled result, or the exception it raised.
+@contextlib.contextmanager
+def _forked(fn):
+    """fn() in a forked child, which sends back through a pipe only its
+    pickled result, or the exception it raised: yields a callable that
+    returns that result or raises that exception.
 
     Raises OSError, holding no descriptor, when no pipe or process can be
     made.  The child first leaves its parent's CPU (`_leave`).  It exits by
     os._exit, so it flushes no stdio buffer it inherited and runs no
-    atexit hook: it writes nothing but the pipe.  Leaving the `with` block
-    before `result()` has returned kills and reaps the child, so none
-    outlives the caller.
+    atexit hook: it writes nothing but the pipe.  Leaving the block kills
+    and reaps the child, so none outlives the caller; one that has already
+    exited stays a zombie, holding its pid, until then, so the kill cannot
+    reach another process.
     """
-
-    def __init__(self, fn, *args):
-        cpu = int(_stat()[36])  # field 39: the CPU this process last ran on
-        r, w = os.pipe()
-        try:
-            self._pid = os.fork()
-        except OSError:  # EAGAIN or ENOMEM: keep no descriptor
-            os.close(r)
-            os.close(w)
-            raise
-        if self._pid == 0:  # the child
-            status = 1
-            try:
-                os.close(r)
-                _leave(cpu)
-                try:
-                    result = True, fn(*args)
-                except BaseException as exc:  # the parent raises it
-                    result = False, exc
-                with open(w, "wb") as out:
-                    pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
-                status = 0
-            finally:
-                os._exit(status)
+    cpu = int(_stat()[36])  # field 39: the CPU this process last ran on
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # EAGAIN or ENOMEM: keep no descriptor
+        os.close(r)
         os.close(w)
-        self._pipe = open(r, "rb")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._pid:
-            os.kill(self._pid, signal.SIGKILL)
-            self._reap()
-        self._pipe.close()
-
-    def _reap(self):
-        os.waitpid(self._pid, 0)
-        self._pid = 0
-
-    def result(self):
-        """fn's return value; raises what fn raised."""
+        raise
+    if pid == 0:  # the child
+        status = 1
         try:
-            ok, value = pickle.load(self._pipe)
-        except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError("a worker process ended without a result") from None
-        self._reap()
-        if not ok:
-            raise value
-        return value
+            os.close(r)
+            _leave(cpu)
+            try:
+                sent = True, fn()
+            except BaseException as exc:  # the parent raises it
+                sent = False, exc
+            with open(w, "wb") as out:
+                pickle.dump(sent, out, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        os.close(w)
+        with open(r, "rb") as pipe:
+            def result():
+                try:
+                    ok, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError(
+                        "a worker process ended without a result") from None
+                if not ok:
+                    raise value
+                return value
+
+            yield result
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _streamed_ks2(args):
     """The ks2 outcome with each file streamed into its sketch, or None
-    when an input is not a regular file or the counts known admit no
-    certified plan.
+    when an input is not a regular file, cannot be counted, or the line
+    counts admit no certified plan.
 
     At most two passes, so each file is read at most twice, under one
     rule: a pass plans both files from the counts it starts with (the
@@ -333,11 +318,14 @@ def _streamed_ks2(args):
     second pass is refused as changed while read.  Under --beta a count
     moves phi, so the second pass may read both files.  The first pass
     reads both, and is the only one that forks: where `_forks` holds, y
-    is parsed and sketched in a `_Worker`, which sends back only the
-    sealed summary (~1e4 tuples for 2e5 lines), while x is read here;
+    is parsed and sketched in a `_forked` worker, which sends back only
+    the sealed summary (~1e4 tuples for 2e5 lines), while x is read here;
     when no worker can be started, y is read here too.  An error in x is
-    raised first, and one in y only after x's read succeeded.  A pipe or
-    other non-regular file may not be read twice, so it is not streamed.
+    raised first, and one in y only after x's read succeeded.  The second
+    pass plans from value counts of files parsed without error, so a plan
+    it cannot make is the error `run_test` on the whole files would
+    raise, and it is raised here.  A pipe or other non-regular file may
+    not be read twice, so it is not streamed.
     """
     files = (args.file_x, args.file_y)
     flags = (args.skip_header, args.skip_invalid)
@@ -350,22 +338,24 @@ def _streamed_ks2(args):
     cdfs = [None, None]
     for second in (False, True):
         try:
-            precision, plans = _plans(args, counts)
+            precision = _precision(args, *counts)
+            plans = [plan_from_phi(precision.phi, c) for c in counts]
         except ValueError:
+            if second:
+                raise
             return None
         stale = [i for i in (0, 1) if cdfs[i] is None or cdfs[i].plan != plans[i]]
         for i in stale:
             cdfs[i] = None  # a stale CDF goes before the next read
-        worker = None
-        if not second and _forks(counts):
-            try:
-                worker = _Worker(_file_sketch, files[1], plans[1].epsilon, *flags)
-            except OSError:  # no pipe or process to spare: read in one process
-                pass
-        with worker or contextlib.nullcontext():
+        reads = [functools.partial(_file_sketch, f, p.epsilon, *flags)
+                 for f, p in zip(files, plans)]
+        with contextlib.ExitStack() as stack:
+            if not second and _forks(counts):
+                # no pipe or process to spare: y is read in this process
+                with contextlib.suppress(OSError):
+                    reads[1] = stack.enter_context(_forked(reads[1]))
             for i in stale:
-                sketch = (worker.result() if worker and i else
-                          _file_sketch(files[i], plans[i].epsilon, *flags))
+                sketch = reads[i]()
                 counts[i] = sketch.count
                 if counts[i] == plans[i].n:
                     cdfs[i] = sketch_cdf(sketch, plans[i])
@@ -458,7 +448,7 @@ def _cmd_tables(args) -> int:
               f" sketch={rec.d_sketch:.5f} (precision {spec.phi:g})"
               f" knots={rec.cdf_knots_x} tuples={rec.sketch_tuples_x}")
     print(f"done in {time.time() - t0:.1f}s -> {outdir}/")
-    return 0
+    return 0 if all(r["within_bound"] for r in rows) else 1
 
 
 def _write_knots(path: Path, probs, quantiles) -> None:

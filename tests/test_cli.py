@@ -272,21 +272,6 @@ class TestKs2Command:
         assert doc["params"]["delta"] == 0.025
         assert doc["reject"] is True
 
-    def test_requires_beta_or_phi(self, normal_files, capsys):
-        f = normal_files("x.txt", 0, 100, 10)
-        rc = main(["ks2", "--file-x", str(f), "--file-y", str(f)])
-        assert rc == 1
-        assert "phi" in capsys.readouterr().err
-
-    def test_not_utf8_file_fails_with_location(self, tmp_path, normal_files, capsys):
-        fx = normal_files("x.txt", 0, 100, 11)
-        fy = tmp_path / "y.txt"
-        fy.write_bytes(b"1.5\n2.5\n\xff\xfe\n")
-        rc = main(["ks2", "--file-x", str(fx), "--file-y", str(fy), "--phi", "0.05"])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            f"sketchks: error: {fy}:3: not UTF-8 text: b'\\xff\\xfe'\n")
-
     def test_one_line_file_fails(self, tmp_path, capsys):
         f = tmp_path / "one.txt"
         f.write_text("1.5\n")
@@ -314,12 +299,6 @@ class TestKs2Command:
             gc.garbage.clear()
             gc.enable()
         assert parsers == []
-
-    def test_zero_beta_names_beta(self, normal_files, capsys):
-        f = normal_files("x.txt", 0, 100, 10)
-        rc = main(["ks2", "--file-x", str(f), "--file-y", str(f), "--beta", "0"])
-        assert rc == 1
-        assert "beta must be positive, got 0.0" in capsys.readouterr().err
 
 
 def _run(argv):
@@ -454,35 +433,43 @@ def test_ks2_stdout_matches_run_test_on_ingested_files(
 _VALUES = "".join(f"{v!r}\n" for v in np.linspace(-2, 2, 200).tolist()).encode()
 
 
-@pytest.mark.parametrize("x, y, precision, message", [
+@pytest.mark.parametrize("x, y, precision, message, ingested", [
     # a bad line of x is met before y is found missing
     (b"1\nbogus\n" + _VALUES, None, ["--phi", "0.1"],
-     "{x}:2: not a finite number: 'bogus'"),
-    (b"", _VALUES, ["--phi", "0.1"], "{x}: no data values found"),
+     "{x}:2: not a finite number: 'bogus'", 1),
+    (b"", _VALUES, ["--phi", "0.1"], "{x}: no data values found", 1),
     # blank lines plan a sample of 100 that then holds no value
-    (b"\n" * 100, _VALUES, ["--phi", "0.1"], "{x}: no data values found"),
+    (b"\n" * 100, _VALUES, ["--phi", "0.1"], "{x}: no data values found", 0),
     # the plan refuses y's three lines before its line 3 is read
     (_VALUES, b"1.5\n2.5\n\xff\xfe\n", ["--phi", "0.05"],
-     "{y}:3: not UTF-8 text: b'\\xff\\xfe'"),
+     "{y}:3: not UTF-8 text: b'\\xff\\xfe'", 2),
     (_VALUES, _VALUES + b"\xff\n", ["--phi", "0.1"],
-     "{y}:201: not UTF-8 text: b'\\xff'"),
+     "{y}:201: not UTF-8 text: b'\\xff'", 0),
     # --beta 0 leaves no plan, so the bad line of x is met first
     (b"1\nx\n" + _VALUES, _VALUES, ["--beta", "0"],
-     "{x}:2: not a finite number: 'x'"),
-    (_VALUES, _VALUES, ["--beta", "0"], "beta must be positive, got 0.0"),
+     "{x}:2: not a finite number: 'x'", 1),
+    (_VALUES, _VALUES, ["--beta", "0"], "beta must be positive, got 0.0", 2),
     # on the forked route y's worker is running when x's bad line is met
     (b"1\nbogus\n" + _VALUES, _VALUES, ["--phi", "0.1"],
-     "{x}:2: not a finite number: 'bogus'"),
+     "{x}:2: not a finite number: 'bogus'", 0),
+    # 100 lines plan x, whose 2 values then admit no plan: the second pass
+    # raises that, with both files parsed, and ingests neither whole
+    (b"\n" * 98 + b"1\n2\n", _VALUES, ["--phi", "0.1"],
+     "sample of 2 points cannot reach a CDF error bound of 0.05", 0),
 ])
-def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message):
+def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message, ingested):
+    # `ingested`: the files ks2 parses whole, where it cannot stream them
+    # or their line counts admit no plan
     fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
     fx.write_bytes(x)
     if y is not None:
         fy.write_bytes(y)
     expected = (1, "", f"sketchks: error: {message.format(x=fx, y=fy)}\n")
     for fork_lines in (cli._FORK_LINES, 0):  # in one process, then forked
-        with mock.patch.object(cli, "_FORK_LINES", fork_lines):
+        with mock.patch.object(cli, "_FORK_LINES", fork_lines), \
+                mock.patch.object(cli, "ingest", wraps=cli.ingest) as whole:
             assert _run(["ks2", "--file-x", fx, "--file-y", fy, *precision]) == expected
+        assert whole.call_count == ingested
     beta = {"beta": float(precision[1])} if precision[0] == "--beta" else {
         "phi": float(precision[1])}
     assert reference_ks2(fx, fy, alpha=0.05, **beta) == expected
@@ -492,14 +479,14 @@ def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message):
 def _forking():
     """ks2 reads y in a forked worker at any input size; yields the list
     of the files the workers it starts read."""
-    started, worker = [], cli._Worker
+    started, forked = [], cli._forked
 
-    def starting(fn, path, *rest):
-        started.append(str(path))
-        return worker(fn, path, *rest)
+    def starting(read):
+        started.append(str(read.args[0]))  # a `_file_sketch` partial
+        return forked(read)
 
     with mock.patch.object(cli, "_FORK_LINES", 0), \
-            mock.patch.object(cli, "_Worker", starting):
+            mock.patch.object(cli, "_forked", starting):
         yield started
 
 
@@ -531,6 +518,28 @@ def test_ks2_leaves_no_worker(tmp_path, fork_route, x, y, error):
         assert got[2] == f"sketchks: error: {error.format(x=fx, y=fy)}\n"
     assert fork_route == [str(fy)]
     with pytest.raises(ChildProcessError):  # no child left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise_value_error():
+    raise ValueError("bad line")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/stat")
+@pytest.mark.parametrize("fn, want", [
+    (lambda: [1.5, "two"], [1.5, "two"]),
+    (_raise_value_error, ValueError("bad line")),
+    # the child ends before writing to the pipe: its result is truncated
+    (lambda: os._exit(3), ChildProcessError("a worker process ended without a result")),
+], ids=["returns", "raises", "dies"])
+def test_forked_sends_back_a_result_or_an_exception(fn, want):
+    with cli._forked(fn) as result:
+        if isinstance(want, Exception):
+            with pytest.raises(type(want), match=f"^{want}$"):
+                result()
+        else:
+            assert result() == want
+    with pytest.raises(ChildProcessError):  # reaped on leaving the block
         os.waitpid(-1, os.WNOHANG)
 
 
@@ -934,6 +943,21 @@ def test_tables_bad_out_fails_before_sampling(tmp_path, monkeypatch, capsys, bad
     if bad == "last-table-refused":
         assert f"cannot write table {refused}" in err
     assert calls == []
+
+
+def test_tables_fails_when_table1_exceeds_its_bound(tmp_path, monkeypatch, capsys):
+    # every table is still written and printed, with the convergence rows
+    # flagged as `convergence` flags them; only the exit code changes
+    monkeypatch.setattr(experiments, "error_bound", lambda plan: -1)
+    outdir = tmp_path / "t"
+    rc = main(["tables", str(outdir), "--fast", "--seed", "1729"])
+    out = capsys.readouterr().out.splitlines(keepends=True)
+    assert rc == 1
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(cli._TABLE_FILES)
+    golden = (Path(__file__).parent / "golden" / "reproduce_fast.stdout").read_text()
+    flagged = re.sub(r"^(  a=.*) ok$", r"\1 EXCEEDS BOUND", golden, flags=re.M)
+    assert flagged.count("EXCEEDS BOUND") == 10
+    assert "".join(out[:-1]) == flagged and out[-1].startswith("done in ")
 
 
 @pytest.mark.parametrize("writable, refused", [
