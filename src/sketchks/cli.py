@@ -17,7 +17,6 @@ import math
 import os
 import pickle
 import signal
-import stat
 import sys
 import time
 from array import array
@@ -272,7 +271,6 @@ def _forked(fn):
         os.close(w)
         raise
     if pid == 0:  # the child
-        status = 1
         try:
             os.close(r)
             _leave(cpu)
@@ -282,9 +280,8 @@ def _forked(fn):
                 sent = False, exc
             with open(w, "wb") as out:
                 pickle.dump(sent, out, pickle.HIGHEST_PROTOCOL)
-            status = 0
         finally:
-            os._exit(status)
+            os._exit(0)  # the parent kills and reaps, and reads no status
     try:
         os.close(w)
         with open(r, "rb") as pipe:
@@ -330,7 +327,7 @@ def _streamed_ks2(args):
     files = (args.file_x, args.file_y)
     flags = (args.skip_header, args.skip_invalid)
     try:
-        if not all(stat.S_ISREG(os.stat(f).st_mode) for f in files):
+        if not all(map(os.path.isfile, files)):
             return None
         counts = [_line_count(f, args.skip_header) for f in files]
     except OSError:

@@ -272,15 +272,6 @@ class TestKs2Command:
         assert doc["params"]["delta"] == 0.025
         assert doc["reject"] is True
 
-    def test_one_line_file_fails(self, tmp_path, capsys):
-        f = tmp_path / "one.txt"
-        f.write_text("1.5\n")
-        rc = main(["ks2", "--file-x", str(f), "--file-y", str(f), "--phi", "0.05"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("sketchks: error:")
-        assert "cannot reach" in err
-
     def test_warm_call_leaves_no_parser_garbage(self, normal_files, capsys):
         # main builds its parser once per process; one parser a call would
         # leave ~58 KB of argparse reference cycles to the cyclic collector
@@ -456,7 +447,12 @@ _VALUES = "".join(f"{v!r}\n" for v in np.linspace(-2, 2, 200).tolist()).encode()
     # raises that, with both files parsed, and ingests neither whole
     (b"\n" * 98 + b"1\n2\n", _VALUES, ["--phi", "0.1"],
      "sample of 2 points cannot reach a CDF error bound of 0.05", 0),
-])
+    # one line a file admits no plan, so both are ingested before it fails
+    (b"1.5\n", b"1.5\n", ["--phi", "0.05"],
+     "sample of 1 points cannot reach a CDF error bound of 0.025", 2),
+], ids=["x-bad-before-y-missing", "x-empty", "x-blank-lines", "y-bad-unplanned",
+        "y-bad-streamed", "beta-0-x-bad", "beta-0", "x-bad-y-streaming",
+        "second-pass-unplanned", "one-line-files"])
 def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message, ingested):
     # `ingested`: the files ks2 parses whole, where it cannot stream them
     # or their line counts admit no plan
@@ -614,53 +610,18 @@ def test_leave_keeps_the_affinity():
     assert os.sched_getaffinity(0) == cpus
 
 
-@pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "crlf"])
-def test_ks2_peak_memory_below_its_parsed_values(normal_files, monkeypatch, newline):
-    # in one process: tracemalloc traces only the process it runs in
-    n = m = 200_000
-    monkeypatch.setattr(cli, "_FORK_LINES", n + 1)
-    fx = normal_files("x.txt", 0, n, 31)
-    fy = normal_files("y.txt", 0.01, m, 32)
-    for f in (fx, fy):
-        f.write_bytes(f.read_bytes().replace(b"\n", newline))
-    tracemalloc.start()
-    try:
-        rc, out, _ = _run(["ks2", "--file-x", fx, "--file-y", fy, "--phi", "0.01"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 0 and json.loads(out)["n"] == n
-    assert peak < 8 * (n + m), f"peak {peak} bytes"  # the two parsed arrays alone
-
-
-def test_ks2_planned_peak_memory(normal_files, monkeypatch):
-    # the planned-file benchmark's shape: phi from --beta gives summaries of
-    # ~1e4 tuples and 40,580 knots.  The chunk buffer and each block's lines
-    # are gone before a merge peaks, and the knots are queried in blocks.
-    # In one process: tracemalloc traces only the process it runs in
-    n = m = 200_000
-    monkeypatch.setattr(cli, "_FORK_LINES", n + 1)
-    fx = normal_files("x.txt", 0, n, 31)
-    fy = normal_files("y.txt", 0.01, m, 32)
-    argv = ["ks2", "--file-x", fx, "--file-y", fy, "--alpha", "0.05", "--beta", "0.025"]
-    tracemalloc.start()
-    try:
-        rc, out, _ = _run(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 0 and json.loads(out)["params"]["a_x"] == 40580
-    assert peak <= 2.2e6, f"peak {peak} bytes"
-
-
 def test_ks2_second_pass_peak_memory(normal_files, monkeypatch):
-    # the planned-file shape with a blank first line in x: its value count
-    # moves phi, so the second pass reads both files again.  x's first
-    # read makes no CDF and y's first CDF is stale by the second pass, so
-    # the first three reads start holding no more than the first did; a
-    # stale CDF or a sketch kept after its CDF is made would still be
-    # held.  In one process, as tracemalloc traces only the process it
-    # runs in
+    # the planned-file shape (phi from --beta gives summaries of ~1e4
+    # tuples and 40,580 knots) with a blank first line in x: its value
+    # count moves phi, so the second pass reads both files again.  That
+    # pass ends as a clean run does, x's CDF held while y is read, and
+    # peaks as high (1.68 MB): the chunk buffer and each block's lines are
+    # gone before a merge peaks, and the knots are queried in blocks, so
+    # no read holds a parsed file (1.6 MB).  x's first read makes no CDF
+    # and y's first CDF is stale by the second pass, so the first three
+    # reads start holding no more than the first did; a stale CDF or a
+    # sketch kept after its CDF is made would still be held.  In one
+    # process, as tracemalloc traces only the process it runs in
     n = m = 200_000
     monkeypatch.setattr(cli, "_FORK_LINES", n + 1)
     fx = normal_files("x.txt", 0, n, 31)
@@ -787,6 +748,33 @@ def test_ks2_reads_piped_stdin(tmp_path):
          "--file-y", "/dev/stdin", *flags],
         input=fy.read_bytes(), env=env, capture_output=True, check=False)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, want.encode(), b"")
+
+
+@pytest.mark.parametrize("kind, ingested", [
+    ("symlink", 0), ("dangling-symlink", 1), ("directory", 1), ("devnull", 1),
+])
+def test_ks2_streams_only_regular_files(tmp_path, kind, ingested):
+    # a symlink is followed to the regular file it names, which is
+    # streamed; x anything else, or nothing, takes the whole-file route,
+    # whose ingest of x raises the error
+    fy = tmp_path / "y.txt"
+    fy.write_bytes(_VALUES)
+    fx = tmp_path / "x"
+    if kind == "symlink":
+        fx.symlink_to(fy)
+    elif kind == "dangling-symlink":
+        fx.symlink_to(tmp_path / "nowhere")
+    elif kind == "directory":
+        fx.mkdir()
+    else:
+        fx = Path(os.devnull)
+    expected = reference_ks2(fx, fy, alpha=0.05, phi=0.1)
+    assert expected[0] == (kind != "symlink")
+    for fork_lines in (cli._FORK_LINES, 0):  # in one process, then forked
+        with mock.patch.object(cli, "_FORK_LINES", fork_lines), \
+                mock.patch.object(cli, "ingest", wraps=cli.ingest) as whole:
+            assert _run(["ks2", "--file-x", fx, "--file-y", fy, "--phi", "0.1"]) == expected
+        assert whole.call_count == ingested
 
 
 @pytest.mark.parametrize("data, lines", [
