@@ -10,6 +10,7 @@ convergence and tables draw their samples from --seed (default 1729).
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import functools
 import itertools
@@ -32,7 +33,7 @@ from .ks import fmt17
 __all__ = ["main", "ingest"]
 
 _BLOCK_LINES = 1 << 12  # lines `_blocks` holds and parses at a time
-_COUNT_CHARS = 1 << 16  # characters `_line_count` reads at a time
+_COUNT_BYTES = 1 << 16  # bytes `_line_count` reads at a time
 # counted lines each `ks2` input needs before y is read in a forked worker.
 # On a 2-vCPU virtual machine (BENCH_fork_cutoff.json) a fork and its pipe
 # cost ~5 ms: one process was faster in every pair at 1,000 and 4,000 lines
@@ -60,9 +61,10 @@ def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
 
 
 def _open(path):
-    """The file as `_blocks` and `_line_count` read it: text with universal
-    newlines, undecodable bytes kept as lone surrogates, and no leading
-    byte-order mark (utf-8-sig drops it, as spreadsheet exports write it)."""
+    """The file as `_blocks` reads it: text with universal newlines, so
+    LF, CR and CRLF each end a line, undecodable bytes kept as lone
+    surrogates, and no leading byte-order mark (utf-8-sig drops it, as
+    spreadsheet exports write it)."""
     return open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
 
 
@@ -73,19 +75,24 @@ def _blocks(path, skip_header: bool, skip_invalid: bool):
     Yields (finite values, skipped line count) for each block of
     _BLOCK_LINES lines (a skipped header counts in the first), and raises
     after the last block when no line held a value.  `_floats` gives value
-    i of a block from line i in one C-level pass of float().  float()
-    strips no more than str.strip(), so a line it reads as a finite number
-    holds the value `_scan` would give it; `_scan` re-reads the other lines
-    in place, and under skip_header line 1 too, whatever float() made of
-    it, since the header rule is `_scan`'s.
+    i of a block from line i, each by float().  float() strips no more
+    than str.strip(), so a line it reads as a finite number holds the
+    value `_scan` would give it; `_scan` re-reads the other lines in
+    place, and under skip_header line 1 too, whatever float() made of it,
+    since the header rule is `_scan`'s: float() is handed "nan" for it.
+    Blocks are converted in one call until the first block with a line
+    `_scan` re-reads, a skipped header aside; the file's later blocks go
+    straight to the resume loop, so a dirty file pays for at most one
+    failed one-call attempt.
     """
-    lineno, found = 1, False
+    lineno, found, one_call = 1, False, True
     with _open(path) as fh:
         while lines := list(itertools.islice(fh, _BLOCK_LINES)):
-            values, skipped = _floats(lines), 0
-            if skip_header and lineno == 1:
-                values[0] = math.nan  # `_scan` skips a header float() can read
-            bad = np.flatnonzero(~np.isfinite(values))
+            head = skip_header and lineno == 1
+            values = _floats(["nan", *lines[1:]] if head else lines, one_call)
+            bad, skipped = np.flatnonzero(~np.isfinite(values)), 0
+            if bad.size > head:
+                one_call = False
             if bad.size:
                 values[bad], skipped = _scan(
                     [(lineno + i, lines[i]) for i in bad.tolist()],
@@ -102,14 +109,26 @@ def _blocks(path, skip_header: bool, skip_invalid: bool):
 def _line_count(path, skip_header: bool) -> int:
     """The file's lines as `_blocks` reads them through `_open`, less the
     header line under skip_header; it bounds the file's values from above.
-    Text mode turns CR and CRLF, even a CRLF split across two reads, into
-    one newline, and an unterminated last line counts too."""
-    lines, last = 0, "\n"
-    with _open(path) as fh:
-        while text := fh.read(_COUNT_CHARS):
-            lines += text.count("\n")
-            last = text[-1]
-    lines += last != "\n"
+
+    Counted over the raw bytes, _COUNT_BYTES at a time: LF + CR - CRLF
+    line ends, a CRLF split across two reads counted once, plus an
+    unterminated last line unless the file holds only a byte-order mark.
+    This is text mode's count: universal newlines end a line at each LF,
+    CR and CRLF and nowhere else, and in UTF-8, undecodable bytes kept as
+    surrogates, the bytes 0x0A and 0x0D only ever encode LF and CR.
+    """
+    # head: the file's first 4 bytes, enough to tell a lone byte-order mark
+    lines, head, last = 0, b"", ord("\n")
+    with open(path, "rb") as fh:
+        while data := fh.read(_COUNT_BYTES):
+            b = np.frombuffer(data, np.uint8)
+            lf, cr = b == ord("\n"), b == ord("\r")
+            lines += int(np.count_nonzero(lf) + np.count_nonzero(cr)
+                         - np.count_nonzero(cr[:-1] & lf[1:]))
+            lines -= last == ord("\r") and data[0] == ord("\n")
+            head += data[:4 - len(head)]
+            last = data[-1]
+    lines += last not in b"\r\n" and head != codecs.BOM_UTF8
     return max(lines - skip_header, 0)
 
 
@@ -128,10 +147,15 @@ def _file_sketch(path, epsilon: float, skip_header: bool, skip_invalid: bool):
     return sketch.seal()
 
 
-def _floats(lines):
+def _floats(lines, one_call: bool):
     """float(line) for each line, NaN where float() raises: one float64
-    per line.  After float() raises, map() resumes after the failing line.
+    per line.  With one_call, a block float() reads throughout takes one
+    np.array call, which converts each str by float(); otherwise, or once
+    that call raises, map() resumes after each failing line.
     """
+    if one_call:
+        with contextlib.suppress(ValueError):
+            return np.array(lines, dtype=np.float64)
     buf, it = array("d"), iter(lines)
     while True:
         try:

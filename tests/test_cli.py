@@ -204,13 +204,64 @@ def test_ingest_matches_line_scanner(tmp_path_factory, lines, last_newline,
     # Unicode spaces and digits parse; float() keeps \x1c where str.strip() drops it
     (["\xa01\u3000\n", "\u0661\n", " 1\x1c\n"], [1.0, 1.0], [2]),
     (["x\n", "-inf\n"], [-math.inf], [0]),
+    # a clean block of odd lines float() reads, as one call must read them
+    (["1_000\n", "\u0661\n", "\xa01\u3000\n", "+.5\n", "1.\r\n", "inf\n",
+      "-inf\n", "nan\n", "1e999"],
+     [1000.0, 1.0, 1.0, 0.5, 1.0, math.inf, -math.inf, math.nan, math.inf], []),
+    # the only line float() cannot read is the first, the last, or an
+    # unterminated "1\x00", which a cast that drops trailing NULs would read
+    (["x\n", "1\n", "2\n"], [1.0, 2.0], [0]),
+    (["1\n", "2\n", "x\n"], [1.0, 2.0], [2]),
+    (["1\n", "2\n", "1\x00"], [1.0, 2.0], [2]),
 ])
 def test_floats_splits_values_from_bad_lines(lines, values, bad):
-    # one entry per line: NaN where float() raises, float(line) elsewhere
-    got = cli._floats(lines)
-    assert got.dtype == np.float64 and got.shape == (len(lines),)
-    assert np.isnan(got[bad]).all()
-    np.testing.assert_array_equal(np.delete(got, bad), values)
+    # one entry per line: NaN where float() raises, float(line) elsewhere,
+    # whether the block is tried in one call or not
+    for i, line in enumerate(lines):
+        if i in bad:
+            with pytest.raises(ValueError):
+                float(line)
+    np.testing.assert_array_equal(
+        [float(line) for i, line in enumerate(lines) if i not in bad], values)
+    for one_call in (True, False):
+        got = cli._floats(lines, one_call)
+        assert got.dtype == np.float64 and got.shape == (len(lines),)
+        assert np.isnan(got[bad]).all()
+        np.testing.assert_array_equal(np.delete(got, bad), values)
+
+
+def test_one_call_conversion_falls_back_once_per_file(tmp_path, monkeypatch):
+    array, calls = np.array, []
+
+    def one_call(*args, **kwargs):
+        # each one-call attempt of `_floats`, and whether it succeeded
+        try:
+            got = array(*args, **kwargs)
+        except ValueError:
+            calls.append(False)
+            raise
+        calls.append(True)
+        return got
+
+    monkeypatch.setattr(np, "array", one_call)
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 4)
+    values = [f"{j}.5\n" for j in range(20)]
+    dirty, clean, header = (tmp_path / f"{n}.txt" for n in ("dirty", "clean", "header"))
+    # an unreadable line in every block: one failed attempt, and the file's
+    # later blocks go straight to the resume loop
+    dirty.write_text("".join("n/a\n" if j % 4 == 2 else v for j, v in enumerate(values)))
+    assert ingest(dirty, skip_invalid=True)[1] == 5
+    assert calls == [False]
+    # the fallback is per file: a clean file read after it, and one whose
+    # header float() cannot read, convert every block in one call
+    calls.clear()
+    clean.write_text("".join(values))
+    assert ingest(clean)[0].size == 20
+    assert calls == [True] * 5
+    calls.clear()
+    header.write_text("value\n" + "".join(values[:19]))
+    assert ingest(header, skip_header=True)[0].tolist() == [j + 0.5 for j in range(19)]
+    assert calls == [True] * 5
 
 
 def test_scanner_reads_only_lines_float_cannot(tmp_path, monkeypatch):
@@ -678,11 +729,11 @@ def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
     bom_x.write_bytes(b"\xef\xbb\xbf" + fx.read_bytes().replace(b"\n", b"\r\n"))
     floats, log = cli._floats, tmp_path / "parsed.log"
 
-    def counting(lines):
+    def counting(lines, one_call):
         # a file, not a counter in memory, so a forked worker's parses count
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{len(lines)}\n")
-        return floats(lines)
+        return floats(lines, one_call)
 
     monkeypatch.setattr(cli, "_floats", counting)
     # one table for both layouts: the first pass plans both files from
@@ -786,7 +837,7 @@ def test_line_count(tmp_path, data, lines):
     f = tmp_path / "d.txt"
     f.write_bytes(data)
     for size in (1, 2, 1 << 16):
-        with mock.patch.object(cli, "_COUNT_CHARS", size):
+        with mock.patch.object(cli, "_COUNT_BYTES", size):
             assert cli._line_count(f, False) == lines
             assert cli._line_count(f, True) == max(lines - 1, 0)
 
@@ -794,7 +845,10 @@ def test_line_count(tmp_path, data, lines):
 @settings(max_examples=200, deadline=None)
 @given(
     bom=st.sampled_from([b"", b"\xef\xbb\xbf"]),
-    data=st.lists(st.sampled_from([b"1", b" ", b"\r", b"\n", b"\r\n", b"\xff"]),
+    # with the breaks str.splitlines() knows and io does not, and a
+    # multibyte character that 1-byte reads split
+    data=st.lists(st.sampled_from([b"1", b" ", b"\r", b"\n", b"\r\n", b"\xff",
+                                   *(c.encode() for c in "\u2028\x85\x0b\x0c\x1c\u0661")]),
                   max_size=30).map(b"".join),
     size=st.sampled_from([1, 2, 3, 1 << 16]),
 )
@@ -804,7 +858,7 @@ def test_line_count_is_text_mode_line_count(tmp_path_factory, bom, data, size):
     # the oracle iterates lines, as the reader does, not read().count
     with open(f, encoding="utf-8-sig", errors="surrogateescape") as fh:
         lines = sum(1 for _ in fh)
-    with mock.patch.object(cli, "_COUNT_CHARS", size):
+    with mock.patch.object(cli, "_COUNT_BYTES", size):
         assert cli._line_count(f, False) == lines
 
 
