@@ -290,9 +290,11 @@ def empirical_cdf(sample, x):
     """Exact right-continuous empirical CDF: F(x) = #{v <= x} / n.
 
     `sample` may be pre-sorted or not; x scalar or array.  Both must be
-    finite.
+    finite, and the sample non-empty.
     """
     ordered = np.sort(np.asarray(sample, dtype=float).ravel())
+    if ordered.size == 0:
+        raise ValueError("sample must be non-empty")
     xs = np.asarray(x, dtype=float)
     _check_finite(ordered, "sample")
     _check_finite(xs, "x")

@@ -2,10 +2,11 @@
 
 Three routes to the KS distance: exact (full sort of both samples),
 approximate (interpolated CDFs built from quantile summaries, error bounded
-by the sum of the CDF bounds), and sketch-direct (midpoint rank estimates
-read straight off two GK summaries).  Significance uses the asymptotic
-distribution Q(lambda) = 2 * sum_k (-1)^(k-1) exp(-2 k^2 lambda^2) of the
-scaled statistic sqrt(n*m/(n+m)) * D.
+by the sum of the CDF bounds), and sketch-direct (a midpoint estimate and
+certified bounds, read straight off two GK summaries' rank intervals).
+Significance uses the asymptotic distribution Q(lambda) = 2 * sum_k
+(-1)^(k-1) exp(-2 k^2 lambda^2) of the scaled statistic
+sqrt(n*m/(n+m)) * D.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "d_crit",
     "phi_for_test",
     "lall_ks",
+    "distance_interval",
     "run_test",
 ]
 
@@ -261,9 +263,9 @@ def qks(lam: float) -> float:
 
     Alternating series truncated when a term drops below 1e-12 of the
     running sum or after 100 terms; lambda below 1e-3 (or a series that
-    fails to converge there) returns 1.
+    fails to converge there) returns 1.  A negative or NaN lambda raises.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
     if lam < 1e-3:
         return 1.0
@@ -338,33 +340,35 @@ def phi_for_test(alpha: float, beta: float, n: int, m: int) -> float:
     return min(abs(up - base), abs(down - base))
 
 
-def lall_ks(sketch1: QuantileSketch, sketch2: QuantileSketch) -> float:
-    """Sketch-direct KS distance from midpoint rank estimates.
+def _cells(sketch1: QuantileSketch, sketch2: QuantileSketch):
+    """The sketch-direct kernel: n, m and the int64 rank intervals
+    [lo1, hi1] and [lo2, hi2] of both samples at each value stored in
+    either summary, ascending: the run ends of the pooled stored values,
+    one probe per distinct value (np.union1d imports numpy.ma on first use).
 
-    Over the union of values stored in either summary, estimates each
-    sample's CDF as (r_min + r_max) / (2n) and returns the largest absolute
-    difference.  It is max |(lo1+hi1)*m - (lo2+hi2)*n| / (2*n*m), taken in
-    int64 (each term is at most 2*n*m < 2**63) and divided once, so it is
-    correctly rounded.
+    The probes' cells cover every t.  `rank_bounds` gives an interval that
+    holds c(t), the count of values <= t, with hi - lo <= floor(2*eps*n),
+    and it depends only on how many stored values are <= t.  So the
+    intervals at a union value u hold for every t up to the next one;
+    below the union's minimum (the smaller sample minimum) both counts are
+    0, and at its maximum both are exact.  Hence, with D*n*m =
+    sup_t |c1(t)*m - c2(t)*n|:
 
-    It is within eps1 + eps2 of the exact distance D, by cells.  For a
-    probe t, `rank_bounds` gives an interval [lo, hi] that holds c(t), the
-    count of values <= t, with hi - lo <= floor(2*eps*n); so the midpoint
-    is within eps*n of c(t), and the estimate at t within eps1 + eps2 of
-    |F1(t) - F2(t)|.  The interval depends only on how many stored values
-    are <= t, so between consecutive union values both intervals, and the
-    estimate, are constant: the estimate at a union value u holds for every
-    t from u up to the next one.  Below the union's minimum, the smaller
-    sample minimum, both counts are 0.  So the largest estimate over the
-    union is within eps1 + eps2 of D = sup_t |F1(t) - F2(t)|.  The
-    experiment presets build the sketches at precision/6, three times
-    tighter than the bound needs, as the paper does.
-    Either sketch may still be open for writes; an empty one raises
-    SketchStateError from `rank_bounds`.
+    - D*n*m is at most the largest max(hi1*m - lo2*n, hi2*n - lo1*m) and
+      at least the largest max(lo1*m - hi2*n, lo2*n - hi1*m); the last
+      cell, whose terms are 0, makes both at least 0;
+    - in a cell each upper term exceeds its lower twin by (hi1-lo1)*m +
+      (hi2-lo2)*n <= floor(2*eps1*n)*m + floor(2*eps2*m)*n, so the two
+      bounds differ by at most that, which is at most (2*eps1 + 2*eps2)*n*m;
+    - the midpoint term (lo1+hi1)*m - (lo2+hi2)*n, a lower plus an upper
+      bound on c1*m - c2*n, is within 2*(eps1 + eps2)*n*m of twice it, so
+      the largest |midpoint| over 2*n*m is within eps1 + eps2 of D, and
+      between the two bounds over n*m.
+
+    Each term is at most 2*n*m in absolute value, exact in int64 under the
+    guard 2*n*m < 2**63.  Either sketch may still be open for writes; an
+    empty one raises SketchStateError from `rank_bounds`.
     """
-    # the union, sorted, with one entry per run of equal values: the run
-    # ends of the pooled stored values (np.union1d imports numpy.ma on
-    # first use)
     values = np.concatenate((sketch1.summary()[0], sketch2.summary()[0]))
     values.sort()
     values = values[_ends(values)]
@@ -373,6 +377,22 @@ def lall_ks(sketch1: QuantileSketch, sketch2: QuantileSketch) -> float:
     n, m = sketch1.count, sketch2.count
     if 2 * n * m >= 2**63:
         raise ValueError(f"2*n*m must be below 2**63 for int64 counts, got {n}*{m}")
+    return n, m, lo1, hi1, lo2, hi2
+
+
+def lall_ks(sketch1: QuantileSketch, sketch2: QuantileSketch) -> float:
+    """Sketch-direct KS distance from midpoint rank estimates.
+
+    Over the union of values stored in either summary, estimates each
+    sample's CDF as (r_min + r_max) / (2n) and returns the largest absolute
+    difference.  It is max |(lo1+hi1)*m - (lo2+hi2)*n| / (2*n*m) over the
+    cells of `_cells`, taken in int64 and divided once, so it is correctly
+    rounded.  It is within eps1 + eps2 of the exact distance D, by the
+    cell argument of `_cells`, and inside `distance_interval`.  The
+    experiment presets build the sketches at precision/6, three times
+    tighter than the bound needs, as the paper does.
+    """
+    n, m, lo1, hi1, lo2, hi2 = _cells(sketch1, sketch2)
     lo1 += hi1
     lo1 *= m
     lo2 += hi2
@@ -380,6 +400,34 @@ def lall_ks(sketch1: QuantileSketch, sketch2: QuantileSketch) -> float:
     lo1 -= lo2
     np.abs(lo1, out=lo1)
     return int(lo1.max()) / (2 * n * m)
+
+
+def distance_interval(sketch1: QuantileSketch,
+                      sketch2: QuantileSketch) -> tuple[float, float]:
+    """Certified bounds (d_lo, d_hi) on the exact KS distance D of the two
+    summarised samples: d_lo <= D <= d_hi.
+
+    d_hi is the largest max(hi1*m - lo2*n, hi2*n - lo1*m) over the cells
+    of `_cells`, and d_lo the largest max(lo1*m - hi2*n, lo2*n - hi1*m)
+    (at least 0), each an int64 maximum divided once by n*m, so each is
+    correctly rounded and the ordering d_lo <= D <= d_hi survives the
+    rounding.  The width d_hi - d_lo is at most (floor(2*eps1*n)*m +
+    floor(2*eps2*m)*n) / (n*m) <= 2*eps1 + 2*eps2, and `lall_ks` lies
+    inside the interval.  It bounds the distance only; whether the test's
+    decision could flip inside it is not checked here.
+    """
+    n, m, lo1, hi1, lo2, hi2 = _cells(sketch1, sketch2)
+    lo1 *= m
+    hi1 *= m
+    lo2 *= n
+    hi2 *= n
+    # the upper bounds on c1*m - c2*n and on c2*n - c1*m; the lower bound
+    # on each is minus the other's upper bound
+    hi1 -= lo2
+    hi2 -= lo1
+    d_hi = max(int(hi1.max()), int(hi2.max()))
+    d_lo = max(-int(hi1.min()), -int(hi2.min()))
+    return d_lo / (n * m), d_hi / (n * m)
 
 
 def run_test(x, y, precision: TestPrecision) -> KsOutcome:

@@ -330,6 +330,10 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError, match="finite"):
             empirical_cdf(sample, x)
 
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            empirical_cdf([], 1.0)
+
 
 class TestErrorBound:
     def test_values(self):

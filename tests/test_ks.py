@@ -82,6 +82,21 @@ def reference_lall(sketch1, sketch2):
     return float(Fraction(best, 2 * n * m))
 
 
+def reference_interval(sketch1, sketch2):
+    """Per-value loop kept as an oracle for distance_interval, in Python
+    ints: the largest upper and lower bounds on |c1*m - c2*n| over the
+    stored values, the lower floored at 0, each rounded once by Fraction."""
+    stored = set(sketch1.summary()[0].tolist()) | set(sketch2.summary()[0].tolist())
+    n, m = sketch1.count, sketch2.count
+    upper = lower = 0
+    for v in sorted(stored):
+        lo1, hi1 = reference_rank_bounds(sketch1, v)
+        lo2, hi2 = reference_rank_bounds(sketch2, v)
+        upper = max(upper, hi1 * m - lo2 * n, hi2 * n - lo1 * m)
+        lower = max(lower, lo1 * m - hi2 * n, lo2 * n - hi1 * m)
+    return float(Fraction(lower, n * m)), float(Fraction(upper, n * m))
+
+
 class TestExactDistance:
     def test_identical_multisets(self):
         assert ks.exact_ks_distance([3, 1, 2, 2], [2, 1, 3, 2]) == 0.0
@@ -322,6 +337,8 @@ class TestQks:
     def test_domain(self):
         with pytest.raises(ValueError):
             ks.qks(-0.1)
+        with pytest.raises(ValueError, match="nan"):
+            ks.qks(float("nan"))
 
 
 class TestPValue:
@@ -474,10 +491,11 @@ class TestLallKs:
 
     def test_state_errors(self):
         sealed = self._sealed([1.0, 2.0], 0.1)
-        with pytest.raises(SketchStateError):
-            ks.lall_ks(QuantileSketch(0.1), sealed)
-        with pytest.raises(SketchStateError):
-            ks.lall_ks(QuantileSketch(0.1), QuantileSketch(0.1))
+        for read in (ks.lall_ks, ks.distance_interval):
+            with pytest.raises(SketchStateError):
+                read(QuantileSketch(0.1), sealed)
+            with pytest.raises(SketchStateError):
+                read(QuantileSketch(0.1), QuantileSketch(0.1))
 
     def test_first_call_imports_nothing(self):
         # np.union1d would import numpy.ma on first use with numpy 2
@@ -731,6 +749,7 @@ def test_lall_and_rank_bounds_match_scalar_reference(kinds, sizes, seed, eps):
     s1 = _sealed_stream(kinds[0], sizes[0], seed, eps)
     s2 = _sealed_stream(kinds[1], sizes[1], seed + 1, eps)
     assert ks.lall_ks(s1, s2) == reference_lall(s1, s2)
+    assert ks.distance_interval(s1, s2) == reference_interval(s1, s2)
     probes = np.concatenate((s2.summary()[0], [-10.0, 10.0, 0.05, 0.0]))
     lo, hi = s1.rank_bounds(probes)
     assert list(zip(lo.tolist(), hi.tolist())) == [
@@ -761,7 +780,13 @@ def test_lall_within_the_sum_of_the_sketch_epsilons(kinds, sizes, eps, seed, chu
     with mock.patch.object(gk_sketch, "_CHUNK", chunk):
         s1.extend(x)
         s2.extend(y)
+    d, lall = ks.exact_ks_distance(x, y), ks.lall_ks(s1, s2)
     # both distances are correctly rounded, so their float difference may
     # exceed the exact one by rounding errors of at most 2**-52 in all
-    assert abs(ks.lall_ks(s1, s2) - ks.exact_ks_distance(x, y)) <= (
-        eps[0] + eps[1] + 2**-52)
+    assert abs(lall - d) <= eps[0] + eps[1] + 2**-52
+    # the bounds are correctly rounded too, and rounding keeps the order of
+    # the exact quotients; their width carries the same 2**-52
+    d_lo, d_hi = ks.distance_interval(s1, s2)
+    assert 0 <= d_lo <= d <= d_hi
+    assert d_lo <= lall <= d_hi
+    assert d_hi - d_lo <= 2 * eps[0] + 2 * eps[1] + 2**-52

@@ -11,9 +11,10 @@ MODULES = (approx_cdf, gk_sketch, ks, synth)
 PUBLIC = [
     "ApproxCdf", "CdfPlan", "DistributionSpec", "KsOutcome", "QuantileSketch",
     "SketchStateError", "TestPrecision", "approx_two_sample_ks", "build_cdf",
-    "d_crit", "empirical_cdf", "eps45", "error_bound", "eval_cdf",
-    "exact_ks_distance", "gamma", "lall_ks", "normal", "num_probs", "p_value",
-    "phi_for_test", "plan_from_phi", "qks", "run_test", "sample", "uniform",
+    "d_crit", "distance_interval", "empirical_cdf", "eps45", "error_bound",
+    "eval_cdf", "exact_ks_distance", "gamma", "lall_ks", "normal", "num_probs",
+    "p_value", "phi_for_test", "plan_from_phi", "qks", "run_test", "sample",
+    "uniform",
 ]
 
 
