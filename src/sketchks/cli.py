@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, ks
-from .approx_cdf import build_cdf, empirical_cdf, plan_from_phi, sketch_cdf
+from .approx_cdf import _sealed, build_cdf, empirical_cdf, plan_from_phi, sketch_cdf
 from .gk_sketch import QuantileSketch
 from .ks import fmt17
 
@@ -134,7 +134,7 @@ def _line_count(path, skip_header: bool) -> int:
 
 def _file_sketch(path, epsilon: float, skip_header: bool, skip_invalid: bool):
     """The sealed sketch at epsilon of a file streamed through `_blocks`,
-    the read of each `ks2` pass, here or in its worker.
+    the read of each streamed `ks2` pass, here or in its worker.
 
     The sketch cuts its chunks from the stream, so the summary is that of
     one `extend` of the whole file.  The working set is one block's values
@@ -204,26 +204,11 @@ def _scan(numbered, path, skip_header: bool, skip_invalid: bool):
 def _cmd_ks2(args) -> int:
     if (args.phi is None) == (args.beta is None):
         raise ValueError("provide exactly one of --phi or --beta")
-    outcome = _streamed_ks2(args)
-    if outcome is None:
-        # a file that cannot be streamed, or line counts that admit no
-        # certified plan: ingest both files, then plan, so every error is
-        # the one that order meets first
-        x, _ = ingest(args.file_x, skip_header=args.skip_header,
-                      skip_invalid=args.skip_invalid)
-        y, _ = ingest(args.file_y, skip_header=args.skip_header,
-                      skip_invalid=args.skip_invalid)
-        outcome = ks.run_test(x, y, _precision(args, x.size, y.size))
+    outcome = _ks2(args)
     print(outcome.to_json())
     if outcome.reject and args.exit_on_reject:
         return 2
     return 0
-
-
-def _precision(args, n: int, m: int) -> ks.TestPrecision:
-    phi = args.phi if args.beta is None else ks.phi_for_test(
-        args.alpha, args.beta, n, m)
-    return ks.TestPrecision(alpha=args.alpha, phi=phi)
 
 
 def _stat():
@@ -325,51 +310,60 @@ def _forked(fn):
         os.waitpid(pid, 0)
 
 
-def _streamed_ks2(args):
-    """The ks2 outcome with each file streamed into its sketch, or None
-    when an input is not a regular file, cannot be counted, or the line
-    counts admit no certified plan.
+def _ks2(args) -> ks.KsOutcome:
+    """The ks2 outcome, in at most two passes, so each file is read at
+    most twice, under one rule: a pass plans both files from the counts it
+    starts with, drops each CDF made under another plan and reads each
+    such file in order, x then y, making its CDF and dropping its sketch
+    before the next read.
 
-    At most two passes, so each file is read at most twice, under one
-    rule: a pass plans both files from the counts it starts with (the
-    line counts, then the value counts the first pass found), drops each
-    CDF made under another plan and reads each such file in order, x then
-    y, making its CDF and dropping its sketch before the next read.  A
-    file whose value count is not its plan's gets no CDF, and on the
-    second pass is refused as changed while read.  Under --beta a count
-    moves phi, so the second pass may read both files.  The first pass
-    reads both, and is the only one that forks: where `_forks` holds, y
-    is parsed and sketched in a `_forked` worker, which sends back only
-    the sealed summary (~1e4 tuples for 2e5 lines), while x is read here;
-    when no worker can be started, y is read here too.  An error in x is
-    raised first, and one in y only after x's read succeeded.  The second
-    pass plans from value counts of files parsed without error, so a plan
-    it cannot make is the error `run_test` on the whole files would
-    raise, and it is raised here.  A pipe or other non-regular file may
-    not be read twice, so it is not streamed.
+    Route: the first pass plans from the line counts and streams each file
+    into its sketch.  It cannot plan when an input is not a regular file
+    (a pipe may not be read twice) or cannot be counted, or the line
+    counts admit no certified plan; it then ingests both files whole, x
+    then y, and the second pass plans from their sizes and sketches the
+    arrays in memory, as `run_test` does.  Otherwise the second pass plans
+    from the value counts the first found, and refuses as changed while
+    read a file whose value count is still not its plan's; under --beta a
+    count moves phi, so it may read both files.  Only the first pass
+    forks: where `_forks` holds, y is parsed and sketched in a `_forked`
+    worker, which sends back only the sealed summary (~1e4 tuples for 2e5
+    lines), while x is read here, or y too when no worker can be started.
+
+    Errors come in the order of `run_test` on both files ingested whole:
+    one in x is raised first, one in y only after x's read succeeded, and
+    a plan the second pass cannot make, from the counts of files parsed
+    without error, last.
     """
     files = (args.file_x, args.file_y)
     flags = (args.skip_header, args.skip_invalid)
-    try:
-        if not all(map(os.path.isfile, files)):
-            return None
-        counts = [_line_count(f, args.skip_header) for f in files]
-    except OSError:
-        return None
-    cdfs = [None, None]
+    cdfs, samples = [None, None], None
     for second in (False, True):
         try:
-            precision = _precision(args, *counts)
-            plans = [plan_from_phi(precision.phi, c) for c in counts]
-        except ValueError:
+            if not second:
+                if not all(map(os.path.isfile, files)):
+                    raise OSError("not a regular file")
+                counts = [_line_count(f, args.skip_header) for f in files]
+            phi = args.phi if args.beta is None else ks.phi_for_test(
+                args.alpha, args.beta, *counts)
+            precision = ks.TestPrecision(alpha=args.alpha, phi=phi)
+            plans = [plan_from_phi(phi, c) for c in counts]
+        except (OSError, ValueError):
             if second:
                 raise
-            return None
+            samples = [ingest(f, skip_header=args.skip_header,
+                              skip_invalid=args.skip_invalid)[0] for f in files]
+            counts = [s.size for s in samples]
+            continue
         stale = [i for i in (0, 1) if cdfs[i] is None or cdfs[i].plan != plans[i]]
         for i in stale:
             cdfs[i] = None  # a stale CDF goes before the next read
-        reads = [functools.partial(_file_sketch, f, p.epsilon, *flags)
-                 for f, p in zip(files, plans)]
+        if samples is None:
+            reads = [functools.partial(_file_sketch, f, p.epsilon, *flags)
+                     for f, p in zip(files, plans)]
+        else:
+            reads = [functools.partial(_sealed, s, p.epsilon)
+                     for s, p in zip(samples, plans)]
         with contextlib.ExitStack() as stack:
             if not second and _forks(counts):
                 # no pipe or process to spare: y is read in this process
@@ -438,7 +432,7 @@ def _cmd_tables(args) -> int:
     for name in _TABLE_FILES:
         _check_out(outdir / name, "table")
     reps = 3 if args.fast else 20
-    t0 = time.time()
+    t0 = time.perf_counter()
     print("== convergence study (table 1) ==")
     rows = experiments.run_convergence(
         n=2000 if args.fast else 10000, replications=reps, master_seed=args.seed)
@@ -468,7 +462,7 @@ def _cmd_tables(args) -> int:
         print(f"  exp {i}: exact={rec.d_exact:.5f} cdf={rec.d_approx:.5f}"
               f" sketch={rec.d_sketch:.5f} (precision {spec.phi:g})"
               f" knots={rec.cdf_knots_x} tuples={rec.sketch_tuples_x}")
-    print(f"done in {time.time() - t0:.1f}s -> {outdir}/")
+    print(f"done in {time.perf_counter() - t0:.1f}s -> {outdir}/")
     return 0 if all(r["within_bound"] for r in rows) else 1
 
 

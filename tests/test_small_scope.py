@@ -19,8 +19,24 @@ that count the data directly:
   lall_ks <= d_hi, with d_hi - d_lo within (floor(2*eps1*n)*m + floor(2*eps2*m)*n) /
   (n*m).
 
-Tier-1 runs `SMALL` in a few seconds.  `python tests/test_small_scope.py`
-runs `FULL` (about 32 times the work) and prints what it checked.
+`check_plans` checks the planner on every n in [1, 64] over a grid of phi:
+a geometric sweep of [1e-3, 1.99] and the lattice phi = 2*k/j**2
+(1 <= k < j), where delta = phi/2 makes 1/(delta - eps45(delta, k)) the
+integer j, with both float neighbours of each lattice point:
+
+- `plan_from_phi(phi, n)` returns a plan exactly when some a in [3, n]
+  has `_bound(a, eps45(phi/2, n)) <= phi/2`, and otherwise raises
+  "cannot reach";
+- a plan has delta = phi/2, epsilon = eps45(delta, n) > 0, 3 <= a <= n and
+  `_bound(a, epsilon) <= delta`, with no tolerance;
+- a plan at n implies a plan at n + 1;
+- `num_probs` below its cap certifies the bound at eps 0, delta/3,
+  delta/2 and eps45, and `CdfPlan` refuses the count at eps45 wherever
+  the planner raises (it builds every plan it returns).
+
+Tier-1 runs `SMALL` and `PLANS_SMALL` in a few seconds.
+`python tests/test_small_scope.py` runs `FULL` (about 32 times the work)
+and `PLANS_FULL`, and prints what it checked.
 """
 
 import bisect
@@ -33,6 +49,7 @@ from fractions import Fraction
 from unittest import mock
 
 from sketchks import gk_sketch, ks
+from sketchks.approx_cdf import CdfPlan, _bound, eps45, num_probs, plan_from_phi
 from sketchks.gk_sketch import QuantileSketch
 
 # chunk sizes 1, 2 and 3 cut a merge into every input of two values or
@@ -40,6 +57,9 @@ from sketchks.gk_sketch import QuantileSketch
 SMALL = dict(max_n=5, chunks=(1, 2, 3, 64), epsilons=(0.1, 0.25, 0.34, 0.5, 0.9))
 FULL = dict(max_n=7, chunks=(1, 2, 3, 5, 64),
             epsilons=(0.02, 0.1, 0.17, 0.25, 0.34, 0.5, 0.9))
+# the planner's scope: n in [1, max_n], and the lattice for j <= lattice
+PLANS_SMALL = dict(max_n=64, lattice=30)
+PLANS_FULL = dict(max_n=64, lattice=70)
 
 # both bounds are correctly rounded, so their float difference may exceed
 # the exact width by rounding errors of at most 2**-52 in all
@@ -133,12 +153,67 @@ def check(max_n, chunks, epsilons):
     return sketches, pairs
 
 
+def phis(lattice):
+    """The phi grid of `check_plans`: 200 points geometric in [1e-3, 1.99],
+    and each 2*k/j**2 (1 <= k < j <= lattice) with its two float
+    neighbours, ascending and each once."""
+    grid = {1e-3 * (1.99 / 1e-3) ** (i / 199) for i in range(200)}
+    for j in range(2, lattice + 1):
+        for k in range(1, j):
+            phi = 2 * k / j**2
+            grid.update((math.nextafter(phi, 0), phi, math.nextafter(phi, 2)))
+    return sorted(grid)
+
+
+def check_plans(max_n, lattice):
+    """Check the planner at every phi of `phis(lattice)` and every n in
+    [1, max_n]; returns the counts (phi values, plans asked for)."""
+    grid = phis(lattice)
+    for phi in grid:
+        delta, planned = phi / 2, False
+        for n in range(1, max_n + 1):
+            eps = eps45(delta, n)
+            reachable = any(_bound(a, eps) <= delta for a in range(n, 2, -1))
+            try:
+                plan = plan_from_phi(phi, n)
+            except ValueError as exc:
+                assert "cannot reach" in str(exc), (phi, n, exc)
+                plan = None
+            assert (plan is not None) == reachable, (phi, n, plan)
+            assert plan is not None or not planned, (phi, n)  # a plan at n - 1
+            if plan is not None:
+                assert plan.n == n and plan.delta == delta, (phi, plan)
+                assert plan.epsilon == eps > 0, (phi, plan)
+                assert 3 <= plan.a <= n and _bound(plan.a, eps) <= delta, (phi, plan)
+            planned = plan is not None
+            for e in (0.0, delta / 3, delta / 2, eps):
+                a = num_probs(n, delta, e)
+                assert a <= n and (a == n or _bound(a, e) <= delta), (phi, n, e, a)
+            if plan is None and a >= 3:
+                # CdfPlan refuses the planner's count where the planner does
+                try:
+                    CdfPlan(n=n, delta=delta, epsilon=eps, a=a)
+                except ValueError:
+                    pass
+                else:
+                    raise AssertionError((phi, n, a))
+    return len(grid), len(grid) * max_n
+
+
 def test_small_scope():
     check(**SMALL)
+
+
+def test_small_scope_plans():
+    check_plans(**PLANS_SMALL)
 
 
 if __name__ == "__main__":
     start = time.perf_counter()
     sketches, pairs = check(**FULL)
     print(f"{sketches} sketches and {pairs} pairs checked in "
+          f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
+    start = time.perf_counter()
+    grid, plans = check_plans(**PLANS_FULL)
+    print(f"{plans} plans over {grid} phi values checked in "
           f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
