@@ -211,78 +211,55 @@ def _cmd_ks2(args) -> int:
     return 0
 
 
-def _stat():
-    """The fields of Linux's /proc/self/stat after the parenthesised
-    command name (field k is [k - 3]), or None where it cannot be read."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            return fh.read().rsplit(b")", 1)[1].split()
-    except OSError:
-        return None
-
-
-def _forks(counts) -> bool:
-    """Whether `ks2` reads y in a forked worker while it reads x: on Linux,
-    each file counts at least _FORK_LINES lines, two CPUs are usable and
-    this process runs one OS thread, as field 20 of /proc/self/stat counts.
-
-    A fork copies only the calling thread.  The count includes native
-    threads, such as the pool numpy's OpenBLAS starts at import unless
-    OPENBLAS_NUM_THREADS=1, and it is the count CPython 3.12+ reads before
-    it warns that a fork may deadlock, so the route never forks where that
-    warning would be raised.
-    """
-    if not sys.platform.startswith("linux") or min(counts) < _FORK_LINES:
-        return False
-    fields = _stat()
-    return (fields is not None and int(fields[17]) == 1
-            and len(os.sched_getaffinity(0)) >= 2)
-
-
-def _leave(cpu) -> None:
-    """Move this process off CPU `cpu` now, free to run anywhere after.
-
-    A scheduler may start a forked child on its parent's CPU and keep both
-    there while another CPU idles.  It did on the one machine this was
-    measured on, a 2-vCPU virtual machine (Intel Xeon, Linux 6.18): there
-    a forked `ks2` whose worker did not move was slower than one process
-    at 32,768 and 65,536 lines a file, and at 200,000 was faster in some
-    runs but not in others (BENCH_fork_cutoff.json).
-    """
-    cpus = os.sched_getaffinity(0)
-    try:
-        os.sched_setaffinity(0, cpus - {cpu})
-        os.sched_setaffinity(0, cpus)
-    except OSError:  # `cpu` was the only one allowed, or went offline
-        pass
-
-
 @contextlib.contextmanager
 def _forked(fn):
-    """fn() in a forked child, which sends back through a pipe only its
-    pickled result, or the exception it raised: yields a callable that
-    returns that result or raises that exception.
+    """fn() in a forked worker where one can start, else here: yields a
+    callable that returns fn's result or raises its exception.
 
-    Raises OSError, holding no descriptor, when no pipe or process can be
-    made.  The child first leaves its parent's CPU (`_leave`).  It exits by
-    os._exit, so it flushes no stdio buffer it inherited and runs no
-    atexit hook: it writes nothing but the pipe.  Leaving the block kills
-    and reaps the child, so none outlives the caller; one that has already
-    exited stays a zombie, holding its pid, until then, so the kill cannot
-    reach another process.
+    A worker starts only on Linux where /proc/self/stat reads, its field
+    20 counts one OS thread (a fork copies only the calling one), two CPUs
+    are usable and a pipe and a process can be made; otherwise the
+    callable is fn, and no descriptor is held.  The count includes native
+    threads, such as the pool numpy's OpenBLAS starts at import unless
+    OPENBLAS_NUM_THREADS=1; CPython 3.12+ reads it before it warns that a
+    fork may deadlock, so no worker starts where that warning is raised.
+
+    The worker sends back through a pipe only fn's pickled result or
+    exception, and exits by os._exit: it flushes no inherited stdio buffer
+    and runs no atexit hook.  Leaving the block kills and reaps it, so none
+    outlives the caller; one that has exited stays a zombie, holding its
+    pid, until then, so the kill cannot reach another process.
     """
-    cpu = int(_stat()[36])  # field 39: the CPU this process last ran on
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # EAGAIN or ENOMEM: keep no descriptor
-        os.close(r)
-        os.close(w)
-        raise
+    pid = None
+    if sys.platform.startswith("linux"):
+        with contextlib.suppress(OSError):  # no worker: fn runs here
+            with open("/proc/self/stat", "rb") as fh:
+                stat = fh.read().rsplit(b")", 1)[1].split()  # field k: [k - 3]
+            threads, cpu, cpus = int(stat[17]), int(stat[36]), os.sched_getaffinity(0)
+            del stat  # ~2 KB, which the parent would hold for the whole read
+            if threads == 1 and len(cpus) >= 2:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # EAGAIN or ENOMEM: keep no descriptor
+                    os.close(r)
+                    os.close(w)
+                    raise
+    if pid is None:
+        yield fn
+        return
     if pid == 0:  # the child
         try:
             os.close(r)
-            _leave(cpu)
+            # Move off field 39, the CPU the parent last ran on, then run
+            # anywhere: a scheduler may start a child on its parent's CPU and
+            # keep both there while another idles.  On a 2-vCPU VM (Intel
+            # Xeon, Linux 6.18) a forked `ks2` whose worker did not move was
+            # slower than one process at 32,768 and 65,536 lines a file, and
+            # at 200,000 faster in only some runs (BENCH_fork_cutoff.json).
+            with contextlib.suppress(OSError):  # the only CPU, or offline
+                os.sched_setaffinity(0, cpus - {cpu})
+                os.sched_setaffinity(0, cpus)
             try:
                 sent = True, fn()
             except BaseException as exc:  # the parent raises it
@@ -326,9 +303,10 @@ def _ks2(args) -> ks.KsOutcome:
     from the value counts the first found, and refuses as changed while
     read a file whose value count is still not its plan's; under --beta a
     count moves phi, so it may read both files.  Only the first pass
-    forks: where `_forks` holds, y is parsed and sketched in a `_forked`
-    worker, which sends back only the sealed summary (~1e4 tuples for 2e5
-    lines), while x is read here, or y too when no worker can be started.
+    forks, where each file counts _FORK_LINES lines or more: y is read by
+    `_forked` (the gate, the CPU move and the fallback are its), in a
+    worker that sends back only the sealed summary (~1e4 tuples for 2e5
+    lines) while x is read here, or here after x where no worker starts.
 
     Errors come in the order of `run_test` on both files ingested whole:
     one in x is raised first, one in y only after x's read succeeded, and
@@ -364,11 +342,8 @@ def _ks2(args) -> ks.KsOutcome:
         else:
             reads = [functools.partial(_sealed, s, p.epsilon)
                      for s, p in zip(samples, plans)]
-        with contextlib.ExitStack() as stack:
-            if not second and _forks(counts):
-                # no pipe or process to spare: y is read in this process
-                with contextlib.suppress(OSError):
-                    reads[1] = stack.enter_context(_forked(reads[1]))
+        with (_forked(reads[1]) if not second and min(counts) >= _FORK_LINES
+              else contextlib.nullcontext(reads[1])) as reads[1]:
             for i in stale:
                 sketch = reads[i]()
                 counts[i] = sketch.count

@@ -11,9 +11,11 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
-from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
+from contextlib import (ExitStack, contextmanager, nullcontext, redirect_stderr,
+                        redirect_stdout)
 from pathlib import Path
 from unittest import mock
 
@@ -537,11 +539,23 @@ def _forking():
         yield started
 
 
+def _worker_starts() -> bool:
+    """Whether `cli._forked` starts a worker in this process."""
+    with cli._forked(os.getpid) as pid:
+        return pid() != os.getpid()
+
+
 @pytest.fixture
-def fork_route():
-    """`_forking` for a whole test, which skips where ks2 cannot fork."""
-    if not cli._forks([cli._FORK_LINES] * 2):
+def worker():
+    """Skips the test where `cli._forked` starts no worker, and so would
+    run in this process what the test runs in a worker."""
+    if not _worker_starts():
         pytest.skip("not Linux, one usable CPU or a second OS thread")
+
+
+@pytest.fixture
+def fork_route(worker):
+    """`_forking` for a whole test, which skips where ks2 cannot fork."""
     with _forking() as started:
         yield started
 
@@ -572,14 +586,13 @@ def _raise_value_error():
     raise ValueError("bad line")
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/stat")
 @pytest.mark.parametrize("fn, want", [
     (lambda: [1.5, "two"], [1.5, "two"]),
     (_raise_value_error, ValueError("bad line")),
     # the child ends before writing to the pipe: its result is truncated
     (lambda: os._exit(3), ChildProcessError("a worker process ended without a result")),
 ], ids=["returns", "raises", "dies"])
-def test_forked_sends_back_a_result_or_an_exception(fn, want):
+def test_forked_sends_back_a_result_or_an_exception(worker, fn, want):
     with cli._forked(fn) as result:
         if isinstance(want, Exception):
             with pytest.raises(type(want), match=f"^{want}$"):
@@ -597,10 +610,11 @@ def test_forked_worker_writes_no_output(tmp_path, fork_route, y_tail):
     fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
     fx.write_bytes(_VALUES)
     fy.write_bytes(_VALUES + y_tail)
-    script = ("import sys\n"
+    script = ("import os, sys\n"
               "from sketchks import cli\n"
               "cli._FORK_LINES = 0\n"
-              "assert cli._forks([0, 0])\n"
+              "with cli._forked(os.getpid) as pid:\n"
+              "    assert pid() != os.getpid()\n"
               "sys.stdout.write('pending\\n')\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -612,25 +626,34 @@ def test_forked_worker_writes_no_output(tmp_path, fork_route, y_tail):
         rc, b"pending\n" + out.encode(), err.encode())
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/stat")
-def test_forked_route_runs_here():
-    # the forked route's tests skip where `_forks` does not hold; on Linux
-    # with two CPUs it must, as conftest.py keeps numpy to one thread
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
+def test_forked_route_runs_here(tmp_path):
+    # the forked route's tests skip where no worker starts; on Linux with
+    # two CPUs one must, as conftest.py keeps numpy to one thread.  ks2
+    # asks for one only where each file counts _FORK_LINES lines
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one usable CPU")
-    assert cli._forks([cli._FORK_LINES] * 2)
-    assert not cli._forks([cli._FORK_LINES - 1, cli._FORK_LINES])
+    assert _worker_starts()
+    fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
+    fx.write_bytes(_VALUES)
+    fy.write_bytes(b"0.5\n" + _VALUES)
+    with _forking() as started, mock.patch.object(cli, "_FORK_LINES", 201):
+        for x in (fx, fy):  # 200 lines, then 201
+            want = reference_ks2(x, fy, alpha=0.05, phi=0.1)
+            assert _run(_ks2_argv(x, fy, alpha=0.05, phi=0.1)) == want
+    assert started == [str(fy)]
 
 
-@pytest.mark.parametrize("fails", ["pipe", "fork"])
+@pytest.mark.parametrize("fails", ["pipe", "fork", "thread", "one-cpu", "no-proc"])
 def test_ks2_reads_in_one_process_when_no_worker_starts(tmp_path, fork_route, fails):
-    # EMFILE or EAGAIN: ks2 still succeeds, and the failed start keeps no
-    # descriptor
+    # EMFILE, EAGAIN, a second OS thread (a fork would not copy it), one
+    # usable CPU or no /proc/self/stat: ks2 still succeeds, forks only to
+    # fail at it, and keeps no descriptor
     fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
     fx.write_bytes(_VALUES)
     fy.write_bytes(b"0.5\n" + _VALUES)
     want = reference_ks2(fx, fy, alpha=0.05, phi=0.1)
-    opened, pipe = [], os.pipe
+    opened, forks, pipe = [], [], os.pipe
 
     def recording_pipe():
         if fails == "pipe":
@@ -640,25 +663,38 @@ def test_ks2_reads_in_one_process_when_no_worker_starts(tmp_path, fork_route, fa
         return fds
 
     def failing_fork():
+        forks.append(fails)
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-    with mock.patch.object(os, "pipe", recording_pipe), \
-            mock.patch.object(os, "fork", failing_fork):
+    def no_proc(path, *args, **kwargs):
+        if path == "/proc/self/stat":
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        return open(path, *args, **kwargs)
+
+    fds, stop = os.listdir("/proc/self/fd"), threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(os, "pipe", recording_pipe))
+        stack.enter_context(mock.patch.object(os, "fork", failing_fork))
+        if fails == "thread":
+            waiter.start()
+            stack.callback(waiter.join, 10)
+            stack.callback(stop.set)
+        elif fails == "one-cpu":
+            stack.enter_context(mock.patch.object(os, "sched_getaffinity", lambda pid: {0}))
+        elif fails == "no-proc":
+            stack.enter_context(mock.patch.object(cli, "open", no_proc, create=True))
         assert _run(_ks2_argv(fx, fy, alpha=0.05, phi=0.1)) == want
-    assert fork_route == [str(fy)] and len(opened) == (2 if fails == "fork" else 0)
-    for fd in opened:
-        with pytest.raises(OSError):
-            os.fstat(fd)
+    assert not waiter.is_alive()
+    assert fork_route == [str(fy)]
+    assert (len(forks), len(opened)) == ((1, 2) if fails == "fork" else (0, 0))
+    assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/stat")
-def test_leave_keeps_the_affinity():
+def test_leave_keeps_the_affinity(worker):
     # a worker moves off its parent's CPU, then may run anywhere again
-    cpus = os.sched_getaffinity(0)
-    cpu = int(cli._stat()[36])
-    assert cpu in cpus
-    cli._leave(cpu)
-    assert os.sched_getaffinity(0) == cpus
+    with cli._forked(lambda: os.sched_getaffinity(0)) as got:
+        assert got() == os.sched_getaffinity(0)
 
 
 def test_ks2_second_pass_peak_memory(normal_files, monkeypatch):
@@ -748,7 +784,7 @@ def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
              (dirty_x, dirty, {"beta": 0.025}, 4 * 3001),
              (dirty_x, fy, {"beta": 0.025}, 2 * 3001 + 2 * 3000)]
     layouts = [nullcontext()]  # in one process, then forked
-    if cli._forks([cli._FORK_LINES] * 2):
+    if _worker_starts():
         layouts.append(_forking())
     for layout in layouts:
         with layout as started:
