@@ -161,7 +161,8 @@ class QuantileSketch:
         while batch.size:
             if self._buffer is None:
                 self._buffer = np.empty(_CHUNK)
-            part, batch = np.split(batch, [_CHUNK - self._held])
+            room = _CHUNK - self._held
+            part, batch = batch[:room], batch[room:]
             self._buffer[self._held:self._held + part.size] = part
             self._held += part.size
             if self._held == _CHUNK:

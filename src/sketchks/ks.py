@@ -33,8 +33,7 @@ __all__ = [
     "run_test",
 ]
 
-# values a step of the exact oracle's walk reads from each sample at most:
-# bounds its temporaries
+# the exact oracle's cut spacing per sample: bounds one merge's temporaries
 _PROBE_BLOCK = 1 << 11
 
 
@@ -87,11 +86,14 @@ class KsOutcome:
 
     def to_json(self) -> str:
         """JSON with 17 significant digit decimals, fixed key order; the
-        params block holds the plans (its delta is x's)."""
+        params block holds the plans (its delta is x's, followed by
+        delta_y only where y's plan has another delta)."""
         x, y = self.plans
-        params = {"phi": fmt17(self.d_error_bound), "delta": fmt17(x.delta),
-                  "epsilon_x": fmt17(x.epsilon), "epsilon_y": fmt17(y.epsilon),
-                  "a_x": x.a, "a_y": y.a}
+        params = {"phi": fmt17(self.d_error_bound), "delta": fmt17(x.delta)}
+        if y.delta != x.delta:
+            params["delta_y"] = fmt17(y.delta)
+        params.update(epsilon_x=fmt17(x.epsilon), epsilon_y=fmt17(y.epsilon),
+                      a_x=x.a, a_y=y.a)
         return _json_object({
             "d_ks": fmt17(self.d),
             "d_error_bound": fmt17(self.d_error_bound),
@@ -140,13 +142,13 @@ def exact_ks_distance(x, y) -> float:
     counts stay exact in int64, and the one int/int division rounds once.
 
     This function sorts a copy of each sample and hands both to the
-    private kernel `_sorted_ks_distance`, which checks them and walks the
-    two sorted samples together, merging at most _PROBE_BLOCK values a
-    side per step (see `_step`).  So the working memory is the two sorted
-    copies, 8 bytes per input value, plus one step's temporaries, ~25
-    bytes a merged value (~0.1 MB).  A caller that owns its samples and is
-    done with their order can sort them in place and call the kernel,
-    which copies nothing.
+    private kernel `_sorted_ks_distance`, which checks them and reads
+    them through one plan of cuts.  So the working memory is the two
+    sorted copies, 8 bytes per input value, plus the plan, ~10 words per
+    cut (~0.08 MB at 10**6 a side), and one merge of fewer than
+    _PROBE_BLOCK values a side, ~25 bytes a merged value (~0.1 MB).  A
+    caller that owns its samples and is done with their order can sort
+    them in place and call the kernel, which copies nothing.
     """
     return _sorted_ks_distance(np.sort(np.asarray(x, dtype=float).ravel()),
                                np.sort(np.asarray(y, dtype=float).ravel()))
@@ -156,11 +158,20 @@ def _sorted_ks_distance(xs: np.ndarray, ys: np.ndarray) -> float:
     """`exact_ks_distance` of two float arrays already sorted ascending.
 
     Raises as `exact_ks_distance` does: on an empty or non-finite sample,
-    and when n*m reaches 2**63.  Reads xs and ys in place, in one merged
-    walk: each `_step` starts from the counts c_x = i and c_y = j at the
-    last cut and ends past the next one, until both samples are read, and
-    the largest |c_x*m - c_y*n| of the steps, a Python int, is divided
-    once.  Its working memory is one step's temporaries.
+    and when n*m reaches 2**63.  Reads xs and ys in place through one
+    plan of cuts: -inf, every _PROBE_BLOCK-th value of each sample and
+    the pooled maximum, each once.  Four vectorized binary searches give
+    each sample's counts below and through every cut; those through a
+    cut hold its whole tie group, so a long group costs one cut, and
+    their largest |c_x*m - c_y*n| is the first lead.  Every other pooled
+    value lies strictly between two cuts, with fewer than _PROBE_BLOCK
+    values a side, and there each count lies between its count through
+    the lower cut and its count below the upper one.  So |c_x*m - c_y*n|
+    there is at most max(below_x*m - through_y*n, below_y*n -
+    through_x*m) at those ends (the cell argument of `_cells`; the lower
+    cut's count if the interval is empty), and `_merged_lead` merges
+    only the intervals whose bound beats the lead so far.  The lead, a
+    Python int, is divided once.
     """
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be non-empty")
@@ -170,39 +181,28 @@ def _sorted_ks_distance(xs: np.ndarray, ys: np.ndarray) -> float:
     n, m = xs.size, ys.size
     if n * m >= 2**63:
         raise ValueError(f"n*m must be below 2**63 for int64 counts, got {n}*{m}")
-    i = j = lead = 0
-    while i < n or j < m:
-        i, j, step_lead = _step(xs, ys, i, j)
-        lead = max(lead, step_lead)
+    every = slice(_PROBE_BLOCK - 1, None, _PROBE_BLOCK)
+    cuts = np.concatenate(([-np.inf], xs[every], ys[every], [max(xs[-1], ys[-1])]))
+    cuts.sort()
+    cuts = cuts[_ends(cuts)]
+    below_x, through_x = xs.searchsorted(cuts), xs.searchsorted(cuts, "right")
+    below_y, through_y = ys.searchsorted(cuts), ys.searchsorted(cuts, "right")
+    lead = int(np.abs(through_x * m - through_y * n).max())
+    # interval k lies strictly between cuts k and k + 1
+    bound = np.maximum(below_x[1:] * m - through_y[:-1] * n,
+                       below_y[1:] * n - through_x[:-1] * m)
+    for k in np.flatnonzero(bound > lead).tolist():
+        if bound[k] > lead:
+            i, j = int(through_x[k]), int(through_y[k])
+            lead = max(lead, _merged_lead(xs[i:below_x[k + 1]], ys[j:below_y[k + 1]],
+                                          i * m - j * n, n, m))
     return lead / (n * m)
-
-
-def _step(xs: np.ndarray, ys: np.ndarray, i: int, j: int) -> tuple[int, int, int]:
-    """One step of the oracle walk from c_x = i, c_y = j: the counts past
-    the step's cut v, and the step's largest |c_x*m - c_y*n|.
-
-    v is the smaller of the two samples' values _PROBE_BLOCK ahead (the
-    pooled maximum once neither sample has one), so it lies above every
-    value already read, and each sample has at most _PROBE_BLOCK values
-    below it, which `_merged_lead` reads.  Then v's whole tie group is
-    read at once: two binary searches give both counts at v, so a long
-    tie group costs one step.
-    """
-    n, m = xs.size, ys.size
-    ahead = [s[k + _PROBE_BLOCK] for s, k in ((xs, i), (ys, j))
-             if k + _PROBE_BLOCK < s.size]
-    v = min(ahead) if ahead else max(xs[-1], ys[-1])
-    a, b = xs[i:i + _PROBE_BLOCK], ys[j:j + _PROBE_BLOCK]
-    lead = _merged_lead(a[:a.searchsorted(v)], b[:b.searchsorted(v)],
-                        i * m - j * n, n, m)
-    i, j = int(xs.searchsorted(v, "right")), int(ys.searchsorted(v, "right"))
-    return i, j, max(lead, abs(i * m - j * n))
 
 
 def _merged_lead(a: np.ndarray, b: np.ndarray, base: int, n: int, m: int) -> int:
     """max |c_x*m - c_y*n| over the pooled tie-group ends of a run a of
     sorted x values and a run b of sorted y values, with base the value of
-    c_x*m - c_y*n just below both runs.
+    c_x*m - c_y*n just below both runs; a and b are not both empty.
 
     One stable argsort of the concatenation merges the two runs (timsort
     finds them and merges them in linear time).  A running sum in int64 of
@@ -212,8 +212,6 @@ def _merged_lead(a: np.ndarray, b: np.ndarray, base: int, n: int, m: int) -> int
     index arrays of the pooled length, ~25 bytes a pooled value, are
     alive at a time, all freed on return.
     """
-    if a.size == 0 and b.size == 0:
-        return 0
     pooled = np.concatenate((a, b))
     lead = pooled.argsort(kind="stable")
     pooled = pooled[lead]

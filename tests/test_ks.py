@@ -140,9 +140,9 @@ class TestExactDistance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the two sorted copies, then one walk step's temporaries: up to
+        # the two sorted copies, then one merge's temporaries: fewer than
         # _PROBE_BLOCK values a side, 25 bytes a pooled value, plus 16 KiB
-        # for small objects
+        # for the plan's cuts and small objects
         assert peak <= 8 * (x.size + y.size) + 25 * 2 * ks._PROBE_BLOCK + 2**14
 
     def test_peak_memory_per_value(self):
@@ -214,19 +214,30 @@ class TestSortedKernel:
             ks._sorted_ks_distance(big, big)
 
     def test_walk_reads_a_tie_group_in_one_step(self):
-        # 10**6 values a side over 5 distinct values: each step reads the
-        # next value's whole tie group with two binary searches, so the
-        # walk takes one step per distinct value, where reading every
-        # value takes ~10**6 / _PROBE_BLOCK steps
+        # 10**6 values a side over 5 distinct values: every value is a
+        # cut, whose whole tie group the plan's binary searches count, so
+        # no interval between cuts holds a value and nothing is merged
         xs = np.repeat(np.arange(5.0), 200_000)
         ys = np.repeat(np.arange(5.0), [300_000, 100_000, 250_000, 150_000, 200_000])
-        with mock.patch.object(ks, "_step", wraps=ks._step) as step:
+        with mock.patch.object(ks, "_merged_lead", wraps=ks._merged_lead) as merge:
             assert ks._sorted_ks_distance(xs, ys) == 0.1
-        assert step.call_count == 5
+        merge.assert_not_called()
+
+    def test_merges_only_intervals_whose_bound_beats_the_lead(self):
+        # 400 values a side cut every 8th value: ~101 cuts.  Far apart
+        # samples lead at the cuts by more than most intervals' bounds
+        # allow; this draw leaves a few intervals to merge
+        rng = np.random.default_rng(4)
+        x, y = np.sort(rng.normal(size=400)), np.sort(rng.normal(3, 1, size=400))
+        cuts = np.unique(np.concatenate((x[7::8], y[7::8], [y[-1]])))
+        with mock.patch.object(ks, "_PROBE_BLOCK", 8), \
+                mock.patch.object(ks, "_merged_lead", wraps=ks._merged_lead) as merge:
+            assert ks._sorted_ks_distance(x, y) == count_ks(x.tolist(), y.tolist())
+        assert 0 < merge.call_count < cuts.size
 
     def test_reads_sorted_samples_in_place(self):
         # exact_ks_distance needs 1.71 MB here; the kernel copies nothing,
-        # and holds only one walk step's temporaries
+        # and holds only its plan and one merge's temporaries
         rng = np.random.default_rng(5)
         xs = np.sort(rng.normal(size=10**5))
         ys = np.sort(rng.normal(0.01, 1, size=10**5))
@@ -624,6 +635,17 @@ class TestKsOutcomeJson:
         assert doc["n"] == 1000 and doc["m"] == 2000
         assert doc["reject"] is True
 
+    def test_each_delta_when_the_plans_differ(self):
+        # phi 0.2 for x and 0.02 for y: x's delta, then y's, summing to
+        # the bound; plans at one phi print one delta (above)
+        rng = np.random.default_rng(8)
+        cdfs = [build_cdf(rng.normal(size=5000), plan_from_phi(phi, 5000))
+                for phi in (0.2, 0.02)]
+        doc = json.loads(ks.decide(*cdfs, alpha=0.05).to_json())
+        assert list(doc["params"])[:3] == ["phi", "delta", "delta_y"]
+        assert (doc["params"]["delta"], doc["params"]["delta_y"]) == (0.1, 0.01)
+        assert doc["params"]["delta"] + doc["params"]["delta_y"] == doc["d_error_bound"]
+
     @pytest.mark.parametrize("d, alpha, match", [
         (-0.1, 0.5, "d must be"), (1.5, 0.5, "d must be"),
         (0.1, 0.0, "alpha must be"), (0.1, 1.0, "alpha must be"),
@@ -681,7 +703,7 @@ _FLOATS = st.floats(min_value=-50, max_value=50,
               st.lists(_TIES, min_size=1, max_size=60)),
     st.tuples(st.lists(_FLOATS, min_size=1, max_size=60),
               st.lists(_FLOATS, min_size=1, max_size=60)),
-).filter(lambda p: len(p[0]) != len(p[1])))
+))
 def test_exact_distance_is_correctly_rounded(pair):
     x, y = pair
     assert ks.exact_ks_distance(x, y) == count_ks(x, y)
@@ -690,12 +712,12 @@ def test_exact_distance_is_correctly_rounded(pair):
 @settings(max_examples=200, deadline=None)
 @given(block=st.sampled_from([1, 2, 3, 7]), below=st.booleans(), data=st.data())
 def test_exact_distance_is_the_same_at_every_probe_block(block, below, data):
-    # tie groups of _TIES straddle step ends and are shared by both
-    # samples; sizes include 1, exact multiples of the step and up to
-    # twelve steps, so one sample can run out many steps before the other;
-    # runs of one value up to four steps long give tie groups that span
-    # several steps; under `below` every x value lies below every y value,
-    # so the walk reads x alone, then y alone
+    # tie groups of _TIES straddle cuts and are shared by both samples;
+    # sizes include 1, exact multiples of the cut spacing and up to twelve
+    # spacings, so one sample's cuts can end many cuts before the other's;
+    # runs of one value up to four spacings long give tie groups that span
+    # several cuts; under `below` every x value lies below every y value,
+    # so the intervals below y's minimum hold x values alone
     size = st.one_of(st.just(1), st.integers(1, 12).map(lambda k: k * block),
                      st.integers(1, 40))
     plain = size.flatmap(lambda n: st.lists(_TIES, min_size=n, max_size=n))

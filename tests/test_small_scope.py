@@ -7,14 +7,17 @@ cells of the sketch-direct distance.  Following the small-scope hypothesis
 hypothesis", 2002), `check` builds every input up to a small size, under
 chunk sizes that cut a merge and one that does not, over a grid of eps,
 and checks each sealed sketch and each pair of sketches against oracles
-that count the data directly:
+that count the data directly.  Each chunk size is also the exact oracle's
+cut spacing `ks._PROBE_BLOCK`, so its plans cut at every value, every
+second or third value, or only at the maximum:
 
 - the sketch passes `check_invariants`;
 - `rank_bounds` holds the true count of values <= t at every value and
   every midpoint between values, and beyond both ends, within
   floor(2*eps*n);
 - `query_quantiles` meets the GK contract at p = j/(4n), j = 1..4n;
-- for pairs: `lall_ks` is within eps1 + eps2 of `exact_ks_distance` D,
+- for pairs: `exact_ks_distance` is the distance D counted in Python
+  ints and rounded once, `lall_ks` is within eps1 + eps2 of D,
   and `distance_interval` gives 0 <= d_lo <= D <= d_hi and d_lo <=
   lall_ks <= d_hi, with d_hi - d_lo within (floor(2*eps1*n)*m + floor(2*eps2*m)*n) /
   (n*m).
@@ -108,11 +111,23 @@ def _contract(n, eps):
                     math.ceil((Fraction(p) + Fraction(eps)) * n)) for p in probs]
 
 
+@functools.lru_cache(maxsize=None)
+def counted_distance(x, y):
+    """max_t |c_x(t)*m - c_y(t)*n| / (n*m) over the pooled t, in Python
+    ints, rounded once by Fraction."""
+    n, m = len(x), len(y)
+    best = max(abs(sum(v <= t for v in x) * m - sum(v <= t for v in y) * n)
+               for t in x + y)
+    return float(Fraction(best, n * m))
+
+
 def check_pair(x, sketch1, y, sketch2):
-    """lall_ks and distance_interval of two sealed sketches against D."""
+    """exact_ks_distance against the counted D, then lall_ks and
+    distance_interval of two sealed sketches against D."""
     n, m = len(x), len(y)
     eps1, eps2 = sketch1.epsilon, sketch2.epsilon
     d = ks.exact_ks_distance(x, y)
+    assert d == counted_distance(x, y), (x, y, d)
     lall = ks.lall_ks(sketch1, sketch2)
     d_lo, d_hi = ks.distance_interval(sketch1, sketch2)
     case = (x, eps1, y, eps2, d, lall, d_lo, d_hi)
@@ -136,7 +151,8 @@ def check(max_n, chunks, epsilons):
     data = inputs(max_n)
     sketches = pairs = 0
     for chunk in chunks:
-        with mock.patch.object(gk_sketch, "_CHUNK", chunk):
+        with mock.patch.object(gk_sketch, "_CHUNK", chunk), \
+                mock.patch.object(ks, "_PROBE_BLOCK", chunk):
             sealed = {}
             for eps in epsilons:
                 for x in data:
