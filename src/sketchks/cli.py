@@ -1,6 +1,7 @@
 """Command-line front end: single tests, data ingestion, experiment harness.
 
-Commands: ks2 (one test, JSON to stdout), experiment (replicated synthetic
+Commands: ks2 (one test, JSON to stdout; a line on stderr when the
+decision is not certain), experiment (replicated synthetic
 runs, CSV), convergence (CDF error study, CSV), tables (the three result
 tables, CSV), cdf (knot export for plotting).  Every command is
 byte-deterministic but for the timing line of tables; experiment,
@@ -206,6 +207,9 @@ def _cmd_ks2(args) -> int:
         raise ValueError("provide exactly one of --phi or --beta")
     outcome = _ks2(args)
     print(outcome.to_json())
+    if not outcome.decision_certain:
+        print("sketchks: warning: the decision is not certain: a distance within "
+              "d_error_bound of d_ks decides the other way", file=sys.stderr)
     if outcome.reject and args.exit_on_reject:
         return 2
     return 0

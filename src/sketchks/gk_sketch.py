@@ -12,12 +12,11 @@ query at probability p with a value whose true rank r satisfies
 Ingestion is by batch only, the buffered scheme of Spark's
 QuantileSummaries on top of Greenwald-Khanna (SIGMOD 2001): values fill one
 buffer, cut into a chunk every _CHUNK values and at each read.  Each chunk
-is sorted, thinned to an exact summary of itself and merged into the stored
-tuples, the one-sided case of merging summaries (Agarwal et al., PODS
-2012), where rank bounds add; COMPRESS then runs after every merged chunk.
-A buffer exists only while it holds values: the merge drops it once the
-kept values are copied out, before its own arrays peak, and the next
-`extend` makes a new one.
+is sorted, thinned to an exact summary of itself and merged with the stored
+summary by `_merge`, the one merge of two summaries (Agarwal et al., PODS
+2012); COMPRESS then runs after every merged chunk.  A buffer exists only
+while it holds values: it is dropped once the kept values are copied out,
+before the merge peaks, and the next `extend` makes a new one.
 Ranks are 1-based.  Ties are ordered by arrival: an item ranks after every
 equal item of an earlier chunk, and within a chunk by its sorted position.
 
@@ -25,52 +24,44 @@ One rule gives the rank interval of a probe x in a summary of N items.
 Let i count the stored values <= x (or < x, when x ranks before its equal
 stored values).  Then at least r_min of the i-th stored value (0 when
 i = 0) and at most r_max of the (i+1)-th less one (N when i counts every
-stored value) items rank before x.  `rank_bounds` and both halves of a
-merge use it.
+stored value) items rank before x.  `rank_bounds` and `_merge` use it.
 
-Why the rank bounds and the size bound hold.  A sorted chunk c_1 <= ... <=
-c_k is thinned to the order statistics at ranks j_1 = 1, 1 + s, 1 + 2s, ...
-and always k, so every gap j_t - j_{t-1} (j_0 = 0) is at most the stride
-s = floor(eps*k/2) + 1.  The kept values with r_min = r_max = j_t are an
-exact summary of the chunk.  Merging it into the stored tuples of n
-earlier items:
+Why the rank bounds and the size bound hold.  A summary of n items is
+valid when its values are non-decreasing, g >= 1, delta >= 0, the last
+r_min is n and the first r_max is 1, and within W when every tuple has
+g + delta <= W.  `_merge(a, b)` ranks a's items before b's equal ones and
+adds to each tuple's interval the other summary's at its position, which
+the rule above counts, so every true rank stays in bounds.  Lemma: merging
+valid summaries of n_a and n_b items within W_a and W_b gives a valid
+summary of n_a + n_b items within W_a + W_b - 1.  Proof: a merged tuple
+that closes the first i tuples of a and j of b has r_min = r_min_a(i) +
+r_min_b(j), with r_min(0) = 0, so its g is its own tuple's and the last
+r_min is n_a + n_b.  If it is a's i-th tuple, its r_max is r_max_a(i) +
+r_max_b(j+1) - 1, so its g + delta, (g + delta)_a(i) + (g + delta)_b(j+1)
+less 1, is at most W_a + W_b - 1, and its delta is at least delta_a(i) +
+g_b(j+1) - 1, so at least 0; past b's last tuple it has r_max_a(i) + n_b,
+which adds 0 to both.  For b's tuples swap a and b.  The first tuple gets
+r_max 1 + 1 - 1 = 1, or 1 + 0 past an empty side.
 
-- A kept w_t goes after the stored values <= w_t, between pred and succ.
-  It gets its interval in the stored summary plus its chunk rank:
-  [r_min(pred) + j_t, r_max(succ) - 1 + j_t].  With no pred that is
-  [j_t, j_t], as the first tuple has r_max = 1; with no succ it is
-  [n + j_t, n + j_t].
-- A stored v gets the chunk's interval at v added, with the chunk items
-  equal to v ranked after it: with t = #{kept < v}, between j_t and
-  j_{t+1} - 1 chunk items rank before it, and exactly k past the chunk's
-  maximum (t = m).
-- The last tuple is the maximum of both and gets r_min = n + k = count
-  after the merge (sum g = count in the gap form).
-- After the merge the left neighbour of a kept w_t has r_min >= r_min(pred)
-  + j_{t-1}, and that of a stored v has r_min >= r_min(u) + j_t, with u
-  the stored value before v (r_min 0 when there is no pred or no u).  So
-  r_max minus the left neighbour's r_min (g + delta in the gap form) is at
-  most the stored r_max(succ) - r_min(pred), or r_max(v) - r_min(u), plus
-  s - 1.  With floor(a + b) >= floor(a) + floor(b) and s <=
-  floor(2*eps*k) + 1 it stays <= floor(2*eps*n) + 1 + (s - 1) <=
-  floor(2*eps*(n + k)) + 1.
-- The first tuple is the minimum with r_max = 1: a chunk minimum below the
-  stored one enters with [1, 1]; otherwise the stored first tuple ranks
-  before every kept value (t = 0) and gains [0, j_1 - 1] = [0, 0].
-- COMPRESS deletes tuples and moves no rank bound.  It keeps the greedy
-  right-to-left pass's tuples: from a kept tuple j the next kept one is
-  the largest i < j whose left neighbour has r_min < r_max(j) -
-  floor(2*eps*n), and tuple 0 when there is none.  Every deleted tuple
-  lies between two kept ones whose r_max minus the left one's r_min is
-  <= floor(2*eps*n), which keeps the bound for the right one, and the
-  first and last tuples are kept.  With r_min strictly increasing that
-  next index is one searchsorted per tuple, so the kept set is a path
-  through those pointers, found by pointer doubling.
+With W = floor(2*eps*n) + 1 on each side and floor(x) + floor(y) <=
+floor(x + y), the merge is within floor(2*max(eps_a, eps_b)*(n_a + n_b))
+plus 1.  A sorted chunk c_1 <= ... <= c_k is thinned to the order
+statistics at ranks j_1 = 1, 1 + s, 1 + 2s, ... and always k, with r_min =
+r_max = j_t: a valid summary with delta = 0 and g <= s, so within the
+stride s = floor(eps*k/2) + 1 <= floor(2*eps*k) + 1, which is why s is
+legal.  The largest legal stride would leave COMPRESS no slack: merged
+tuples would sit at the size bound, so it could delete few and the
+summary would grow; s leaves it three quarters of the chunk's.
 
-s = floor(eps*k/2) + 1 rather than the largest legal floor(2*eps*k) + 1
-leaves three quarters of the chunk's slack to COMPRESS.  The largest stride
-leaves it none: merged tuples sit at the size bound, so COMPRESS can delete
-few of them and the summary grows.
+COMPRESS deletes tuples and moves no rank bound.  It keeps the greedy
+right-to-left pass's tuples: from a kept tuple j the next kept one is the
+largest i < j whose left neighbour has r_min < r_max(j) - floor(2*eps*n),
+and tuple 0 when there is none.  Every deleted tuple lies between two kept
+ones whose r_max minus the left one's r_min is <= floor(2*eps*n), which
+keeps the bound for the right one, and the first and last tuples are kept.
+With r_min strictly increasing that next index is one searchsorted per
+tuple, so the kept set is a path through those pointers, found by pointer
+doubling.
 """
 
 from __future__ import annotations
@@ -108,12 +99,42 @@ def _bounds(r_min, r_max, n, i):
     return lower[i], upper[i]
 
 
-def _scatter(stored, at, kept, pos):
-    """stored and kept merged into one array at slots `at` and `pos`."""
-    out = np.empty(stored.size + kept.size, dtype=stored.dtype)
-    out[at] = stored
-    out[pos] = kept
+def _scatter(a, at_a, b, at_b):
+    """a and b merged into one array at slots at_a and at_b."""
+    out = np.empty(a.size + b.size, dtype=a.dtype)
+    out[at_a] = a
+    out[at_b] = b
     return out
+
+
+def _merge(a, b):
+    """Summary (values, r_min, r_max, count) of a's items, then b's.
+
+    a and b are lists [values, r_min, r_max, count] that it empties, so each
+    array is dropped once its last output is built.  A tuple adds the other
+    summary's `_bounds` interval at its position to its own (module
+    docstring); a's items rank before b's equal ones."""
+    (values_a, lo_a, hi_a, n_a), (values_b, lo_b, hi_b, n_b) = a, b
+    a.clear()
+    b.clear()
+    # a's tuples go after b's values < them, b's after a's values <= them
+    at_a = np.searchsorted(values_b, values_a, side="left")
+    at_b = np.searchsorted(values_a, values_b, side="right")
+    min_a, max_a = _bounds(lo_b, hi_b, n_b, at_a)
+    min_b, max_b = _bounds(lo_a, hi_a, n_a, at_b)
+    min_a += lo_a
+    max_a += hi_a
+    min_b += lo_b
+    max_b += hi_b
+    del lo_a, hi_a, lo_b, hi_b
+    # merged slots: plus the tuples before it on its own side
+    at_a += np.arange(values_a.size)
+    at_b += np.arange(values_b.size)
+    values = _scatter(values_a, at_a, values_b, at_b)
+    del values_a, values_b
+    r_min = _scatter(min_a, at_a, min_b, at_b)
+    del min_a, min_b
+    return values, r_min, _scatter(max_a, at_a, max_b, at_b), n_a + n_b
 
 
 class QuantileSketch:
@@ -169,8 +190,7 @@ class QuantileSketch:
                 self._flush()
 
     def _flush(self) -> None:
-        """Merge the buffered values as one chunk and drop the buffer;
-        every read calls it."""
+        """Merge the buffered values as one chunk; every read calls it."""
         if self._held:
             # a separate call, so its temporaries are freed before compress
             self._merge_chunk()
@@ -183,33 +203,13 @@ class QuantileSketch:
         ranks = np.arange(1, k + 1, math.floor(self.epsilon * k / 2) + 1)
         if ranks[-1] != k:
             ranks = np.append(ranks, k)
-        kept = chunk[ranks - 1]
-        # the buffer goes before the merge peaks; `extend` makes the next
-        self._buffer, self._held, chunk = None, 0, None
-        values, rmin, rmax = self._values, self._rmin, self._rmax
-        # a kept value ranks after the stored values <= it, a stored value
-        # after the chunk items < it: each side's interval in the other adds
-        pos = np.searchsorted(values, kept, side="right")
-        before = np.searchsorted(kept, values, side="left")
-        kept_lo, kept_hi = _bounds(rmin, rmax, self._count, pos)
-        grow_lo, grow_hi = _bounds(ranks, ranks, k, before)
-        kept_lo += ranks
-        kept_hi += ranks
-        grow_lo += rmin
-        grow_hi += rmax
-        # each input is dropped once its last output is built
-        del ranks, rmin, rmax
-        # merged slots: kept w_t goes after the pos[t] stored values <= it
-        # and the t kept ones before it, stored v_i after the before[i]
-        # kept values < it and the i stored ones before it
-        pos += np.arange(kept.size)
-        before += np.arange(values.size)
-        self._values = _scatter(values, before, kept, pos)
-        del values, kept
-        self._rmin = _scatter(grow_lo, before, kept_lo, pos)
-        del grow_lo, kept_lo
-        self._rmax = _scatter(grow_hi, before, kept_hi, pos)
-        self._count += k
+        # the chunk's exact summary; the buffer goes before the merge peaks,
+        # and `extend` makes the next
+        exact = [chunk[ranks - 1], ranks, ranks, k]
+        self._buffer, self._held, chunk, ranks = None, 0, None, None
+        stored = [self._values, self._rmin, self._rmax, self._count]
+        del self._values, self._rmin, self._rmax  # `_merge` drops them
+        self._values, self._rmin, self._rmax, self._count = _merge(stored, exact)
 
     def compress(self) -> None:
         """Delete tuples while the GK maintenance condition allows.

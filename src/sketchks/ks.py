@@ -50,8 +50,9 @@ class KsOutcome:
     The rest is read off these three, so it cannot disagree with them:
     the sample sizes are the plans' n, the error bound on d is the sum of
     the plans' deltas (each CDF is within its delta of its sample's
-    empirical CDF), the p-value is `p_value(d, n, m)` and the null is
-    rejected when p_value <= alpha.
+    empirical CDF), the p-value is `p_value(d, n, m)`, the null is
+    rejected when p_value <= alpha, and the decision is certain when every
+    distance within the error bound of d decides the same (not in JSON).
     """
 
     d: float
@@ -83,6 +84,19 @@ class KsOutcome:
     @property
     def reject(self) -> bool:
         return self.p_value <= self.alpha
+
+    @property
+    def decision_certain(self) -> bool:
+        """Whether every distance within d_error_bound of d decides as d does.
+
+        True iff p_value(max(0, d - d_error_bound)) <= alpha (all reject) or
+        p_value(min(1, d + d_error_bound)) > alpha (all accept).  The exact
+        distance D is one of them and p_value does not increase with the
+        distance, so a certain decision is the exact test's.
+        """
+        bound, n, m = self.d_error_bound, self.n, self.m
+        return (p_value(max(0.0, self.d - bound), n, m) <= self.alpha
+                or p_value(min(1.0, self.d + bound), n, m) > self.alpha)
 
     def to_json(self) -> str:
         """JSON with 17 significant digit decimals, fixed key order; the

@@ -353,6 +353,11 @@ def _run(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+# ks2's stderr when the certificate does not cover the decision
+UNCERTAIN = ("sketchks: warning: the decision is not certain: a distance within "
+             "d_error_bound of d_ks decides the other way\n")
+
+
 def reference_ks2(fx, fy, *, alpha, phi=None, beta=None, **flags):
     """`ks2` as `run_test` on both files `ingest`ed whole, kept as an oracle
     for the streamed route: (exit code, stdout, stderr)."""
@@ -364,7 +369,7 @@ def reference_ks2(fx, fy, *, alpha, phi=None, beta=None, **flags):
         outcome = ks.run_test(x, y, ks.TestPrecision(alpha=alpha, phi=phi))
     except (ValueError, OSError) as exc:
         return 1, "", f"sketchks: error: {exc}\n"
-    return 0, outcome.to_json() + "\n", ""
+    return 0, outcome.to_json() + "\n", "" if outcome.decision_certain else UNCERTAIN
 
 
 def _ks2_argv(fx, fy, *, alpha, phi=None, beta=None, skip_header=False,

@@ -438,6 +438,20 @@ def _assert_stored_ranks(s, stream):
     assert np.all(rmax >= np.searchsorted(ordered, values, side="left") + 1)
 
 
+def _assert_rank_bounds(s, stream, extra=()):
+    """rank_bounds holds the count of values <= t within floor(2*eps*n) at
+    every stored value, midpoint between them, extra probe and beyond
+    both ends."""
+    ordered = np.sort(stream)
+    values = s.summary()[0]
+    probes = np.concatenate([values, (values[1:] + values[:-1]) / 2, extra,
+                             [ordered[0] - 1, ordered[-1] + 1]])
+    lower, upper = s.rank_bounds(probes)
+    true = np.searchsorted(ordered, probes, side="right")
+    assert np.all(lower <= true) and np.all(true <= upper)
+    assert np.all(upper - lower <= math.floor(2.0 * s.epsilon * ordered.size))
+
+
 def test_tie_order_across_batches():
     # the stored 1.0 ranks before the second batch's 1.0s, so its r_max must
     # cover every item of that batch below 1.0 (the tie-heavy reversed case)
@@ -477,18 +491,7 @@ def test_batch_ingest_matches_exact_ranks(kind, n, seed, eps, chunk, cuts, reads
         assert np.array_equal(got, want)
     s.seal()
     _assert_stored_ranks(s, stream)
-    ordered = np.sort(stream)
-    values = s.summary()[0]
-    probes = np.concatenate([
-        values,
-        (values[1:] + values[:-1]) / 2,
-        np.random.default_rng(seed).normal(size=30).round(1),
-        [ordered[0] - 1, ordered[-1] + 1],
-    ])
-    lower, upper = s.rank_bounds(probes)
-    true = np.searchsorted(ordered, probes, side="right")
-    assert np.all(lower <= true) and np.all(true <= upper)
-    assert np.all(upper - lower <= math.floor(2.0 * eps * n))
+    _assert_rank_bounds(s, stream, np.random.default_rng(seed).normal(size=30).round(1))
     probs = [k / 100 for k in range(1, 101)]
     for p, v in zip(probs, s.query_quantiles(probs)):
         assert eq4_holds(stream.tolist(), eps, p, v)
@@ -519,6 +522,46 @@ def test_reads_between_full_chunks_keep_the_summary_of_one_extend(
             assert s._held == 0 and s._buffer is None
     for got, want in zip(s.summary(), whole.summary()):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _gaps(sketch):
+    """g + delta of each stored tuple: its r_max less its left neighbour's
+    r_min."""
+    _, rmin, rmax = sketch.summary()
+    return rmax - np.concatenate(([0], rmin[:-1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.tuples(*[st.sampled_from(["as drawn", "constant", "sorted", "reversed",
+                                       "distinct"])] * 2),
+    sizes=st.tuples(st.integers(min_value=0, max_value=500),
+                    st.integers(min_value=0, max_value=500)).filter(any),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    eps=st.tuples(*[st.sampled_from([0.1, 0.03, 0.01])] * 2),
+    chunk=st.sampled_from([2, 17, 64]),
+)
+def test_merge_of_two_summaries_keeps_ranks_and_the_width_lemma(
+        kinds, sizes, seed, eps, chunk):
+    # two compressed, so inexact, summaries; rounded or constant streams tie
+    # across them
+    streams = [_stream(kind, n, seed + i) for i, (kind, n) in enumerate(zip(kinds, sizes))]
+    sides = [QuantileSketch(e) for e in eps]
+    with mock.patch.object(gk_sketch, "_CHUNK", chunk):
+        for side, stream in zip(sides, streams):
+            side.extend(stream)
+            side.seal()
+    # an empty summary is within any W >= 1
+    widths = [int(np.max(_gaps(side), initial=1)) for side in sides]
+    merged = QuantileSketch(max(eps))
+    merged._values, merged._rmin, merged._rmax, merged._count = gk_sketch._merge(
+        *([*side.summary(), side.count] for side in sides))
+    merged.seal()
+    merged.check_invariants()  # within floor(2*max(eps)*n) + 1
+    assert np.all(_gaps(merged) <= sum(widths) - 1)
+    stream = np.concatenate(streams)
+    _assert_stored_ranks(merged, stream)
+    _assert_rank_bounds(merged, stream)
 
 
 def reference_ingest(stream, eps, chunk):

@@ -656,6 +656,52 @@ class TestKsOutcomeJson:
             ks.KsOutcome(d=d, alpha=alpha, plans=self.PLANS)
 
 
+class TestDecisionCertain:
+    # at n = m = 20000, d_crit(0.05) ~ 0.0136 lies inside [d - 0.01, d + 0.01]
+    # only for d near it
+    PLANS = (plan_from_phi(0.01, 20000), plan_from_phi(0.01, 20000))
+
+    @pytest.mark.parametrize("d, certain", [
+        (0.0, True), (0.003, True), (0.0136, False), (0.02, False), (0.03, True),
+        (1.0, True),
+    ])
+    def test_reads_the_p_values_at_the_band_ends(self, d, certain):
+        out = ks.KsOutcome(d=d, alpha=0.05, plans=self.PLANS)
+        assert out.decision_certain is certain
+        assert "certain" not in out.to_json()
+
+    def test_flags_the_false_rejections_of_same_distribution_pairs(self):
+        # pairs of one N(0,1) at n = m = 1e5 and phi = 0.01: the sketch
+        # route rejects each while the exact test accepts, and each is flagged
+        for s in range(1000, 1010):
+            x = sample(normal(0, 1), 10**5, 2 * s)
+            y = sample(normal(0, 1), 10**5, 2 * s + 1)
+            out = ks.run_test(x, y, ks.TestPrecision(alpha=0.05, phi=0.01))
+            p_exact = ks.p_value(ks.exact_ks_distance(x, y), 10**5, 10**5)
+            assert out.reject and p_exact > 0.05, s
+            assert not out.decision_certain, s
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.tuples(st.integers(min_value=102, max_value=3000),
+                    st.integers(min_value=102, max_value=3000)),
+    shift=st.sampled_from([0.0, 0.05, 0.1, 0.3, 1.0]),
+    decimals=st.sampled_from([0, 1, 17]),  # 0 and 1: ties within and across
+    phi=st.sampled_from([0.02, 0.05, 0.1, 0.3]),
+    alpha=st.sampled_from([0.01, 0.05, 0.5]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_certain_decision_is_the_exact_tests(sizes, shift, decimals, phi, alpha, seed):
+    # |d - D| <= d_error_bound and p_value does not increase with d
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=sizes[0]).round(decimals)
+    y = (rng.normal(size=sizes[1]) + shift).round(decimals)
+    out = ks.run_test(x, y, ks.TestPrecision(alpha=alpha, phi=phi))
+    exact = ks.p_value(ks.exact_ks_distance(x, y), x.size, y.size) <= alpha
+    assert not out.decision_certain or out.reject == exact
+
+
 @settings(max_examples=200, deadline=None)
 @given(phi=st.floats(min_value=0, max_value=2, exclude_min=True, exclude_max=True),
        n=st.integers(min_value=3, max_value=10**7))

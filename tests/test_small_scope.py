@@ -6,10 +6,10 @@ cells of the sketch-direct distance.  Following the small-scope hypothesis
 (Andoni, Daniliuc, Khurshid and Marinov, "Evaluating the small scope
 hypothesis", 2002), `check` builds every input up to a small size, under
 chunk sizes that cut a merge and one that does not, over a grid of eps,
-and checks each sealed sketch and each pair of sketches against oracles
-that count the data directly.  Each chunk size is also the exact oracle's
-cut spacing `ks._PROBE_BLOCK`, so its plans cut at every value, every
-second or third value, or only at the maximum:
+and checks each sealed sketch, each pair of sketches and each merge of
+two against oracles that count the data directly.  Each chunk size is
+also the exact oracle's cut spacing `ks._PROBE_BLOCK`, so its plans cut
+at every value, every second or third value, or only at the maximum:
 
 - the sketch passes `check_invariants`;
 - `rank_bounds` holds the true count of values <= t at every value and
@@ -20,7 +20,11 @@ second or third value, or only at the maximum:
   ints and rounded once, `lall_ks` is within eps1 + eps2 of D,
   and `distance_interval` gives 0 <= d_lo <= D <= d_hi and d_lo <=
   lall_ks <= d_hi, with d_hi - d_lo within (floor(2*eps1*n)*m + floor(2*eps2*m)*n) /
-  (n*m).
+  (n*m);
+- for merges: `gk_sketch._merge` of the sealed sketches of each input's
+  prefix and the rest, split at every point, passes every check of a
+  sealed sketch of the whole input at the larger of their eps (the
+  merge lemma of `gk_sketch`'s docstring).
 
 `check_plans` checks the planner on every n in [1, 64] over a grid of phi:
 a geometric sweep of [1e-3, 1.99] and the lattice phi = 2*k/j**2
@@ -137,36 +141,73 @@ def check_pair(x, sketch1, y, sketch2):
     assert d_hi - d_lo <= width / (n * m) + _SLACK, case
 
 
+def check_merge(data, sketch1, sketch2, checked):
+    """`_merge` of the sealed sketches of a prefix of data and of the rest,
+    checked as the sealed sketch of data at the larger eps.  The check
+    reads only the sorted data, that eps and the merged summary, so a merge
+    that repeats all three of one in `checked` is not checked again."""
+    eps = max(sketch1.epsilon, sketch2.epsilon)
+    summary = gk_sketch._merge([*sketch1.summary(), sketch1.count],
+                               [*sketch2.summary(), sketch2.count])
+    case = (tuple(sorted(data)), eps, *(a.tobytes() for a in summary[:3]))
+    if case not in checked:
+        checked.add(case)
+        merged = QuantileSketch(eps)
+        merged._values, merged._rmin, merged._rmax, merged._count = summary
+        check_sketch(data, merged.seal())
+
+
 def check(max_n, chunks, epsilons):
     """Check every input of up to max_n values under each chunk size and
-    eps, and every pair of them drawn as below; returns the counts
-    (sketches, pairs).
+    eps, every pair of them drawn as below, and every merge of a prefix's
+    sketch with the rest's; returns the counts (sketches, pairs, merges).
 
-    Pairs take the same chunk size, each eps with itself and with the next
-    one in `epsilons` (the last with the first), and each input x with the
-    input that follows it in `inputs` order (the last with the first), so
-    they share values, differ in length at each length boundary, and
-    differ in arrival order.
+    Pairs and merges take the same chunk size and each eps with itself and
+    with the next one in `epsilons` (the last with the first).  Pairs take
+    each input x with the input that follows it in `inputs` order (the
+    last with the first), so they share values, differ in length at each
+    length boundary, and differ in arrival order.  Merges split each input
+    at every point, so their two sides tie wherever the input repeats a
+    value across the split.
     """
     data = inputs(max_n)
-    sketches = pairs = 0
+    sketches = pairs = merges = 0
+    pairings = list(itertools.chain(
+        zip(epsilons, epsilons), zip(epsilons, epsilons[1:] + epsilons[:1])))
     for chunk in chunks:
         with mock.patch.object(gk_sketch, "_CHUNK", chunk), \
                 mock.patch.object(ks, "_PROBE_BLOCK", chunk):
-            sealed = {}
-            for eps in epsilons:
-                for x in data:
+            sealed, summaries, merged, checked = {}, {}, set(), set()
+
+            def sketch(x, eps):
+                """The sealed sketch of x at eps, built once."""
+                if (x, eps) not in sealed:
                     s = QuantileSketch(eps)
                     s.extend(x)
-                    check_sketch(x, s.seal())
-                    sealed[x, eps] = s
+                    sealed[x, eps] = s.seal()
+                    summaries[s] = (s.count, *(a.tobytes() for a in s.summary()))
+                return sealed[x, eps]
+
+            for eps in epsilons:
+                for x in data:
+                    check_sketch(x, sketch(x, eps))
                     sketches += 1
-            for eps1, eps2 in itertools.chain(
-                    zip(epsilons, epsilons), zip(epsilons, epsilons[1:] + epsilons[:1])):
+            for eps1, eps2 in pairings:
                 for x, y in zip(data, data[1:] + data[:1]):
                     check_pair(x, sealed[x, eps1], y, sealed[y, eps2])
                     pairs += 1
-    return sketches, pairs
+                for x in data:
+                    ordered = tuple(sorted(x))
+                    for split in range(1, len(x)):
+                        sides = sketch(x[:split], eps1), sketch(x[split:], eps2)
+                        # the merge and its check read only the sorted input,
+                        # the larger eps and the two summaries
+                        case = (ordered, max(eps1, eps2), *map(summaries.get, sides))
+                        if case not in merged:
+                            merged.add(case)
+                            check_merge(x, *sides, checked)
+                        merges += 1
+    return sketches, pairs, merges
 
 
 def phis(lattice):
@@ -226,8 +267,8 @@ def test_small_scope_plans():
 
 if __name__ == "__main__":
     start = time.perf_counter()
-    sketches, pairs = check(**FULL)
-    print(f"{sketches} sketches and {pairs} pairs checked in "
+    sketches, pairs, merges = check(**FULL)
+    print(f"{sketches} sketches, {pairs} pairs and {merges} merges checked in "
           f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
     start = time.perf_counter()
     grid, plans = check_plans(**PLANS_FULL)
