@@ -180,12 +180,11 @@ def _sorted_ks_distance(xs: np.ndarray, ys: np.ndarray) -> float:
     their largest |c_x*m - c_y*n| is the first lead.  Every other pooled
     value lies strictly between two cuts, with fewer than _PROBE_BLOCK
     values a side, and there each count lies between its count through
-    the lower cut and its count below the upper one.  So |c_x*m - c_y*n|
-    there is at most max(below_x*m - through_y*n, below_y*n -
-    through_x*m) at those ends (the cell argument of `_cells`; the lower
-    cut's count if the interval is empty), and `_merged_lead` merges
-    only the intervals whose bound beats the lead so far.  The lead, a
-    Python int, is divided once.
+    the lower cut and its count below the upper one: a cell, whose
+    `_one_sided` bounds bound |c_x*m - c_y*n| there (an empty interval's
+    bound is its value at the lower cut).  `_merged_lead` merges only the
+    intervals whose bound beats the lead so far.  The lead, a Python int,
+    is divided once.
     """
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be non-empty")
@@ -203,8 +202,8 @@ def _sorted_ks_distance(xs: np.ndarray, ys: np.ndarray) -> float:
     below_y, through_y = ys.searchsorted(cuts), ys.searchsorted(cuts, "right")
     lead = int(np.abs(through_x * m - through_y * n).max())
     # interval k lies strictly between cuts k and k + 1
-    bound = np.maximum(below_x[1:] * m - through_y[:-1] * n,
-                       below_y[1:] * n - through_x[:-1] * m)
+    bound = np.maximum(*_one_sided(n, m, through_x[:-1], below_x[1:],
+                                   through_y[:-1], below_y[1:]))
     for k in np.flatnonzero(bound > lead).tolist():
         if bound[k] > lead:
             i, j = int(through_x[k]), int(through_y[k])
@@ -346,40 +345,51 @@ def phi_for_test(alpha: float, beta: float, n: int, m: int) -> float:
     for g in (alpha + beta, alpha - beta):
         if not 0 < g < 1:
             raise ValueError(f"alpha +/- beta must be in (0, 1), got {g}")
+        if g < qks(10.0):  # d_crit's floor, refused under the caller's names
+            raise ValueError(f"alpha +/- beta must be at least Q(10) = {qks(10.0):.3g}, "
+                             f"got {g}")
     base = d_crit(alpha, n, m)
     up = d_crit(alpha + beta, n, m)
     down = d_crit(alpha - beta, n, m)
     return min(abs(up - base), abs(down - base))
 
 
+def _one_sided(n: int, m: int, lo1, hi1, lo2, hi2):
+    """The one-sided bounds (up, down) of cells, as new int64 arrays.
+
+    On a cell, a range of t where c1(t), the count of values <= t among
+    sample 1's n, lies in [lo1, hi1] and c2(t), among sample 2's m, in
+    [lo2, hi2], c1*m - c2*n <= hi1*m - lo2*n = up and c2*n - c1*m <=
+    hi2*n - lo1*m = down.  So c1*m - c2*n lies in [-down, up], a width of
+    up + down = (hi1-lo1)*m + (hi2-lo2)*n: |c1*m - c2*n| is at least
+    max(-up, -down) and at most max(up, down), and up - down = (lo1+hi1)*m
+    - (lo2+hi2)*n, twice the midpoint, is within up + down of 2*(c1*m -
+    c2*n), with |up - down|/2 between those bounds, each within n*m of 0.
+    """
+    up = hi1 * m
+    up -= lo2 * n
+    down = hi2 * n
+    down -= lo1 * m
+    return up, down
+
+
 def _cells(sketch1: QuantileSketch, sketch2: QuantileSketch):
-    """The sketch-direct kernel: n, m and the int64 rank intervals
-    [lo1, hi1] and [lo2, hi2] of both samples at each value stored in
-    either summary, ascending: the run ends of the pooled stored values,
-    one probe per distinct value (np.union1d imports numpy.ma on first use).
+    """The sketch-direct kernel: n, m and the `_one_sided` bounds (up,
+    down) at each value stored in either summary, ascending: the run ends
+    of the pooled stored values (np.union1d imports numpy.ma on first use).
 
-    The probes' cells cover every t.  `rank_bounds` gives an interval that
-    holds c(t), the count of values <= t, with hi - lo <= floor(2*eps*n),
-    and it depends only on how many stored values are <= t.  So the
-    intervals at a union value u hold for every t up to the next one;
-    below the union's minimum (the smaller sample minimum) both counts are
-    0, and at its maximum both are exact.  Hence, with D*n*m =
-    sup_t |c1(t)*m - c2(t)*n|:
-
-    - D*n*m is at most the largest max(hi1*m - lo2*n, hi2*n - lo1*m) and
-      at least the largest max(lo1*m - hi2*n, lo2*n - hi1*m); the last
-      cell, whose terms are 0, makes both at least 0;
-    - in a cell each upper term exceeds its lower twin by (hi1-lo1)*m +
-      (hi2-lo2)*n <= floor(2*eps1*n)*m + floor(2*eps2*m)*n, so the two
-      bounds differ by at most that, which is at most (2*eps1 + 2*eps2)*n*m;
-    - the midpoint term (lo1+hi1)*m - (lo2+hi2)*n, a lower plus an upper
-      bound on c1*m - c2*n, is within 2*(eps1 + eps2)*n*m of twice it, so
-      the largest |midpoint| over 2*n*m is within eps1 + eps2 of D, and
-      between the two bounds over n*m.
-
-    Each term is at most 2*n*m in absolute value, exact in int64 under the
-    guard 2*n*m < 2**63.  Either sketch may still be open for writes; an
-    empty one raises SketchStateError from `rank_bounds`.
+    These cells cover every t.  `rank_bounds` holds c(t) in an interval of
+    width at most floor(2*eps*n) that depends only on how many stored
+    values are <= t, so the intervals at a union value u hold up to the
+    next one; below the union's minimum both counts are 0, and at its
+    maximum both are exact (up = down = 0).  So, with D*n*m = sup_t
+    |c1(t)*m - c2(t)*n|, max(-min up, -min down) <= D*n*m <= max(max up,
+    max down); each cell's up + down, at most floor(2*eps1*n)*m +
+    floor(2*eps2*m)*n <= (2*eps1 + 2*eps2)*n*m, bounds their difference;
+    and max|up - down|/(2*n*m) lies between them over n*m, within eps1 +
+    eps2 of D.  up - down is exact in int64 under the guard 2*n*m < 2**63.
+    Either sketch may still be open for writes; an empty one raises
+    SketchStateError from `rank_bounds`.
     """
     values = np.concatenate((sketch1.summary()[0], sketch2.summary()[0]))
     values.sort()
@@ -389,7 +399,8 @@ def _cells(sketch1: QuantileSketch, sketch2: QuantileSketch):
     n, m = sketch1.count, sketch2.count
     if 2 * n * m >= 2**63:
         raise ValueError(f"2*n*m must be below 2**63 for int64 counts, got {n}*{m}")
-    return n, m, lo1, hi1, lo2, hi2
+    del values  # so building the pair peaks no higher than rank_bounds
+    return n, m, *_one_sided(n, m, lo1, hi1, lo2, hi2)
 
 
 def lall_ks(sketch1: QuantileSketch, sketch2: QuantileSketch) -> float:
@@ -397,21 +408,16 @@ def lall_ks(sketch1: QuantileSketch, sketch2: QuantileSketch) -> float:
 
     Over the union of values stored in either summary, estimates each
     sample's CDF as (r_min + r_max) / (2n) and returns the largest absolute
-    difference.  It is max |(lo1+hi1)*m - (lo2+hi2)*n| / (2*n*m) over the
-    cells of `_cells`, taken in int64 and divided once, so it is correctly
-    rounded.  It is within eps1 + eps2 of the exact distance D, by the
-    cell argument of `_cells`, and inside `distance_interval`.  The
-    experiment presets build the sketches at precision/6, three times
+    difference: max|up - down| / (2*n*m) over the cells of `_cells`, taken
+    in int64 and divided once, so it is correctly rounded.  It is within
+    eps1 + eps2 of the exact distance D, and inside `distance_interval`.
+    The experiment presets build the sketches at precision/6, three times
     tighter than the bound needs, as the paper does.
     """
-    n, m, lo1, hi1, lo2, hi2 = _cells(sketch1, sketch2)
-    lo1 += hi1
-    lo1 *= m
-    lo2 += hi2
-    lo2 *= n
-    lo1 -= lo2
-    np.abs(lo1, out=lo1)
-    return int(lo1.max()) / (2 * n * m)
+    n, m, up, down = _cells(sketch1, sketch2)
+    up -= down
+    np.abs(up, out=up)
+    return int(up.max()) / (2 * n * m)
 
 
 def distance_interval(sketch1: QuantileSketch,
@@ -419,26 +425,17 @@ def distance_interval(sketch1: QuantileSketch,
     """Certified bounds (d_lo, d_hi) on the exact KS distance D of the two
     summarised samples: d_lo <= D <= d_hi.
 
-    d_hi is the largest max(hi1*m - lo2*n, hi2*n - lo1*m) over the cells
-    of `_cells`, and d_lo the largest max(lo1*m - hi2*n, lo2*n - hi1*m)
-    (at least 0), each an int64 maximum divided once by n*m, so each is
-    correctly rounded and the ordering d_lo <= D <= d_hi survives the
-    rounding.  The width d_hi - d_lo is at most (floor(2*eps1*n)*m +
+    Over the cells of `_cells`, d_lo = max(-min up, -min down) and d_hi =
+    max(max up, max down), each an int64 extreme divided once by n*m, so
+    each is correctly rounded and d_lo <= D <= d_hi survives the rounding.
+    The width d_hi - d_lo is at most (floor(2*eps1*n)*m +
     floor(2*eps2*m)*n) / (n*m) <= 2*eps1 + 2*eps2, and `lall_ks` lies
     inside the interval.  It bounds the distance only; whether the test's
     decision could flip inside it is not checked here.
     """
-    n, m, lo1, hi1, lo2, hi2 = _cells(sketch1, sketch2)
-    lo1 *= m
-    hi1 *= m
-    lo2 *= n
-    hi2 *= n
-    # the upper bounds on c1*m - c2*n and on c2*n - c1*m; the lower bound
-    # on each is minus the other's upper bound
-    hi1 -= lo2
-    hi2 -= lo1
-    d_hi = max(int(hi1.max()), int(hi2.max()))
-    d_lo = max(-int(hi1.min()), -int(hi2.min()))
+    n, m, up, down = _cells(sketch1, sketch2)
+    d_lo = max(-int(up.min()), -int(down.min()))
+    d_hi = max(int(up.max()), int(down.max()))
     return d_lo / (n * m), d_hi / (n * m)
 
 

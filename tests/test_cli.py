@@ -445,13 +445,14 @@ def test_ks2_stdout_matches_run_test_on_ingested_files(
     fy.write_bytes(files[1])
     test = {"alpha": 0.5, **precision}
     flags = {"skip_header": skip_header, "skip_invalid": skip_invalid}
-    file_sketch, log = cli._file_sketch, workdir / "reads.log"
+    blocks, log = cli._blocks, workdir / "reads.log"
 
     def logged(path, *rest):
-        # a file, not a counter in memory, so a forked worker's read counts
+        # every parse, streamed or ingested whole, goes through `_blocks`; a
+        # file, not a counter in memory, so a forked worker's parse counts
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{path}\n")
-        return file_sketch(path, *rest)
+        yield from blocks(path, *rest)
 
     names, fds = {"x": str(fx), "y": str(fy)}, []
     try:
@@ -466,9 +467,9 @@ def test_ks2_stdout_matches_run_test_on_ingested_files(
                 names[side] = f"/dev/fd/{r}"
         with mock.patch.object(cli, "_BLOCK_LINES", block), \
                 mock.patch.object(gk_sketch, "_CHUNK", chunk), \
-                mock.patch.object(cli, "_FORK_LINES", 0 if forked else cli._FORK_LINES), \
-                mock.patch.object(cli, "_file_sketch", logged):
-            got = _run(_ks2_argv(names["x"], names["y"], **test, **flags))
+                mock.patch.object(cli, "_FORK_LINES", 0 if forked else cli._FORK_LINES):
+            with mock.patch.object(cli, "_blocks", logged):
+                got = _run(_ks2_argv(names["x"], names["y"], **test, **flags))
             rc, out, err = reference_ks2(fx, fy, **test, **flags)
     finally:
         for fd in fds:

@@ -452,6 +452,14 @@ class TestPhiForTest:
             with pytest.raises(ValueError, match="beta must be positive"):
                 ks.phi_for_test(0.05, beta, 100, 100)
 
+    def test_level_below_q10_is_named_as_alpha_minus_beta(self):
+        # alpha itself is above Q(10); alpha - beta, which d_crit is handed,
+        # is not, and the error names it as the caller wrote it
+        with pytest.raises(ValueError) as info:
+            ks.phi_for_test(1e-86, 9e-87, 100, 100)
+        assert str(info.value) == ("alpha +/- beta must be at least Q(10) = 2.77e-87, "
+                                   "got 1.0000000000000017e-87")
+
 
 class TestLallKs:
     def _sealed(self, data, eps):
@@ -507,6 +515,15 @@ class TestLallKs:
                 read(QuantileSketch(0.1), sealed)
             with pytest.raises(SketchStateError):
                 read(QuantileSketch(0.1), QuantileSketch(0.1))
+
+    def test_refuses_counts_whose_terms_leave_int64(self):
+        # 2*n*m reaches 2**63 at n = m = 2**31; only the guard reads count
+        s1, s2 = self._sealed([1.0, 2.0], 0.1), self._sealed([1.5], 0.1)
+        with mock.patch.object(QuantileSketch, "count", new_callable=mock.PropertyMock,
+                               return_value=2**31):
+            for read in (ks.lall_ks, ks.distance_interval):
+                with pytest.raises(ValueError, match=r"2\*n\*m must be below 2\*\*63"):
+                    read(s1, s2)
 
     def test_first_call_imports_nothing(self):
         # np.union1d would import numpy.ma on first use with numpy 2

@@ -17,7 +17,9 @@ at every value, every second or third value, or only at the maximum:
   floor(2*eps*n);
 - `query_quantiles` meets the GK contract at p = j/(4n), j = 1..4n;
 - for pairs: `exact_ks_distance` is the distance D counted in Python
-  ints and rounded once, `lall_ks` is within eps1 + eps2 of D,
+  ints and rounded once; at each pooled value t, c1(t)*m - c2(t)*n
+  counted in Python ints lies in [-down, up], the `ks._one_sided` bounds
+  of the `ks._cells` cell that holds t; `lall_ks` is within eps1 + eps2 of D,
   and `distance_interval` gives 0 <= d_lo <= D <= d_hi and d_lo <=
   lall_ks <= d_hi, with d_hi - d_lo within (floor(2*eps1*n)*m + floor(2*eps2*m)*n) /
   (n*m);
@@ -116,22 +118,33 @@ def _contract(n, eps):
 
 
 @functools.lru_cache(maxsize=None)
+def counted_differences(x, y):
+    """c_x(t)*m - c_y(t)*n at each pooled value t, in Python ints."""
+    n, m = len(x), len(y)
+    return {t: sum(v <= t for v in x) * m - sum(v <= t for v in y) * n for t in x + y}
+
+
 def counted_distance(x, y):
     """max_t |c_x(t)*m - c_y(t)*n| / (n*m) over the pooled t, in Python
     ints, rounded once by Fraction."""
-    n, m = len(x), len(y)
-    best = max(abs(sum(v <= t for v in x) * m - sum(v <= t for v in y) * n)
-               for t in x + y)
-    return float(Fraction(best, n * m))
+    best = max(map(abs, counted_differences(x, y).values()))
+    return float(Fraction(best, len(x) * len(y)))
 
 
 def check_pair(x, sketch1, y, sketch2):
-    """exact_ks_distance against the counted D, then lall_ks and
-    distance_interval of two sealed sketches against D."""
+    """exact_ks_distance against the counted D, the one-sided bounds of
+    each cell against the counts in it, then lall_ks and distance_interval
+    of two sealed sketches against D."""
     n, m = len(x), len(y)
     eps1, eps2 = sketch1.epsilon, sketch2.epsilon
     d = ks.exact_ks_distance(x, y)
     assert d == counted_distance(x, y), (x, y, d)
+    _, _, up, down = ks._cells(sketch1, sketch2)
+    up, down = up.tolist(), down.tolist()
+    stored = sorted({*sketch1.summary()[0].tolist(), *sketch2.summary()[0].tolist()})
+    for t, difference in counted_differences(x, y).items():
+        k = bisect.bisect_right(stored, t) - 1  # the cell that holds t
+        assert k >= 0 and -down[k] <= difference <= up[k], (x, y, t, k, up, down)
     lall = ks.lall_ks(sketch1, sketch2)
     d_lo, d_hi = ks.distance_interval(sketch1, sketch2)
     case = (x, eps1, y, eps2, d, lall, d_lo, d_hi)
