@@ -301,16 +301,20 @@ def _ks2(args) -> ks.KsOutcome:
     Route: the first pass plans from the line counts and streams each file
     into its sketch.  It cannot plan when an input is not a regular file
     (a pipe may not be read twice) or cannot be counted, or the line
-    counts admit no certified plan; it then ingests both files whole, x
-    then y, and the second pass plans from their sizes and sketches the
-    arrays in memory, as `run_test` does.  Otherwise the second pass plans
-    from the value counts the first found, and refuses as changed while
-    read a file whose value count is still not its plan's; under --beta a
-    count moves phi, so it may read both files.  Only the first pass
-    forks, where each file counts _FORK_LINES lines or more: y is read by
-    `_forked` (the gate, the CPU move and the fallback are its), in a
-    worker that sends back only the sealed summary (~1e4 tuples for 2e5
-    lines) while x is read here, or here after x where no worker starts.
+    counts or the precision admit no certified plan; it then reads each
+    file once, x then y.  Where both are regular files it only counts
+    their values, streamed through `_blocks` a block at a time, so a
+    regular file is never held whole; otherwise it ingests both whole, and
+    the second pass sketches those arrays in memory, as `run_test` does.
+    The second pass plans from the value counts the first found: it
+    raises the plan's error or reads again each file whose plan moved,
+    and refuses as changed while read a file whose value count is still
+    not its plan's; under --beta a count moves phi, so it may read both
+    files.  Only the first pass forks, where each file counts _FORK_LINES
+    lines or more: y is read by `_forked` (the gate, the CPU move and the
+    fallback are its), in a worker that sends back only the sealed summary
+    (~1e4 tuples for 2e5 lines) while x is read here, or here after x
+    where no worker starts.
 
     Errors come in the order of `run_test` on both files ingested whole:
     one in x is raised first, one in y only after x's read succeeded, and
@@ -320,10 +324,11 @@ def _ks2(args) -> ks.KsOutcome:
     files = (args.file_x, args.file_y)
     flags = (args.skip_header, args.skip_invalid)
     cdfs, samples = [None, None], None
+    regular = all(map(os.path.isfile, files))
     for second in (False, True):
         try:
             if not second:
-                if not all(map(os.path.isfile, files)):
+                if not regular:
                     raise OSError("not a regular file")
                 counts = [_line_count(f, args.skip_header) for f in files]
             phi = args.phi if args.beta is None else ks.phi_for_test(
@@ -333,9 +338,12 @@ def _ks2(args) -> ks.KsOutcome:
         except (OSError, ValueError):
             if second:
                 raise
-            samples = [ingest(f, skip_header=args.skip_header,
-                              skip_invalid=args.skip_invalid)[0] for f in files]
-            counts = [s.size for s in samples]
+            if regular:  # counted one block at a time, x then y
+                counts = [sum(v.size for v, _ in _blocks(f, *flags)) for f in files]
+            else:
+                samples = [ingest(f, skip_header=args.skip_header,
+                                  skip_invalid=args.skip_invalid)[0] for f in files]
+                counts = [s.size for s in samples]
             continue
         stale = [i for i in (0, 1) if cdfs[i] is None or cdfs[i].plan != plans[i]]
         for i in stale:

@@ -333,12 +333,13 @@ def phi_for_test(alpha: float, beta: float, n: int, m: int) -> float:
     """Distance precision matching a p-value precision beta at level alpha.
 
     The smaller of the critical-distance shifts |d_crit(alpha +/- beta) -
-    d_crit(alpha)|.  For the paper's two reported configurations this
-    evaluates to 0.001086 and 0.001240, not the 0.000399 / 0.00077 quoted
-    there.  The experiment presets pin the quoted values directly (see
-    experiments module); they are stricter than this definition's values,
-    and acceptance criterion 6b checks both that and this function against
-    an independent inversion.
+    d_crit(alpha)|; a beta so small that d_crit's tolerance absorbs a
+    shift, so that this is 0, is refused.  For the paper's two reported
+    configurations this evaluates to 0.001086 and 0.001240, not the
+    0.000399 / 0.00077 quoted there.  The experiment presets pin the
+    quoted values directly (see experiments module); they are stricter
+    than this definition's values, and acceptance criterion 6b checks both
+    that and this function against an independent inversion.
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -351,7 +352,11 @@ def phi_for_test(alpha: float, beta: float, n: int, m: int) -> float:
     base = d_crit(alpha, n, m)
     up = d_crit(alpha + beta, n, m)
     down = d_crit(alpha - beta, n, m)
-    return min(abs(up - base), abs(down - base))
+    phi = min(abs(up - base), abs(down - base))
+    if phi == 0:  # d_crit's tolerance absorbed the shift
+        raise ValueError(f"beta = {beta} is too small for d_crit to resolve at "
+                         f"alpha = {alpha}: phi would be 0")
+    return phi
 
 
 def _one_sided(n: int, m: int, lo1, hi1, lo2, hi2):

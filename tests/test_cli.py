@@ -487,18 +487,21 @@ _VALUES = "".join(f"{v!r}\n" for v in np.linspace(-2, 2, 200).tolist()).encode()
     # a bad line of x is met before y is found missing
     (b"1\nbogus\n" + _VALUES, None, ["--phi", "0.1"],
      "{x}:2: not a finite number: 'bogus'", 1),
-    (b"", _VALUES, ["--phi", "0.1"], "{x}: no data values found", 1),
+    (b"", _VALUES, ["--phi", "0.1"], "{x}: no data values found", 0),
     # blank lines plan a sample of 100 that then holds no value
     (b"\n" * 100, _VALUES, ["--phi", "0.1"], "{x}: no data values found", 0),
     # the plan refuses y's three lines before its line 3 is read
     (_VALUES, b"1.5\n2.5\n\xff\xfe\n", ["--phi", "0.05"],
-     "{y}:3: not UTF-8 text: b'\\xff\\xfe'", 2),
+     "{y}:3: not UTF-8 text: b'\\xff\\xfe'", 0),
     (_VALUES, _VALUES + b"\xff\n", ["--phi", "0.1"],
      "{y}:201: not UTF-8 text: b'\\xff'", 0),
     # --beta 0 leaves no plan, so the bad line of x is met first
     (b"1\nx\n" + _VALUES, _VALUES, ["--beta", "0"],
-     "{x}:2: not a finite number: 'x'", 1),
-    (_VALUES, _VALUES, ["--beta", "0"], "beta must be positive, got 0.0", 2),
+     "{x}:2: not a finite number: 'x'", 0),
+    (_VALUES, _VALUES, ["--beta", "0"], "beta must be positive, got 0.0", 0),
+    # a beta d_crit cannot resolve is refused by name, not as phi = 0
+    (_VALUES, _VALUES, ["--beta", "1e-12"], "beta = 1e-12 is too small for d_crit "
+     "to resolve at alpha = 0.05: phi would be 0", 0),
     # on the forked route y's worker is running when x's bad line is met
     (b"1\nbogus\n" + _VALUES, _VALUES, ["--phi", "0.1"],
      "{x}:2: not a finite number: 'bogus'", 0),
@@ -506,15 +509,16 @@ _VALUES = "".join(f"{v!r}\n" for v in np.linspace(-2, 2, 200).tolist()).encode()
     # raises that, with both files parsed, and ingests neither whole
     (b"\n" * 98 + b"1\n2\n", _VALUES, ["--phi", "0.1"],
      "sample of 2 points cannot reach a CDF error bound of 0.05", 0),
-    # one line a file admits no plan, so both are ingested before it fails
+    # one line a file admits no plan, so both are counted before it fails
     (b"1.5\n", b"1.5\n", ["--phi", "0.05"],
-     "sample of 1 points cannot reach a CDF error bound of 0.025", 2),
+     "sample of 1 points cannot reach a CDF error bound of 0.025", 0),
 ], ids=["x-bad-before-y-missing", "x-empty", "x-blank-lines", "y-bad-unplanned",
-        "y-bad-streamed", "beta-0-x-bad", "beta-0", "x-bad-y-streaming",
-        "second-pass-unplanned", "one-line-files"])
+        "y-bad-streamed", "beta-0-x-bad", "beta-0", "beta-unresolved",
+        "x-bad-y-streaming", "second-pass-unplanned", "one-line-files"])
 def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message, ingested):
-    # `ingested`: the files ks2 parses whole, where it cannot stream them
-    # or their line counts admit no plan
+    # `ingested`: the files ks2 parses whole, where an input is not a
+    # regular file (a missing y); regular files it cannot plan from their
+    # line counts are counted a block at a time
     fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
     fx.write_bytes(x)
     if y is not None:
@@ -636,7 +640,9 @@ def test_forked_worker_writes_no_output(tmp_path, fork_route, y_tail):
 def test_forked_route_runs_here(tmp_path):
     # the forked route's tests skip where no worker starts; on Linux with
     # two CPUs one must, as conftest.py keeps numpy to one thread.  ks2
-    # asks for one only where each file counts _FORK_LINES lines
+    # asks for one only where each file counts _FORK_LINES lines, which
+    # the 70,000-line files of CI's pinned console-script run do
+    assert cli._FORK_LINES <= 70_000, cli._FORK_LINES
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one usable CPU")
     assert _worker_starts()
@@ -708,7 +714,8 @@ def test_ks2_second_pass_peak_memory(normal_files, monkeypatch):
     # tuples and 40,580 knots) with a blank first line in x: its value
     # count moves phi, so the second pass reads both files again.  That
     # pass ends as a clean run does, x's CDF held while y is read, and
-    # peaks as high (1.68 MB): the chunk buffer and each block's lines are
+    # peaks as high (1.56 MB; 1.64 MB run alone, which builds the argument
+    # parser under the trace): the chunk buffer and each block's lines are
     # gone before a merge peaks, and the knots are queried in blocks, so
     # no read holds a parsed file (1.6 MB).  x's first read makes no CDF
     # and y's first CDF is stale by the second pass, so the first three
@@ -739,6 +746,32 @@ def test_ks2_second_pass_peak_memory(normal_files, monkeypatch):
     assert reads == [str(fx), str(fy)] * 2
     assert max(held[:3]) - held[0] < 1e5, f"held {held} bytes"  # a sealed sketch is ~2.5e5
     assert peak <= 2.2e6, f"peak {peak} bytes"
+
+
+def test_ks2_unplanned_regular_files_peak_memory(normal_files, monkeypatch):
+    # --beta 0 admits no plan, so the first pass counts each regular
+    # file's values a block at a time and the second raises the plan's
+    # error: the peak is a block's, at both sizes below a planned run's
+    # (--beta 0.025), and does not grow with the files.  In one process,
+    # as tracemalloc traces only the process it runs in
+    monkeypatch.setattr(cli, "_FORK_LINES", 10**9)
+    cli._build_parser()  # built once a process, before the first trace
+    peaks = {}
+    for n in (20_000, 80_000):
+        fx = normal_files(f"x{n}.txt", 0, n, 31)
+        fy = normal_files(f"y{n}.txt", 0.01, n, 32)
+        for beta in ("0", "0.025"):
+            tracemalloc.start()
+            try:
+                rc, _, err = _run(["ks2", "--file-x", fx, "--file-y", fy,
+                                   "--beta", beta])
+                peaks[n, beta] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (rc, err) == ((1, "sketchks: error: beta must be positive, got 0.0\n")
+                                 if beta == "0" else (0, ""))
+        assert peaks[n, "0"] < peaks[n, "0.025"], peaks
+    assert abs(peaks[80_000, "0"] - peaks[20_000, "0"]) < 5e4, peaks
 
 
 def test_worker_peak_memory(normal_files):
