@@ -709,13 +709,22 @@ def test_leave_keeps_the_affinity(worker):
         assert got() == os.sched_getaffinity(0)
 
 
-def test_ks2_second_pass_peak_memory(normal_files, monkeypatch):
+def _warm_up_ks2(normal_files):
+    # a process's first ks2 call builds the argument parser and fills
+    # first-call caches; one small call before a trace keeps them out of it,
+    # so a peak reads the same run alone or after other tests
+    wx = normal_files("warm_x.txt", 0, 500, 1)
+    wy = normal_files("warm_y.txt", 0.01, 500, 2)
+    rc, _, err = _run(["ks2", "--file-x", wx, "--file-y", wy, "--beta", "0.025"])
+    assert (rc, err) == (0, "")
+
+
+def test_ks2_second_pass_peak_memory(normal_files, monkeypatch, traced_peak):
     # the planned-file shape (phi from --beta gives summaries of ~1e4
     # tuples and 40,580 knots) with a blank first line in x: its value
     # count moves phi, so the second pass reads both files again.  That
     # pass ends as a clean run does, x's CDF held while y is read, and
-    # peaks as high (1.56 MB; 1.64 MB run alone, which builds the argument
-    # parser under the trace): the chunk buffer and each block's lines are
+    # peaks as high (1.56 MB): the chunk buffer and each block's lines are
     # gone before a merge peaks, and the knots are queried in blocks, so
     # no read holds a parsed file (1.6 MB).  x's first read makes no CDF
     # and y's first CDF is stale by the second pass, so the first three
@@ -724,6 +733,7 @@ def test_ks2_second_pass_peak_memory(normal_files, monkeypatch):
     # process, as tracemalloc traces only the process it runs in
     n = m = 200_000
     monkeypatch.setattr(cli, "_FORK_LINES", n + 1)
+    _warm_up_ks2(normal_files)
     fx = normal_files("x.txt", 0, n, 31)
     fy = normal_files("y.txt", 0.01, m, 32)
     fx.write_bytes(b"\n" + fx.read_bytes())
@@ -736,58 +746,48 @@ def test_ks2_second_pass_peak_memory(normal_files, monkeypatch):
 
     monkeypatch.setattr(cli, "_file_sketch", counted)
     argv = ["ks2", "--file-x", fx, "--file-y", fy, "--alpha", "0.05", "--beta", "0.025"]
-    tracemalloc.start()
-    try:
-        rc, out, _ = _run(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (rc, out, _), peak = traced_peak(_run, argv)
     assert rc == 0 and json.loads(out)["params"]["a_x"] == 40580
     assert reads == [str(fx), str(fy)] * 2
     assert max(held[:3]) - held[0] < 1e5, f"held {held} bytes"  # a sealed sketch is ~2.5e5
     assert peak <= 2.2e6, f"peak {peak} bytes"
 
 
-def test_ks2_unplanned_regular_files_peak_memory(normal_files, monkeypatch):
+def test_ks2_unplanned_regular_files_peak_memory(normal_files, monkeypatch, traced_peak):
     # --beta 0 admits no plan, so the first pass counts each regular
     # file's values a block at a time and the second raises the plan's
     # error: the peak is a block's, at both sizes below a planned run's
     # (--beta 0.025), and does not grow with the files.  In one process,
     # as tracemalloc traces only the process it runs in
     monkeypatch.setattr(cli, "_FORK_LINES", 10**9)
-    cli._build_parser()  # built once a process, before the first trace
+    _warm_up_ks2(normal_files)
     peaks = {}
     for n in (20_000, 80_000):
         fx = normal_files(f"x{n}.txt", 0, n, 31)
         fy = normal_files(f"y{n}.txt", 0.01, n, 32)
         for beta in ("0", "0.025"):
-            tracemalloc.start()
-            try:
-                rc, _, err = _run(["ks2", "--file-x", fx, "--file-y", fy,
-                                   "--beta", beta])
-                peaks[n, beta] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            (rc, _, err), peaks[n, beta] = traced_peak(
+                _run, ["ks2", "--file-x", fx, "--file-y", fy, "--beta", beta])
             assert (rc, err) == ((1, "sketchks: error: beta must be positive, got 0.0\n")
                                  if beta == "0" else (0, ""))
         assert peaks[n, "0"] < peaks[n, "0.025"], peaks
     assert abs(peaks[80_000, "0"] - peaks[20_000, "0"]) < 5e4, peaks
 
 
-def test_worker_peak_memory(normal_files):
+def test_worker_peak_memory(normal_files, traced_peak):
     # what a forked worker does with y on the planned-file shape, in this
     # process, where tracemalloc sees it: parse, sketch, seal and send
     n = 200_000
     fy = normal_files("y.txt", 0.01, n, 32)
     plan = plan_from_phi(ks.phi_for_test(0.05, 0.025, n, n), n)
+
+    def send(sink):
+        sketch = cli._file_sketch(fy, plan.epsilon, False, False)
+        pickle.dump((True, sketch), sink, pickle.HIGHEST_PROTOCOL)
+        return sketch
+
     with open(os.devnull, "wb") as sink:
-        tracemalloc.start()
-        try:
-            sketch = cli._file_sketch(fy, plan.epsilon, False, False)
-            pickle.dump((True, sketch), sink, pickle.HIGHEST_PROTOCOL)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        sketch, peak = traced_peak(send, sink)
     assert sketch.count == n and plan.a == 40580
     assert peak <= 2.2e6, f"peak {peak} bytes"
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import pytest
 
@@ -116,19 +115,14 @@ class TestReplications:
         assert rec.cdf_knots_x >= 3
         assert rec.sketch_tuples_x > 0
 
-    def test_paper_scale_sketch_row_peak_memory(self):
+    def test_paper_scale_sketch_row_peak_memory(self, traced_peak):
         # experiment 8 (1e5 per side) peaks at 2.59 MB with numpy 2.4.6: the
         # two samples (1.6 MB) and the second lall_ks sketch's chunk buffer
         # and merge.  Sorted copies for the exact oracle would add 1.6 MB,
         # and a second open chunk buffer 0.5 MB
         spec = ex.experiment_spec(8, replications=1)
         ex.run_replication(spec, 0)  # first calls allocate caches
-        tracemalloc.start()
-        try:
-            ex.run_replication(spec, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(ex.run_replication, spec, 0)
         assert peak <= 2.9e6
 
     def test_record_stores_its_outcome(self):

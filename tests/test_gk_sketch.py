@@ -279,17 +279,12 @@ class TestDeterminismAndSpace:
         for x, y in zip(a.summary(), b.summary()):
             assert np.array_equal(x, y)
 
-    def test_extend_peak_memory(self):
+    def test_extend_peak_memory(self, traced_peak):
         # one 512 KiB chunk buffer at a time, dropped before each merge, plus
         # a summary of ~190 tuples
         data = np.random.default_rng(5).normal(size=10**6)
         s = QuantileSketch(0.00493)
-        tracemalloc.start()
-        try:
-            s.extend(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(s.extend, data)
         assert peak <= 0.7e6
         s.check_invariants()
 

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -121,27 +120,22 @@ class TestExactDistance:
         assert ks.exact_ks_distance(x, y) == 0.2
 
     @staticmethod
-    def assert_peak_within_sorted_copies_and_one_block(x, y):
-        tracemalloc.start()
-        try:
-            ks.exact_ks_distance(x, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def assert_peak_within_sorted_copies_and_one_block(traced_peak, x, y):
+        _, peak = traced_peak(ks.exact_ks_distance, x, y)
         # the two sorted copies, then one merge's temporaries: fewer than
         # _PROBE_BLOCK values a side, 25 bytes a pooled value, plus 16 KiB
         # for the plan's cuts and small objects
         assert peak <= 8 * (x.size + y.size) + 25 * 2 * ks._PROBE_BLOCK + 2**14
 
-    def test_peak_memory_per_value(self):
+    def test_peak_memory_per_value(self, traced_peak):
         rng = np.random.default_rng(5)
         x, y = rng.normal(size=10**5), rng.normal(0.01, 1, size=10**5)
-        self.assert_peak_within_sorted_copies_and_one_block(x, y)
+        self.assert_peak_within_sorted_copies_and_one_block(traced_peak, x, y)
 
-    def test_peak_memory_per_value_on_ties(self):
+    def test_peak_memory_per_value_on_ties(self, traced_peak):
         rng = np.random.default_rng(5)  # 1,000 values shared by both samples
         x, y = (rng.integers(0, 1000, size=10**5).astype(float) for _ in "xy")
-        self.assert_peak_within_sorted_copies_and_one_block(x, y)
+        self.assert_peak_within_sorted_copies_and_one_block(traced_peak, x, y)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -223,18 +217,13 @@ class TestSortedKernel:
             assert ks._sorted_ks_distance(x, y) == count_ks(x.tolist(), y.tolist())
         assert 0 < merge.call_count < cuts.size
 
-    def test_reads_sorted_samples_in_place(self):
+    def test_reads_sorted_samples_in_place(self, traced_peak):
         # exact_ks_distance needs 1.71 MB here; the kernel copies nothing,
         # and holds only its plan and one merge's temporaries
         rng = np.random.default_rng(5)
         xs = np.sort(rng.normal(size=10**5))
         ys = np.sort(rng.normal(0.01, 1, size=10**5))
-        tracemalloc.start()
-        try:
-            ks._sorted_ks_distance(xs, ys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(ks._sorted_ks_distance, xs, ys)
         assert peak <= 0.25e6
 
 
@@ -277,18 +266,13 @@ class TestApproxDistance:
             bound = error_bound(p1) + error_bound(p2)
             assert abs(d - ks.exact_ks_distance(x, y)) <= bound, trial
 
-    def test_peak_memory_on_tied_knots(self):
+    def test_peak_memory_on_tied_knots(self, traced_peak):
         # the loose-1m shape: 14,144 knots on under 200 distinct values a side
         plan = plan_from_phi(0.01, 10**6)
         cdf1 = build_cdf(sample(normal(0, 1), 10**6, 5), plan)
         cdf2 = build_cdf(sample(normal(0.05, 1), 10**6, 6), plan)
         assert plan.a == 14144 and np.unique(cdf1.quantiles).size < 200
-        tracemalloc.start()
-        try:
-            d = ks.approx_two_sample_ks(cdf1, cdf2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        d, peak = traced_peak(ks.approx_two_sample_ks, cdf1, cdf2)
         assert peak <= 0.1e6
         assert d == all_knots_ks(cdf1, cdf2)
 
@@ -595,19 +579,14 @@ class TestRunTest:
         assert out.d_error_bound == 0.2
         assert abs(out.d - ks.exact_ks_distance(x, y)) <= out.d_error_bound
 
-    def test_peak_memory_on_the_loose_1m_shape(self):
+    def test_peak_memory_on_the_loose_1m_shape(self, traced_peak):
         # two 1e6 samples at phi 0.01: 14,144 knots a side over <200 values.
         # The peak is the sketch's 512 KiB chunk buffer plus the first CDF's
         # run ends while the second sample is ingested; the first CDF's
         # a-long knot arrays (~0.23 MB) are not held
         x = sample(normal(0, 1), 10**6, 5)
         y = sample(normal(0.05, 1), 10**6, 6)
-        tracemalloc.start()
-        try:
-            ks.run_test(x, y, ks.TestPrecision(alpha=0.05, phi=0.01))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(ks.run_test, x, y, ks.TestPrecision(alpha=0.05, phi=0.01))
         assert peak <= 0.65e6
 
     def test_precision_validation(self):

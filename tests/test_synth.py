@@ -3,7 +3,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,15 +135,10 @@ class TestReseededGenerator:
             assert results[k] == [_fresh(*case).tobytes() for case in cases[k::2] * 20]
 
 
-def test_gamma_draw_holds_little_beyond_its_output():
+def test_gamma_draw_holds_little_beyond_its_output(traced_peak):
     # one 84,000-value draw: its float64 output is 0.672 MB
     sample(gamma(0.5, 1), 84000, 1)
-    tracemalloc.start()
-    try:
-        sample(gamma(0.5, 1), 84000, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(sample, gamma(0.5, 1), 84000, 2)
     assert peak <= 1.0e6
 
 
