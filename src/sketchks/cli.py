@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, ks
-from .approx_cdf import _sealed, build_cdf, empirical_cdf, plan_from_phi, sketch_cdf
+from .approx_cdf import build_cdf, empirical_cdf, plan_from_phi
 from .gk_sketch import QuantileSketch
 from .ks import fmt17
 
@@ -202,19 +202,6 @@ def _scan(numbered, path, skip_header: bool, skip_invalid: bool):
     return np.frombuffer(values), skipped
 
 
-def _cmd_ks2(args) -> int:
-    if (args.phi is None) == (args.beta is None):
-        raise ValueError("provide exactly one of --phi or --beta")
-    outcome = _ks2(args)
-    print(outcome.to_json())
-    if not outcome.decision_certain:
-        print("sketchks: warning: the decision is not certain: a distance within "
-              "d_error_bound of d_ks decides the other way", file=sys.stderr)
-    if outcome.reject and args.exit_on_reject:
-        return 2
-    return 0
-
-
 @contextlib.contextmanager
 def _forked(fn):
     """fn() in a forked worker where one can start, else here: yields a
@@ -291,80 +278,33 @@ def _forked(fn):
         os.waitpid(pid, 0)
 
 
-def _ks2(args) -> ks.KsOutcome:
-    """The ks2 outcome, in at most two passes, so each file is read at
-    most twice, under one rule: a pass plans both files from the counts it
-    starts with, drops each CDF made under another plan and reads each
-    such file in order, x then y, making its CDF and dropping its sketch
-    before the next read.
-
-    Route: the first pass plans from the line counts and streams each file
-    into its sketch.  It cannot plan when an input is not a regular file
-    (a pipe may not be read twice) or cannot be counted, or the line
-    counts or the precision admit no certified plan; it then reads each
-    file once, x then y.  Where both are regular files it only counts
-    their values, streamed through `_blocks` a block at a time, so a
-    regular file is never held whole; otherwise it ingests both whole, and
-    the second pass sketches those arrays in memory, as `run_test` does.
-    The second pass plans from the value counts the first found: it
-    raises the plan's error or reads again each file whose plan moved,
-    and refuses as changed while read a file whose value count is still
-    not its plan's; under --beta a count moves phi, so it may read both
-    files.  Only the first pass forks, where each file counts _FORK_LINES
-    lines or more: y is read by `_forked` (the gate, the CPU move and the
-    fallback are its), in a worker that sends back only the sealed summary
-    (~1e4 tuples for 2e5 lines) while x is read here, or here after x
-    where no worker starts.
-
-    Errors come in the order of `run_test` on both files ingested whole:
-    one in x is raised first, one in y only after x's read succeeded, and
-    a plan the second pass cannot make, from the counts of files parsed
-    without error, last.
-    """
-    files = (args.file_x, args.file_y)
-    flags = (args.skip_header, args.skip_invalid)
-    cdfs, samples = [None, None], None
-    regular = all(map(os.path.isfile, files))
-    for second in (False, True):
-        try:
-            if not second:
-                if not regular:
-                    raise OSError("not a regular file")
-                counts = [_line_count(f, args.skip_header) for f in files]
-            phi = args.phi if args.beta is None else ks.phi_for_test(
-                args.alpha, args.beta, *counts)
-            precision = ks.TestPrecision(alpha=args.alpha, phi=phi)
-            plans = [plan_from_phi(phi, c) for c in counts]
-        except (OSError, ValueError):
-            if second:
-                raise
-            if regular:  # counted one block at a time, x then y
-                counts = [sum(v.size for v, _ in _blocks(f, *flags)) for f in files]
-            else:
-                samples = [ingest(f, skip_header=args.skip_header,
-                                  skip_invalid=args.skip_invalid)[0] for f in files]
-                counts = [s.size for s in samples]
-            continue
-        stale = [i for i in (0, 1) if cdfs[i] is None or cdfs[i].plan != plans[i]]
-        for i in stale:
-            cdfs[i] = None  # a stale CDF goes before the next read
-        if samples is None:
-            reads = [functools.partial(_file_sketch, f, p.epsilon, *flags)
-                     for f, p in zip(files, plans)]
-        else:
-            reads = [functools.partial(_sealed, s, p.epsilon)
-                     for s, p in zip(samples, plans)]
-        with (_forked(reads[1]) if not second and min(counts) >= _FORK_LINES
-              else contextlib.nullcontext(reads[1])) as reads[1]:
-            for i in stale:
-                sketch = reads[i]()
-                counts[i] = sketch.count
-                if counts[i] == plans[i].n:
-                    cdfs[i] = sketch_cdf(sketch, plans[i])
-                elif second:
-                    raise ValueError(f"{files[i]}: file changed while it was read")
-                del sketch  # before the next read
-    return ks.decide(*cdfs, precision.alpha)
+def _cmd_ks2(args) -> int:
+    """One test by `ks._decide_sources`.  A regular file is planned from
+    its line count and streamed, never held whole; where each counts
+    _FORK_LINES lines or more, y's first read runs in `_forked`, whose
+    worker sends back only the summary.  A pipe may not be read twice, so
+    otherwise both files are ingested whole, x then y, and read as arrays."""
+    if (args.phi is None) == (args.beta is None):
+        raise ValueError("provide exactly one of --phi or --beta")
+    files, flags = (args.file_x, args.file_y), (args.skip_header, args.skip_invalid)
+    if all(map(os.path.isfile, files)):
+        outcome = ks._decide_sources(
+            *files, args.alpha, args.phi, args.beta,
+            known=lambda f: _line_count(f, args.skip_header),
+            found=lambda f: sum(v.size for v, _ in _blocks(f, *flags)),
+            read=lambda f, plan: _file_sketch(f, plan.epsilon, *flags),
+            ahead=lambda read, counts: (_forked(read) if min(counts) >= _FORK_LINES
+                                        else contextlib.nullcontext(read)))
+    else:
+        samples = [ingest(f, skip_header=flags[0], skip_invalid=flags[1])[0] for f in files]
+        outcome = ks._decide_sources(*samples, args.alpha, args.phi, args.beta)
+    print(outcome.to_json())
+    if not outcome.decision_certain:
+        print("sketchks: warning: the decision is not certain: a distance within "
+              "d_error_bound of d_ks decides the other way", file=sys.stderr)
+    if outcome.reject and args.exit_on_reject:
+        return 2
+    return 0
 
 
 def _check_out(path, what: str = "--out") -> None:

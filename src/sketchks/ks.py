@@ -11,12 +11,15 @@ sqrt(n*m/(n+m)) * D.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_cdf import ApproxCdf, CdfPlan, build_cdf, eval_cdf, plan_from_phi, _ends
+from .approx_cdf import (ApproxCdf, CdfPlan, build_cdf, eval_cdf, plan_from_phi,
+                         sketch_cdf, _ends)
 from .gk_sketch import QuantileSketch, _check_finite
 
 __all__ = [
@@ -455,9 +458,77 @@ def run_test(x, y, precision: TestPrecision) -> KsOutcome:
     ys = np.asarray(y, dtype=float).ravel()
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be non-empty")
-    plans = (plan_from_phi(precision.phi, xs.size),
-             plan_from_phi(precision.phi, ys.size))
-    return decide(build_cdf(xs, plans[0]), build_cdf(ys, plans[1]), precision.alpha)
+    return _decide_sources(xs, ys, precision.alpha, precision.phi)
+
+
+def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
+                    found=np.size, read=None, ahead=None) -> KsOutcome:
+    """The outcome at level alpha of sources x and y, planned at phi or,
+    given beta, at phi_for_test(alpha, beta, n, m), in at most two passes.
+
+    x and y are inputs of one kind, arrays by default, which three
+    functions describe: known(s), the count of s before it is read (an
+    array's size; a file's line count, which bounds its values), raising
+    OSError or ValueError where it has none; found(s), the count a read
+    finds; and read(s, plan), which returns its CDF under plan (`build_cdf`),
+    or a sealed sketch at plan.epsilon, which may count other than plan.n
+    and whose CDF is made here, so a read run elsewhere sends back only it.
+
+    One rule: a pass plans both sources from the counts it starts with,
+    drops each CDF made under another plan and reads each such source, x
+    then y, making its CDF and dropping its sketch before the next read.
+    The first pass plans from the known counts; where either has none, or
+    they or the precision admit no certified plan, it only finds both
+    counts, x then y.  The second plans from the counts the first found,
+    raises the plan's error or reads again each source whose plan moved
+    (under beta a count moves phi, so it may read both), and refuses as
+    changed while read one whose count is still not its plan's.
+    `ahead(read, counts)`, where given, is a context manager around y's
+    first-pass read, entered before x's read, that yields the read to
+    call (`ks2` reads y there in a forked worker).  Errors come in the
+    order that reading both sources whole, then planning, meets them: x's
+    first, y's only after x's read succeeded, the plan's last.
+
+    Under beta a decision is the exact test's at a level in [alpha - beta,
+    alpha + beta].  With c(g) = d_crit(g, n, m) and p(d) = p_value(d, n,
+    m), c decreases, p(c(g)) = g up to d_crit's bisection tolerance, and p
+    does not increase, strictly where it is below 1.  phi = min(c(alpha) -
+    c(alpha + beta), c(alpha - beta) - c(alpha)) and each delta is phi/2,
+    so the exact distance D is within phi of d.  A rejection, p(d) <=
+    alpha, has d >= c(alpha), so D >= d - phi >= c(alpha + beta) and p(D)
+    <= alpha + beta; an acceptance has d < c(alpha), so D <= d + phi <
+    c(alpha - beta) and p(D) > alpha - beta.  A caller's phi has no band.
+    """
+    # the default read is looked up per call, where a tracer may have rebound it
+    sources, cdfs, read = (x, y), [None, None], read or build_cdf
+    for second in (False, True):
+        try:
+            if not second:
+                counts = [known(s) for s in sources]
+            phi = phi if beta is None else phi_for_test(alpha, beta, *counts)
+            TestPrecision(alpha=alpha, phi=phi)
+            plans = [plan_from_phi(phi, c) for c in counts]
+        except (OSError, ValueError):
+            if second:
+                raise
+            counts = [found(s) for s in sources]
+            continue
+        stale = [i for i in (0, 1) if cdfs[i] is None or cdfs[i].plan != plans[i]]
+        for i in stale:
+            cdfs[i] = None  # a stale CDF goes before the next read
+        reads = [functools.partial(read, s, p) for s, p in zip(sources, plans)]
+        with (ahead(reads[1], counts) if ahead and not second
+              else contextlib.nullcontext(reads[1])) as reads[1]:
+            for i in stale:
+                cdf = reads[i]()
+                if isinstance(cdf, QuantileSketch):
+                    counts[i] = cdf.count
+                    cdf = sketch_cdf(cdf, plans[i]) if cdf.count == plans[i].n else None
+                if cdf is None and second:
+                    raise ValueError(f"{sources[i]}: file changed while it was read")
+                cdfs[i] = cdf
+                del cdf  # no sketch or stale CDF is held by the next read
+    return decide(*cdfs, alpha)
 
 
 def decide(cdf1: ApproxCdf, cdf2: ApproxCdf, alpha: float) -> KsOutcome:

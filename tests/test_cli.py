@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sketchks import cli, experiments, gk_sketch, ks
-from sketchks.approx_cdf import plan_from_phi
+from sketchks.approx_cdf import build_cdf, plan_from_phi
 from sketchks.cli import ingest, main
 from sketchks.synth import normal, sample
 
@@ -359,14 +359,17 @@ UNCERTAIN = ("sketchks: warning: the decision is not certain: a distance within 
 
 
 def reference_ks2(fx, fy, *, alpha, phi=None, beta=None, **flags):
-    """`ks2` as `run_test` on both files `ingest`ed whole, kept as an oracle
-    for the streamed route: (exit code, stdout, stderr)."""
+    """`ks2` on both files `ingest`ed whole, planned, built and decided by
+    hand, not by the planning loop that `ks2` and `run_test` share, kept as
+    an oracle for every route: (exit code, stdout, stderr)."""
     try:
         x, _ = ingest(fx, **flags)
         y, _ = ingest(fy, **flags)
         if beta is not None:
             phi = ks.phi_for_test(alpha, beta, x.size, y.size)
-        outcome = ks.run_test(x, y, ks.TestPrecision(alpha=alpha, phi=phi))
+        ks.TestPrecision(alpha=alpha, phi=phi)
+        plans = [plan_from_phi(phi, s.size) for s in (x, y)]
+        outcome = ks.decide(build_cdf(x, plans[0]), build_cdf(y, plans[1]), alpha)
     except (ValueError, OSError) as exc:
         return 1, "", f"sketchks: error: {exc}\n"
     return 0, outcome.to_json() + "\n", "" if outcome.decision_certain else UNCERTAIN
@@ -478,6 +481,34 @@ def test_ks2_stdout_matches_run_test_on_ingested_files(
     assert got == (rc, out, err)
     reads = Counter(log.read_text(encoding="utf-8").splitlines() if log.exists() else [])
     assert max(reads.values(), default=0) <= 2  # each file read at most twice
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.tuples(*[st.integers(min_value=40, max_value=400)] * 2),
+    decimals=st.sampled_from([0, 1, 17]),  # 0 and 1: ties within and across
+    precision=st.sampled_from([{"phi": 0.3}, {"phi": 0.1}, {"beta": 0.45}, {"beta": 0.3}]),
+    forked=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ks2_with_its_files_swapped_prints_the_same_decision(
+        tmp_path_factory, sizes, decimals, precision, forked, seed):
+    # an identity, not an oracle: the distance, its bound, the p-value and
+    # the decision are symmetric in the samples, bit for bit; the params
+    # block names each side's plan, so it swaps
+    workdir = tmp_path_factory.mktemp("swap")
+    rng = np.random.default_rng(seed)
+    files = [workdir / "a.txt", workdir / "b.txt"]
+    for path, n in zip(files, sizes):
+        path.write_text("".join(f"{v!r}\n" for v in rng.normal(size=n).round(decimals).tolist()))
+    with mock.patch.object(cli, "_FORK_LINES", 0 if forked else cli._FORK_LINES):
+        (rc, out, err), swapped = (_run(_ks2_argv(fx, fy, alpha=0.5, **precision))
+                                   for fx, fy in (files, files[::-1]))
+    assert swapped[0] == rc
+    if rc == 0:
+        keys = ("d_ks", "d_error_bound", "p_value", "reject")
+        assert [json.loads(swapped[1])[k] for k in keys] == [json.loads(out)[k] for k in keys]
+        assert swapped[2] == err
 
 
 _VALUES = "".join(f"{v!r}\n" for v in np.linspace(-2, 2, 200).tolist()).encode()

@@ -22,6 +22,7 @@ from sketchks import gk_sketch
 from sketchks.approx_cdf import (
     ApproxCdf,
     CdfPlan,
+    _sealed,
     build_cdf,
     error_bound,
     eval_cdf,
@@ -838,3 +839,78 @@ def test_lall_within_the_sum_of_the_sketch_epsilons(kinds, sizes, eps, seed, chu
     assert 0 <= d_lo <= d <= d_hi
     assert d_lo <= lall <= d_hi
     assert d_hi - d_lo <= 2 * eps[0] + 2 * eps[1] + 2**-52
+
+
+def _identity_sample(rng, n, decimals, scale):
+    # decimals 0 and 1 give ties within and across the samples; the scales
+    # reach subnormals and ~2**1020, inside |values| < 2**1022, so doubling
+    # stays exact
+    return rng.normal(size=n).round(decimals) * scale
+
+
+def _decision(x, y, phi):
+    try:
+        out = ks.run_test(x, y, ks.TestPrecision(alpha=0.05, phi=phi))
+    except ValueError:  # no certified plan at these sizes
+        return None
+    return out.d, out.p_value, out.reject
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.tuples(*[st.integers(min_value=1, max_value=3000)] * 2),
+    decimals=st.sampled_from([0, 1, 17]),
+    scale=st.sampled_from([1.0, 2.0**-1070, 2.0**1018]),
+    eps=st.tuples(*[st.sampled_from([0.1, 0.03, 0.01, 0.001])] * 2),
+    phi=st.sampled_from([0.05, 0.1, 0.3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_doubling_and_swapping_are_identities(sizes, decimals, scale, eps, phi, seed):
+    # GK summaries and the CDF route read values only through comparisons
+    # and differences, which doubling scales exactly, and every distance is
+    # symmetric in its samples: no oracle is needed, and each reading is
+    # bit-identical.  Negation is not an identity: GK's compress walks one
+    # way, so a mirrored stream gives another valid summary
+    rng = np.random.default_rng(seed)
+    x, y = (_identity_sample(rng, k, decimals, scale) for k in sizes)
+    assert np.all(np.abs(np.concatenate((x, y))) < 2.0**1022)
+
+    sx, sy, s2x, s2y = (_sealed(v, e) for v, e in ((x, eps[0]), (y, eps[1]),
+                                                   (2 * x, eps[0]), (2 * y, eps[1])))
+    for read in (ks.lall_ks, ks.distance_interval):
+        assert read(s2x, s2y) == read(sx, sy)
+        assert read(sy, sx) == read(sx, sy)
+    want = _decision(x, y, phi)
+    assert _decision(2 * x, 2 * y, phi) == want
+    assert _decision(y, x, phi) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.tuples(*[st.integers(min_value=400, max_value=4000)] * 2),
+    shift=st.sampled_from([0.0, 0.03, 0.06, 0.1]),
+    decimals=st.sampled_from([0, 1, 17]),  # 0 and 1: ties within and across
+    level=st.sampled_from([(0.05, 0.025), (0.1, 0.05), (0.2, 0.1), (0.5, 0.3),
+                           (0.5, 0.45)]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_beta_planned_decision_is_the_exact_test_within_beta(
+        sizes, shift, decimals, level, seed):
+    # the band `_decide_sources` proves: planned from beta, a rejection has
+    # exact p <= alpha + beta and an acceptance exact p > alpha - beta.  The
+    # proof holds up to d_crit's bisection tolerance (it stops within
+    # min(1e-10, 1e-6*alpha) of each level), so the band is allowed 1e-9
+    alpha, beta = level
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=sizes[0]).round(decimals)
+    y = (rng.normal(size=sizes[1]) + shift).round(decimals)
+    try:
+        out = ks._decide_sources(x, y, alpha, beta=beta)
+    except ValueError:  # no certified plan at these sizes
+        return
+    assert out.d_error_bound == ks.phi_for_test(alpha, beta, x.size, y.size)
+    p_exact = ks.p_value(ks.exact_ks_distance(x, y), x.size, y.size)
+    if out.reject:
+        assert p_exact <= alpha + beta + 1e-9
+    else:
+        assert p_exact > alpha - beta - 1e-9
