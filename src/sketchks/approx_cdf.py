@@ -35,7 +35,7 @@ __all__ = [
     "empirical_cdf",
 ]
 
-_QUERY_KNOTS = 1 << 12  # knots `sketch_cdf` queries at a time
+_QUERY_KNOTS = 1 << 12  # knots `build_cdf` queries of a sketch at a time
 
 
 def _bound(a: int, epsilon: float) -> float:
@@ -83,8 +83,8 @@ class ApproxCdf:
     run the interpolant is the step the run's last knot gives, so the
     stored knots interpolate to the function of the full grid, and
     `error_bound(plan)` certifies every ApproxCdf.  `knots()` gives the
-    full grid back.  `sketch_cdf` never holds the full grid: it keeps the
-    same run ends from the grid queried block by block.
+    full grid back.  `build_cdf` never holds a sketch's full grid: it
+    keeps the same run ends from the grid queried block by block.
     """
 
     def __init__(self, plan: CdfPlan, quantiles: np.ndarray):
@@ -196,38 +196,29 @@ def _run_ends(quantiles: np.ndarray) -> np.ndarray:
 
 
 def build_cdf(data, plan: CdfPlan) -> ApproxCdf:
-    """Construct the approximate CDF of `data` under `plan`.
+    """Construct the approximate CDF under `plan` of its sample, `data`,
+    or of a sketch of it, anything with `query_quantiles`.
 
-    epsilon = 0 bypasses the sketch and reads exact order statistics from a
-    full sort, at ranks ceil(p_i*n) = 1 + ceil(i*(n-1)/(a-1)) in integers.
+    A sketch must hold plan.n values at plan.epsilon or finer, so its
+    quantile answers meet the accuracy the plan's bound assumes; a sample
+    is read off its sealed sketch at plan.epsilon.  epsilon = 0 bypasses
+    the sketch and reads a sample's exact order statistics from a full
+    sort, at ranks ceil(p_i*n) = 1 + ceil(i*(n-1)/(a-1)) in integers.
     """
-    values = np.asarray(data, dtype=float).ravel()
-    if values.size != plan.n:
-        raise ValueError(f"plan expects {plan.n} observations, got {values.size}")
-    if plan.epsilon == 0.0:
-        _check_finite(values, "data")  # `extend` checks the sketch branch
-        n, a = plan.n, plan.a
-        quantiles = np.sort(values)[-(-np.arange(a) * (n - 1) // (a - 1))]
-        return ApproxCdf(plan, quantiles)
-    return sketch_cdf(_sealed(values, plan.epsilon), plan)
-
-
-def _sealed(values: np.ndarray, epsilon: float) -> QuantileSketch:
-    """A sealed sketch of values at epsilon."""
-    sketch = QuantileSketch(epsilon)
-    sketch.extend(values)
-    return sketch.seal()
-
-
-def sketch_cdf(sketch: QuantileSketch, plan: CdfPlan) -> ApproxCdf:
-    """The approximate CDF under `plan` read off a sketch of its sample.
-
-    The sketch must hold plan.n values at plan.epsilon or finer, so its
-    quantile answers meet the accuracy the plan's bound assumes.
-    """
-    if sketch.count != plan.n:
-        raise ValueError(f"plan expects {plan.n} observations, got {sketch.count}")
-    if sketch.epsilon > plan.epsilon:
+    sketch = data if hasattr(data, "query_quantiles") else None
+    if sketch is None:
+        data = np.asarray(data, dtype=float).ravel()
+    count = data.size if sketch is None else sketch.count
+    if count != plan.n:
+        raise ValueError(f"plan expects {plan.n} observations, got {count}")
+    if sketch is None:
+        if plan.epsilon == 0.0:
+            _check_finite(data, "data")  # `extend` checks the sketch branch
+            n, a = plan.n, plan.a
+            quantiles = np.sort(data)[-(-np.arange(a) * (n - 1) // (a - 1))]
+            return ApproxCdf(plan, quantiles)
+        sketch = _sealed(data, plan.epsilon)
+    elif sketch.epsilon > plan.epsilon:
         raise ValueError(
             f"sketch epsilon {sketch.epsilon} is coarser than the plan's {plan.epsilon}"
         )
@@ -247,6 +238,13 @@ def sketch_cdf(sketch: QuantileSketch, plan: CdfPlan) -> ApproxCdf:
     cdf = ApproxCdf.__new__(ApproxCdf)  # __init__ takes the full grid
     cdf._keep_run_ends(plan, np.concatenate(probs), np.concatenate(quantiles))
     return cdf
+
+
+def _sealed(values: np.ndarray, epsilon: float) -> QuantileSketch:
+    """A sealed sketch of values at epsilon."""
+    sketch = QuantileSketch(epsilon)
+    sketch.extend(values)
+    return sketch.seal()
 
 
 def eval_cdf(cdf: ApproxCdf, x):

@@ -292,7 +292,7 @@ def _cmd_ks2(args) -> int:
             *files, args.alpha, args.phi, args.beta,
             known=lambda f: _line_count(f, args.skip_header),
             found=lambda f: sum(v.size for v, _ in _blocks(f, *flags)),
-            read=lambda f, plan: _file_sketch(f, plan.epsilon, *flags),
+            read=lambda f, epsilon: _file_sketch(f, epsilon, *flags),
             ahead=lambda read, counts: (_forked(read) if min(counts) >= _FORK_LINES
                                         else contextlib.nullcontext(read)))
     else:

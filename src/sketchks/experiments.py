@@ -25,8 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ks
-from .approx_cdf import (CdfPlan, build_cdf, error_bound, eval_cdf, sketch_cdf, _bound,
-                         _ends, _sealed)
+from .approx_cdf import CdfPlan, build_cdf, error_bound, eval_cdf, _bound, _ends, _sealed
 from .synth import DistributionSpec, gamma, normal, sample, uniform
 
 __all__ = [
@@ -296,7 +295,7 @@ def run_convergence(
     sample, so its error is only the float noise of the knot probabilities.
     Each replication's sample is drawn once and shared by every
     configuration.  Plans with one epsilon read their CDFs off one sealed
-    sketch of it, which is what `build_cdf` would build for each.  Every
+    sketch of it, which is what `build_cdf` would seal for each.  Every
     CDF is built before the sample is sorted in place, since a sketch
     depends on arrival order.  The error of a CDF is then read at the
     sorted sample's tie-group ends: there the exact CDF is the end's rank
@@ -315,8 +314,7 @@ def run_convergence(
         data = sample(normal(0, 1), n, master_seed + rep)
         sketches = {eps: _sealed(data, eps)
                     for eps in dict.fromkeys(p.epsilon for p in plans) if eps}
-        cdfs = [sketch_cdf(sketches[p.epsilon], p) if p.epsilon else build_cdf(data, p)
-                for p in plans]
+        cdfs = [build_cdf(sketches.get(p.epsilon, data), p) for p in plans]
         data.sort()
         ends = _ends(data)
         exact = (np.flatnonzero(ends) + 1) / n

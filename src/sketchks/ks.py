@@ -11,7 +11,6 @@ sqrt(n*m/(n+m)) * D.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx_cdf import (ApproxCdf, CdfPlan, build_cdf, eval_cdf, plan_from_phi,
-                         sketch_cdf, _ends)
+                         _ends, _sealed)
 from .gk_sketch import QuantileSketch, _check_finite
 
 __all__ = [
@@ -462,7 +461,7 @@ def run_test(x, y, precision: TestPrecision) -> KsOutcome:
 
 
 def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
-                    found=np.size, read=None, ahead=None) -> KsOutcome:
+                    found=np.size, read=_sealed, ahead=None) -> KsOutcome:
     """The outcome at level alpha of sources x and y, planned at phi or,
     given beta, at phi_for_test(alpha, beta, n, m), in at most two passes.
 
@@ -470,9 +469,9 @@ def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
     functions describe: known(s), the count of s before it is read (an
     array's size; a file's line count, which bounds its values), raising
     OSError or ValueError where it has none; found(s), the count a read
-    finds; and read(s, plan), which returns its CDF under plan (`build_cdf`),
-    or a sealed sketch at plan.epsilon, which may count other than plan.n
-    and whose CDF is made here, so a read run elsewhere sends back only it.
+    finds; and read(s, epsilon), a sealed sketch of s at epsilon (an
+    array's `_sealed`), which may count other than its plan's n; each CDF
+    is `build_cdf` of one, so a read run elsewhere sends back only it.
 
     One rule: a pass plans both sources from the counts it starts with,
     drops each CDF made under another plan and reads each such source, x
@@ -483,10 +482,10 @@ def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
     raises the plan's error or reads again each source whose plan moved
     (under beta a count moves phi, so it may read both), and refuses as
     changed while read one whose count is still not its plan's.
-    `ahead(read, counts)`, where given, is a context manager around y's
-    first-pass read, entered before x's read, that yields the read to
-    call (`ks2` reads y there in a forked worker).  Errors come in the
-    order that reading both sources whole, then planning, meets them: x's
+    `ahead(read_y, counts)`, where given, is a context manager around the
+    first pass's reads, which yields the call that returns y's sketch
+    (`ks2` reads y there in a forked worker).  Errors come in the order
+    that reading both sources whole, then planning, meets them: x's
     first, y's only after x's read succeeded, the plan's last.
 
     Under beta a decision is the exact test's at a level in [alpha - beta,
@@ -499,8 +498,7 @@ def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
     <= alpha + beta; an acceptance has d < c(alpha), so D <= d + phi <
     c(alpha - beta) and p(D) > alpha - beta.  A caller's phi has no band.
     """
-    # the default read is looked up per call, where a tracer may have rebound it
-    sources, cdfs, read = (x, y), [None, None], read or build_cdf
+    sources, cdfs = (x, y), [None, None]
     for second in (False, True):
         try:
             if not second:
@@ -516,19 +514,23 @@ def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
         stale = [i for i in (0, 1) if cdfs[i] is None or cdfs[i].plan != plans[i]]
         for i in stale:
             cdfs[i] = None  # a stale CDF goes before the next read
-        reads = [functools.partial(read, s, p) for s, p in zip(sources, plans)]
-        with (ahead(reads[1], counts) if ahead and not second
-              else contextlib.nullcontext(reads[1])) as reads[1]:
+        if ahead and not second:  # both are stale: no CDF is made yet
+            with ahead(functools.partial(read, y, plans[1].epsilon), counts) as read_y:
+                counts[0], cdfs[0] = _counted_cdf(read(x, plans[0].epsilon), plans[0])
+                counts[1], cdfs[1] = _counted_cdf(read_y(), plans[1])
+        else:
             for i in stale:
-                cdf = reads[i]()
-                if isinstance(cdf, QuantileSketch):
-                    counts[i] = cdf.count
-                    cdf = sketch_cdf(cdf, plans[i]) if cdf.count == plans[i].n else None
-                if cdf is None and second:
+                counts[i], cdfs[i] = _counted_cdf(read(sources[i], plans[i].epsilon),
+                                                  plans[i])
+                if cdfs[i] is None and second:
                     raise ValueError(f"{sources[i]}: file changed while it was read")
-                cdfs[i] = cdf
-                del cdf  # no sketch or stale CDF is held by the next read
     return decide(*cdfs, alpha)
+
+
+def _counted_cdf(sketch: QuantileSketch, plan: CdfPlan):
+    """The count of a read's sealed sketch, and its CDF under plan where
+    it holds plan.n values, else None; the caller drops the sketch here."""
+    return sketch.count, build_cdf(sketch, plan) if sketch.count == plan.n else None
 
 
 def decide(cdf1: ApproxCdf, cdf2: ApproxCdf, alpha: float) -> KsOutcome:

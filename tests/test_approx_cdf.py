@@ -21,7 +21,6 @@ from sketchks.approx_cdf import (
     eval_cdf,
     num_probs,
     plan_from_phi,
-    sketch_cdf,
     _knot_probs,
 )
 from sketchks.gk_sketch import QuantileSketch
@@ -212,20 +211,20 @@ class TestBuildCdf:
         plan = plan_from_phi(0.05, 3000)
         sketch = QuantileSketch(plan.epsilon)
         sketch.extend(data)
-        cdf = sketch_cdf(sketch.seal(), plan)
+        cdf = build_cdf(sketch.seal(), plan)
         assert cdf.plan == plan
         assert cdf.quantiles.tolist() == build_cdf(data, plan).quantiles.tolist()
         fine = QuantileSketch(plan.epsilon / 2)
         fine.extend(data)
-        assert sketch_cdf(fine, plan).plan == plan
+        assert build_cdf(fine, plan).plan == plan
         grown = QuantileSketch(plan.epsilon)
         grown.extend(np.append(data, 0.0))
         with pytest.raises(ValueError, match="expects 3000 observations, got 3001"):
-            sketch_cdf(grown, plan)
+            build_cdf(grown, plan)
         coarse = QuantileSketch(2 * plan.epsilon)
         coarse.extend(data)
         with pytest.raises(ValueError, match="coarser"):
-            sketch_cdf(coarse, plan)
+            build_cdf(coarse, plan)
 
     def test_count_mismatch(self):
         plan = CdfPlan(n=100, delta=0.26, epsilon=0.0, a=5)
@@ -484,7 +483,7 @@ def test_run_ends_on_a_planned_tie_heavy_sample(values):
 
 
 def assert_blocks_give_the_full_grid(sketch, plan):
-    cdf = sketch_cdf(sketch, plan)
+    cdf = build_cdf(sketch, plan)
     full = ApproxCdf(plan, sketch.query_quantiles(_knot_probs(plan.n, plan.a)))
     assert cdf.probs.tobytes() == full.probs.tobytes()
     assert cdf.quantiles.tobytes() == full.quantiles.tobytes()
@@ -534,7 +533,7 @@ def test_sketch_cdf_checks_the_answers_across_block_seams(answer, message):
     assert _knot_probs(plan.n, plan.a)[10] > 0.5 > _knot_probs(plan.n, plan.a)[9]
     with mock.patch.object(approx_cdf, "_QUERY_KNOTS", 10):
         with pytest.raises(ValueError, match=message):
-            sketch_cdf(sketch, plan)
+            build_cdf(sketch, plan)
 
 
 def test_sketch_cdf_queries_each_knot_once():
@@ -549,6 +548,6 @@ def test_sketch_cdf_queries_each_knot_once():
         sketch = SimpleNamespace(count=plan.n, epsilon=plan.epsilon,
                                  query_quantiles=answer)
         with mock.patch.object(approx_cdf, "_QUERY_KNOTS", block):
-            sketch_cdf(sketch, plan)
+            build_cdf(sketch, plan)
         assert max(p.size for p in asked) <= block
         assert np.concatenate(asked).tobytes() == _knot_probs(plan.n, plan.a).tobytes()

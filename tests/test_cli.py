@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sketchks import cli, experiments, gk_sketch, ks
-from sketchks.approx_cdf import build_cdf, plan_from_phi
+from sketchks.approx_cdf import ApproxCdf, build_cdf, plan_from_phi
 from sketchks.cli import ingest, main
 from sketchks.synth import normal, sample
 
@@ -932,6 +932,59 @@ def test_ks2_streams_only_regular_files(tmp_path, kind, ingested):
                 mock.patch.object(cli, "ingest", wraps=cli.ingest) as whole:
             assert _run(["ks2", "--file-x", fx, "--file-y", fy, "--phi", "0.1"]) == expected
         assert whole.call_count == ingested
+
+
+@pytest.mark.parametrize("route, calls", [
+    ("run_test", 2), ("ks2", 2), ("ks2-forked", 2),
+    # x's first read finds 200 values, not its 201 lines, so under --beta
+    # the second pass reads both again and makes three CDFs in all
+    ("ks2-blank-line", 3),
+    ("ks2-pipe", 2),  # both ingested whole, then read as arrays
+    ("convergence", 2 * 10),  # nine table rows and the exact one, twice
+])
+def test_every_cdf_is_made_by_build_cdf(tmp_path, request, route, calls):
+    # `run_test`, each `ks2` route and the convergence study make every
+    # CDF they use with one `build_cdf` call, of a sketch or of a sample,
+    # and make no CDF any other way: each ApproxCdf keeps its run ends once
+    fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
+    fx.write_bytes((b"\n" if route == "ks2-blank-line" else b"") + _VALUES)
+    fy.write_bytes(b"0.5\n" + _VALUES)
+    made = []
+
+    def counted(data, plan):
+        made.append(plan)
+        return build_cdf(data, plan)
+
+    with ExitStack() as stack:
+        if route == "ks2-forked":
+            request.getfixturevalue("worker")  # skips where no worker starts
+            started = stack.enter_context(_forking())
+        elif route == "ks2-pipe":
+            fy.unlink()
+            os.mkfifo(fy)
+            writer = threading.Thread(target=fy.write_bytes, args=(b"0.5\n" + _VALUES,),
+                                      daemon=True)
+            writer.start()
+            stack.callback(writer.join, 10)
+        for module in (ks, experiments):
+            stack.enter_context(mock.patch.object(module, "build_cdf", counted))
+        kept = stack.enter_context(mock.patch.object(
+            ApproxCdf, "_keep_run_ends", autospec=True, side_effect=ApproxCdf._keep_run_ends))
+        if route == "run_test":
+            x = np.linspace(-2, 2, 200)
+            ks.run_test(x, x + 0.5, ks.TestPrecision(alpha=0.05, phi=0.1))
+        elif route == "convergence":
+            rows = experiments.run_convergence(n=600, replications=2)
+            assert len(rows) == 10
+        else:
+            precision = ["--beta", "0.04"] if route == "ks2-blank-line" else ["--phi", "0.1"]
+            rc, out, _ = _run(["ks2", "--file-x", fx, "--file-y", fy, *precision])
+            assert rc == 0 and json.loads(out)["n"] == 200
+    assert len(made) == kept.call_count == calls
+    if route == "ks2-forked":
+        assert started == [str(fy)]
+    elif route == "ks2-pipe":
+        assert not writer.is_alive()
 
 
 @pytest.mark.parametrize("data, lines", [

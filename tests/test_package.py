@@ -39,7 +39,7 @@ def test_star_import_binds_exactly_the_public_names():
     assert set(namespace) - {"__builtins__"} == set(sketchks.__all__)
 
 
-@pytest.mark.parametrize("name", ["decide", "sketch_cdf", "fmt17"])
+@pytest.mark.parametrize("name", ["decide", "fmt17"])
 def test_internal_names_are_not_exported(name):
     assert name not in sketchks.__all__
     assert not hasattr(sketchks, name)
