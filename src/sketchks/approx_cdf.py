@@ -159,8 +159,7 @@ def plan_from_phi(phi: float, n: int) -> CdfPlan:
     a = num_probs(n, delta, epsilon)
     if a < 3 or _bound(a, epsilon) > delta:
         raise ValueError(
-            f"sample of {n} points cannot reach a CDF error bound of {delta}"
-        )
+            f"sample of {n} points cannot reach a CDF error bound of {delta}")
     return CdfPlan(n=n, delta=delta, epsilon=epsilon, a=a)
 
 

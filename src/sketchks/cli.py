@@ -291,7 +291,6 @@ def _cmd_ks2(args) -> int:
         outcome = ks._decide_sources(
             *files, args.alpha, args.phi, args.beta,
             known=lambda f: _line_count(f, args.skip_header),
-            found=lambda f: sum(v.size for v, _ in _blocks(f, *flags)),
             read=lambda f, epsilon: _file_sketch(f, epsilon, *flags),
             ahead=lambda read, counts: (_forked(read) if min(counts) >= _FORK_LINES
                                         else contextlib.nullcontext(read)))
@@ -407,8 +406,7 @@ def _cmd_cdf(args) -> int:
         _check_out(Path(args.out).with_suffix(".exact.csv"))
     data, _ = ingest(args.file, skip_header=args.skip_header,
                      skip_invalid=args.skip_invalid)
-    n = data.size
-    plan = plan_from_phi(2 * args.delta, n)  # doubling is exact: delta is kept
+    plan = plan_from_phi(2 * args.delta, data.size)  # doubling is exact: delta is kept
     cdf = build_cdf(data, plan)
     out = Path(args.out)
     _write_knots(out, *cdf.knots())
@@ -417,7 +415,7 @@ def _cmd_cdf(args) -> int:
         exact_path = out.with_suffix(".exact.csv")
         ordered = np.sort(data)
         _write_knots(exact_path, empirical_cdf(ordered, ordered), ordered)
-        print(f"wrote {n} exact CDF rows -> {exact_path}")
+        print(f"wrote {data.size} exact CDF rows -> {exact_path}")
     return 0
 
 

@@ -37,6 +37,7 @@ __all__ = [
 
 # the exact oracle's cut spacing per sample: bounds one merge's temporaries
 _PROBE_BLOCK = 1 << 11
+_COUNT_EPSILON = 0.5  # epsilon of a count-only read: coarsest, fewest tuples
 
 
 def fmt17(x: float) -> str:
@@ -453,40 +454,38 @@ def run_test(x, y, precision: TestPrecision) -> KsOutcome:
     distance, and converts it to a significance decision at
     precision.alpha.  The outcome carries the two plans it used.
     """
-    xs = np.asarray(x, dtype=float).ravel()
-    ys = np.asarray(y, dtype=float).ravel()
+    xs, ys = (np.asarray(s, dtype=float).ravel() for s in (x, y))
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be non-empty")
     return _decide_sources(xs, ys, precision.alpha, precision.phi)
 
 
 def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
-                    found=np.size, read=_sealed, ahead=None) -> KsOutcome:
+                    read=_sealed, ahead=None) -> KsOutcome:
     """The outcome at level alpha of sources x and y, planned at phi or,
     given beta, at phi_for_test(alpha, beta, n, m), in at most two passes.
 
-    x and y are inputs of one kind, arrays by default, which three
-    functions describe: known(s), the count of s before it is read (an
-    array's size; a file's line count, which bounds its values), raising
-    OSError or ValueError where it has none; found(s), the count a read
-    finds; and read(s, epsilon), a sealed sketch of s at epsilon (an
-    array's `_sealed`), which may count other than its plan's n; each CDF
-    is `build_cdf` of one, so a read run elsewhere sends back only it.
+    x and y are inputs of one kind, arrays by default, which two functions
+    describe: known(s), the count of s before it is read (an array's size;
+    a file's line count, which bounds its values), raising OSError or
+    ValueError where it has none, and read(s, epsilon), a sealed sketch of
+    s at epsilon (an array's `_sealed`) that may count other than its plan's
+    n; each CDF is `build_cdf` of one, so a read elsewhere sends back only it.
 
     One rule: a pass plans both sources from the counts it starts with,
     drops each CDF made under another plan and reads each such source, x
     then y, making its CDF and dropping its sketch before the next read.
     The first pass plans from the known counts; where either has none, or
-    they or the precision admit no certified plan, it only finds both
-    counts, x then y.  The second plans from the counts the first found,
-    raises the plan's error or reads again each source whose plan moved
-    (under beta a count moves phi, so it may read both), and refuses as
-    changed while read one whose count is still not its plan's.
-    `ahead(read_y, counts)`, where given, is a context manager around the
-    first pass's reads, which yields the call that returns y's sketch
-    (`ks2` reads y there in a forked worker).  Errors come in the order
-    that reading both sources whole, then planning, meets them: x's
-    first, y's only after x's read succeeded, the plan's last.
+    they or the precision admit no certified plan, it only counts both, x
+    then y, each by a read at _COUNT_EPSILON.  The second plans from the
+    counts found, raises the plan's error or reads again each source
+    whose plan moved (under beta a count moves phi, so it may read both),
+    and refuses as changed while read one whose count is still not its
+    plan's.  `ahead(read_y, counts)`, where given, is a context manager
+    around the first pass's reads, which yields the call that returns y's
+    sketch (`ks2` reads y there in a forked worker).  Errors come in the
+    order that reading both sources whole, then planning, meets them:
+    x's first, y's only after x's read succeeded, the plan's last.
 
     Under beta a decision is the exact test's at a level in [alpha - beta,
     alpha + beta].  With c(g) = d_crit(g, n, m) and p(d) = p_value(d, n,
@@ -509,7 +508,7 @@ def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
         except (OSError, ValueError):
             if second:
                 raise
-            counts = [found(s) for s in sources]
+            counts = [read(s, _COUNT_EPSILON).count for s in sources]
             continue
         stale = [i for i in (0, 1) if cdfs[i] is None or cdfs[i].plan != plans[i]]
         for i in stale:

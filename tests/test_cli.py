@@ -786,10 +786,11 @@ def test_ks2_second_pass_peak_memory(normal_files, monkeypatch, traced_peak):
 
 def test_ks2_unplanned_regular_files_peak_memory(normal_files, monkeypatch, traced_peak):
     # --beta 0 admits no plan, so the first pass counts each regular
-    # file's values a block at a time and the second raises the plan's
-    # error: the peak is a block's, at both sizes below a planned run's
-    # (--beta 0.025), and does not grow with the files.  In one process,
-    # as tracemalloc traces only the process it runs in
+    # file's values by a coarse streamed read and the second raises the
+    # plan's error: the peak is that read's chunk buffer, at both sizes
+    # below a planned run's (--beta 0.025), and does not grow with the
+    # files.  In one process, as tracemalloc traces only the process it
+    # runs in
     monkeypatch.setattr(cli, "_FORK_LINES", 10**9)
     _warm_up_ks2(normal_files)
     peaks = {}

@@ -602,6 +602,20 @@ class TestRunTest:
             with pytest.raises(ValueError, match="non-empty"):
                 ks.run_test(x, y, precision)
 
+    @pytest.mark.parametrize("x, y, bad", [
+        ([1.0, np.nan, 2.0, 3.0], np.arange(10.0), "nan"),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, np.inf, 2.0], "inf"),
+        ([1.0, np.nan, 2.0, 3.0], [1.0, np.inf, 2.0], "nan"),
+    ])
+    def test_sample_errors_come_before_the_plans(self, x, y, bad):
+        # no plan reaches phi 1e-6 on 4 points, so the planner counts both
+        # by reading them: x's error first, y's after x reads, then the plan's
+        with pytest.raises(ValueError, match=f"non-finite value: {bad}$"):
+            ks.run_test(x, y, ks.TestPrecision(alpha=0.05, phi=1e-6))
+        with pytest.raises(ValueError, match="cannot reach a CDF error bound"):
+            ks.run_test([1.0, 2.0, 3.0, 4.0], np.arange(10.0),
+                        ks.TestPrecision(alpha=0.05, phi=1e-6))
+
 
 class TestKsOutcomeJson:
     PLANS = (plan_from_phi(0.2, 1000), plan_from_phi(0.2, 2000))
