@@ -51,10 +51,10 @@ r_max = j_t: a valid summary with delta = 0 and g <= s, so within the
 stride s = floor(eps*k/2) + 1 <= floor(2*eps*k) + 1, which is why s is
 legal.  The largest legal stride would leave COMPRESS no slack: merged
 tuples would sit at the width bound, so it could delete few and the
-summary would grow; s leaves it three quarters of the chunk's.  No bound
-on the tuple count is proven for this buffered scheme (ROADMAP item 17):
-at n = 1e6 and eps 1.2e-4, the stride-10,000 order stored 20,112 tuples
-(~2.4/eps), against 7,551 (~0.9/eps) in random order.
+summary would grow; s leaves it three quarters of the chunk's.  A chunk
+of k values adds at most min(k, ceil(2/eps) + 1) tuples; no bound free
+of the chunk count is proven (ROADMAP item 17).  The worst order found,
+stride n // 7, kept 6.2/eps tuples at eps 0.01, 1,024 chunks of 1,024.
 
 COMPRESS deletes tuples and moves no rank bound.  It keeps the greedy
 right-to-left pass's tuples: from a kept tuple j the next kept one is the

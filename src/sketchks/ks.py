@@ -11,7 +11,6 @@ sqrt(n*m/(n+m)) * D.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -482,9 +481,9 @@ def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
     whose plan moved (under beta a count moves phi, so it may read both),
     and refuses as changed while read one whose count is still not its
     plan's.  `ahead(read_y, counts)`, where given, is a context manager
-    around the first pass's reads, which yields the call that returns y's
-    sketch (`ks2` reads y there in a forked worker).  Errors come in the
-    order that reading both sources whole, then planning, meets them:
+    around the first pass's reads, handed read_y, a call that returns y's
+    sealed sketch, and yielding one (`ks2` reads y in a forked worker).
+    Errors come in the order of reading both sources whole, then planning:
     x's first, y's only after x's read succeeded, the plan's last.
 
     Under beta a decision is the exact test's at a level in [alpha - beta,
@@ -514,7 +513,7 @@ def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
         for i in stale:
             cdfs[i] = None  # a stale CDF goes before the next read
         if ahead and not second:  # both are stale: no CDF is made yet
-            with ahead(functools.partial(read, y, plans[1].epsilon), counts) as read_y:
+            with ahead(lambda: read(y, plans[1].epsilon), counts) as read_y:
                 counts[0], cdfs[0] = _counted_cdf(read(x, plans[0].epsilon), plans[0])
                 counts[1], cdfs[1] = _counted_cdf(read_y(), plans[1])
         else:

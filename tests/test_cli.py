@@ -572,7 +572,9 @@ def _forking():
     started, forked = [], cli._forked
 
     def starting(read):
-        started.append(str(read.args[0]))  # a `_file_sketch` partial
+        # run the read once with the parse stubbed to hand back its path
+        with mock.patch.object(cli, "_file_sketch", lambda path, *_: path):
+            started.append(str(read()))
         return forked(read)
 
     with mock.patch.object(cli, "_FORK_LINES", 0), \

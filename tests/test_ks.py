@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -615,6 +616,53 @@ class TestRunTest:
         with pytest.raises(ValueError, match="cannot reach a CDF error bound"):
             ks.run_test([1.0, 2.0, 3.0, 4.0], np.arange(10.0),
                         ks.TestPrecision(alpha=0.05, phi=1e-6))
+
+    @pytest.mark.parametrize("counts", ["planned", "unplanned", "uncounted"])
+    def test_ahead_wraps_the_first_pass_reads(self, counts):
+        # the planner's one process seam, with no worker: `ahead` is
+        # entered once, before x's read, and hands back a call that reads
+        # y at y's plan; where the first pass cannot plan (2 points cannot
+        # reach phi 0.1, or no count is known) it counts both, then plans
+        # and reads again, and never enters the hook
+        x, y = np.linspace(-2, 2, 300), np.linspace(-1, 3, 200)
+        names = {id(x): "x", id(y): "y"}
+        plans = [plan_from_phi(0.1, s.size) for s in (x, y)]
+        events, handed = [], []
+
+        def read(s, epsilon):
+            events.append(("read", names[id(s)], epsilon))
+            return _sealed(s, epsilon)
+
+        @contextmanager
+        def ahead(read_y, counts):
+            events.append(("ahead", tuple(counts)))
+
+            def recorded():
+                handed.append(read_y())
+                return handed[-1]
+
+            yield recorded
+            events.append(("left",))
+
+        def known(s):
+            if counts == "uncounted":
+                raise ValueError("no count")
+            return s.size if counts == "planned" else 2
+
+        out = ks._decide_sources(x, y, 0.05, 0.1, known=known, read=read, ahead=ahead)
+        assert out == ks.run_test(x, y, ks.TestPrecision(alpha=0.05, phi=0.1))
+        reads = [("read", "x", plans[0].epsilon), ("read", "y", plans[1].epsilon)]
+        if counts == "planned":
+            assert events == [("ahead", (300, 200)), *reads, ("left",)]
+            (sketch,) = handed
+            assert (sketch.count, sketch.epsilon) == (200, plans[1].epsilon)
+            for got, want in zip(sketch.summary(), _sealed(y, plans[1].epsilon).summary()):
+                np.testing.assert_array_equal(got, want)
+            with pytest.raises(SketchStateError, match="sealed"):
+                sketch.extend([0.0])
+        else:
+            counting = [("read", s, ks._COUNT_EPSILON) for s in ("x", "y")]
+            assert events == [*counting, *reads] and handed == []
 
 
 class TestKsOutcomeJson:

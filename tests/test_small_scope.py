@@ -43,9 +43,27 @@ integer j, with both float neighbours of each lattice point:
   delta/2 and eps45, and `CdfPlan` refuses the count at eps45 wherever
   the planner raises (it builds every plan it returns).
 
-Tier-1 runs `SMALL` and `PLANS_SMALL` in a few seconds.
-`python tests/test_small_scope.py` runs `FULL` (about 32 times the work)
-and `PLANS_FULL`, and prints what it checked.
+`check_orders` streams n distinct values through `extend` in each order
+of `orders` (random, sorted, reversed, stride-w for w = 2, 10 and 100,
+the chunk-sized blocks of the sorted values last block first, and
+stride-(n // p) for p = 3, 5 and 7, the worst order found), for each n
+under each chunk size that cuts it into at most `max_chunks` chunks and
+each eps, then seals the sketch:
+
+- it passes `check_invariants` and holds n values;
+- its tuple count is within the `gk_sketch` docstring's ceiling: the sum
+  over its chunks of min(k, ceil(2/eps) + 1), a chunk of k values;
+- its tuple count times eps is at most the scope's `max_units`, a guard
+  measured, not proven, a little above the scope's worst order: in
+  `ORDERS_FULL`, stride-(n // 7) at n = 2**20, chunk 1,024 and eps 0.01,
+  reads 6.20.  A COMPRESS at half its threshold reads 5.5 in
+  `ORDERS_SMALL` (worst 2.3) and 3.1 in `ORDERS_MEDIUM` (worst 1.37).
+
+Tier-1 runs `SMALL`, `PLANS_SMALL`, `ORDERS_SMALL` and `ORDERS_MEDIUM`
+(n = 4 * 65,536 at the default chunk) in a few seconds.
+`python tests/test_small_scope.py` runs `FULL` (about 32 times the work),
+`PLANS_FULL` and `ORDERS_FULL`, and prints what it checked and the worst
+order's tuple count in units of 1/eps.
 """
 
 import bisect
@@ -56,6 +74,8 @@ import sys
 import time
 from fractions import Fraction
 from unittest import mock
+
+import numpy as np
 
 from sketchks import gk_sketch, ks
 from sketchks.approx_cdf import CdfPlan, _bound, eps45, num_probs, plan_from_phi
@@ -69,6 +89,18 @@ FULL = dict(max_n=7, chunks=(1, 2, 3, 5, 64),
 # the planner's scope: n in [1, max_n], and the lattice for j <= lattice
 PLANS_SMALL = dict(max_n=64, lattice=30)
 PLANS_FULL = dict(max_n=64, lattice=70)
+# the arrival orders' scope: each n under each chunk size that cuts it
+# into at most max_chunks chunks; max_units is measured, not proven
+ORDERS_SMALL = dict(ns=(1, 2, 7, 100, 1000), chunks=(1, 3, 16, 64),
+                    epsilons=(0.01, 0.05, 0.2, 0.5), max_chunks=128,
+                    max_units=2.5)
+ORDERS_MEDIUM = dict(ns=(4 * gk_sketch._CHUNK,), chunks=(gk_sketch._CHUNK,),
+                     epsilons=(1e-3, 1.2e-4), max_chunks=4, max_units=1.5)
+ORDERS_FULL = dict(ns=(1, 2, 3, 5, 7, 64, 100, 1000, 4096, 2**14, 2**16, 2**18,
+                       2**20),
+                   chunks=(1, 2, 3, 5, 16, 64, 256, 1024),
+                   epsilons=(0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.34, 0.5, 0.9),
+                   max_chunks=1024, max_units=6.5)
 
 # both bounds are correctly rounded, so their float difference may exceed
 # the exact width by rounding errors of at most 2**-52 in all
@@ -270,12 +302,66 @@ def check_plans(max_n, lattice):
     return len(grid), len(grid) * max_n
 
 
+def _stride(values, w):
+    """values[0::w], then values[1::w], and so on."""
+    return np.concatenate([values[i::w] for i in range(min(w, values.size))])
+
+
+def orders(n, chunk):
+    """The arrival orders of `check_orders` over the values 0 .. n-1: pairs
+    (name, values in arrival order), made one at a time."""
+    values = np.arange(n, dtype=float)
+    yield "random", np.random.default_rng(n).permutation(values)
+    yield "sorted", values
+    yield "reversed", values[::-1]
+    # a chunk is sorted whole, so only the blocks' order matters
+    yield "blocks-reversed", np.concatenate(
+        [values[i:i + chunk] for i in range(0, n, chunk)][::-1])
+    for w in (2, 10, 100):
+        yield f"stride-{w}", _stride(values, w)
+    for p in (3, 5, 7):  # p ascending runs and a short one, interleaved
+        yield f"stride-n//{p}", _stride(values, max(n // p, 1))
+
+
+def check_orders(ns, chunks, epsilons, max_chunks, max_units):
+    """Check the sealed sketch of every order of `orders` in scope;
+    returns the count checked and the largest tuple count times eps with
+    its order, n, chunk size and eps."""
+    checked, worst = 0, (0.0,)
+    for chunk in chunks:
+        with mock.patch.object(gk_sketch, "_CHUNK", chunk):
+            for n in ns:
+                sizes = [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)
+                if len(sizes) > max_chunks:
+                    continue
+                for name, data in orders(n, chunk):
+                    for eps in epsilons:
+                        sketch = QuantileSketch(eps)
+                        sketch.extend(data)
+                        sketch.seal().check_invariants()
+                        ceiling = sum(min(size, math.ceil(2 / eps) + 1) for size in sizes)
+                        case = (name, n, chunk, eps, sketch.tuple_count, ceiling)
+                        assert sketch.count == n and sketch.tuple_count <= ceiling, case
+                        assert sketch.tuple_count * eps <= max_units, case
+                        worst = max(worst, (sketch.tuple_count * eps, name, n, chunk, eps))
+                        checked += 1
+    return checked, worst
+
+
 def test_small_scope():
     check(**SMALL)
 
 
 def test_small_scope_plans():
     check_plans(**PLANS_SMALL)
+
+
+def test_arrival_orders_small():
+    check_orders(**ORDERS_SMALL)
+
+
+def test_arrival_orders_medium():
+    check_orders(**ORDERS_MEDIUM)
 
 
 if __name__ == "__main__":
@@ -287,3 +373,8 @@ if __name__ == "__main__":
     grid, plans = check_plans(**PLANS_FULL)
     print(f"{plans} plans over {grid} phi values checked in "
           f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
+    start = time.perf_counter()
+    checked, (units, name, n, chunk, eps) = check_orders(**ORDERS_FULL)
+    print(f"{checked} arrival orders checked in {time.perf_counter() - start:.1f} s; "
+          f"the most tuples, {units:.2f}/eps, {name} at n = {n}, chunk {chunk}, "
+          f"eps {eps}", file=sys.stderr)
