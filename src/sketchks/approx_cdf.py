@@ -3,7 +3,9 @@
 A CDF approximation is the pair of vectors (probs, quantiles): `a`
 equi-spaced probabilities from 1/N to 1 and the quantile summary's answers
 at those probabilities.  Linear interpolation between the knots gives a
-function within delta = 1/(a-1) + epsilon of the exact empirical CDF.
+function within delta = 1/(a-1) + epsilon of the exact empirical CDF at
+every sample value.  Between values, and at a value's left limit, the
+property tests find errors up to delta + 1/N, a bound not proven here.
 Where the summary holds few distinct values most knots repeat a quantile;
 an ApproxCdf stores only the first and last knot of each run of equal
 quantiles, which interpolate to the same function.
@@ -82,9 +84,10 @@ class ApproxCdf:
     grid: the first and last knot of each run of equal quantiles.  Along a
     run the interpolant is the step the run's last knot gives, so the
     stored knots interpolate to the function of the full grid, and
-    `error_bound(plan)` certifies every ApproxCdf.  `knots()` gives the
-    full grid back.  `build_cdf` never holds a sketch's full grid: it
-    keeps the same run ends from the grid queried block by block.
+    `error_bound(plan)` certifies every ApproxCdf at every sample value.
+    `knots()` gives the full grid back.  `build_cdf` never holds a
+    sketch's full grid: it keeps the same run ends from the grid queried
+    block by block.
     """
 
     def __init__(self, plan: CdfPlan, quantiles: np.ndarray):
@@ -279,7 +282,8 @@ def eval_cdf(cdf: ApproxCdf, x):
 
 
 def error_bound(plan: CdfPlan) -> float:
-    """Certified bound on |approximate CDF - exact empirical CDF|."""
+    """Certified bound on |approximate CDF - exact empirical CDF| at
+    every sample value."""
     return _bound(plan.a, plan.epsilon)
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, ks
-from .approx_cdf import build_cdf, empirical_cdf, plan_from_phi
+from .approx_cdf import _sealed, build_cdf, empirical_cdf, plan_from_phi
 from .gk_sketch import QuantileSketch
 from .ks import fmt17
 
@@ -46,19 +46,20 @@ _FORK_LINES = 1 << 15
 def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
     """Parse a file of newline-delimited decimals.
 
-    Returns (values array, skipped line count).  Without skip_invalid an
-    unparsable or non-finite line raises with its line number; blank lines
-    and a leading byte-order mark are always ignored, and a line that is
-    not UTF-8 always raises with its line number.  The line scanner `_scan`
+    Returns (values array, line count), the count `_line_count` gives:
+    the file's lines, less the header line under skip_header, which
+    bound its values.  Without skip_invalid an unparsable or non-finite
+    line raises with its line number; blank lines and a leading
+    byte-order mark are always ignored, and a line that is not UTF-8
+    always raises with its line number.  The line scanner `_scan`
     defines these rules, the header's too; `_blocks` reads the file through
     `_open` and hands `_scan` line 1 under skip_header and each line
     float() cannot read.
     """
-    parts, skipped = [], 0
-    for values, n in _blocks(path, skip_header, skip_invalid):
+    parts = []
+    for values, lines in _blocks(path, skip_header, skip_invalid):
         parts.append(values)
-        skipped += n
-    return np.concatenate(parts), skipped
+    return np.concatenate(parts), lines
 
 
 def _open(path):
@@ -73,8 +74,8 @@ def _blocks(path, skip_header: bool, skip_invalid: bool):
     """The file's values block by block, as `_open` splits its lines, with
     the rules of `ingest`.
 
-    Yields (finite values, skipped line count) for each block of
-    _BLOCK_LINES lines (a skipped header counts in the first), and raises
+    Yields (finite values, lines read so far less line 1 under
+    skip_header) for each block of _BLOCK_LINES lines, and raises
     after the last block when no line held a value.  `_floats` gives value
     i of a block from line i, each by float().  float() strips no more
     than str.strip(), so a line it reads as a finite number holds the
@@ -91,18 +92,18 @@ def _blocks(path, skip_header: bool, skip_invalid: bool):
         while lines := list(itertools.islice(fh, _BLOCK_LINES)):
             head = skip_header and lineno == 1
             values = _floats(["nan", *lines[1:]] if head else lines, one_call)
-            bad, skipped = np.flatnonzero(~np.isfinite(values)), 0
+            bad = np.flatnonzero(~np.isfinite(values))
             if bad.size > head:
                 one_call = False
             if bad.size:
-                values[bad], skipped = _scan(
+                values[bad] = _scan(
                     [(lineno + i, lines[i]) for i in bad.tolist()],
                     path, skip_header, skip_invalid)
                 values = values[np.isfinite(values)]
             found = found or values.size > 0
             lineno += len(lines)
             del lines  # the block's str objects go before the caller's work
-            yield values, skipped
+            yield values, lineno - 1 - skip_header
     if not found:
         raise ValueError(f"{path}: no data values found")
 
@@ -167,13 +168,13 @@ def _floats(lines, one_call: bool):
 
 
 def _scan(numbered, path, skip_header: bool, skip_invalid: bool):
-    """The rule for a line behind `ingest`, the header's included:
-    (values, skipped) for an iterable of (line number, line) pairs, one
-    value per line.  Under skip_header a non-blank line 1 is skipped even
-    where float() reads it.  A line that holds no value (blank, a skipped
+    """The rule for a line behind `ingest`, the header's included: the
+    values of an iterable of (line number, line) pairs, one per line.
+    Under skip_header a non-blank line 1 is skipped even where float()
+    reads it.  A line that holds no value (blank, a skipped
     header or a skipped invalid line) gives NaN; any other bad line raises
     with its number."""
-    values, skipped = array("d"), 0
+    values = array("d")
     for lineno, line in numbered:
         values.append(math.nan)
         text = line.strip()
@@ -187,7 +188,6 @@ def _scan(numbered, path, skip_header: bool, skip_invalid: bool):
                 raw = text.encode("utf-8", "surrogateescape")
                 raise ValueError(f"{path}:{lineno}: not UTF-8 text: {raw!r}") from None
         if skip_header and lineno == 1:
-            skipped += 1
             continue
         try:
             v = float(text)
@@ -195,11 +195,9 @@ def _scan(numbered, path, skip_header: bool, skip_invalid: bool):
             v = math.nan
         if math.isfinite(v):
             values[-1] = v
-        elif skip_invalid:
-            skipped += 1
-        else:
+        elif not skip_invalid:
             raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
-    return np.frombuffer(values), skipped
+    return np.frombuffer(values)
 
 
 @contextlib.contextmanager
@@ -279,11 +277,12 @@ def _forked(fn):
 
 
 def _cmd_ks2(args) -> int:
-    """One test by `ks._decide_sources`.  A regular file is planned from
-    its line count and streamed, never held whole; where each counts
-    _FORK_LINES lines or more, y's first read runs in `_forked`, whose
+    """One test by `ks._decide_sources`, which plans each file from its
+    line count.  A regular file is streamed, never held whole; where each
+    counts _FORK_LINES lines or more, y's read runs in `_forked`, whose
     worker sends back only the summary.  A pipe may not be read twice, so
-    otherwise both files are ingested whole, x then y, and read as arrays."""
+    otherwise both files are ingested whole, x then y, and each read as
+    its array of values."""
     if (args.phi is None) == (args.beta is None):
         raise ValueError("provide exactly one of --phi or --beta")
     files, flags = (args.file_x, args.file_y), (args.skip_header, args.skip_invalid)
@@ -295,8 +294,10 @@ def _cmd_ks2(args) -> int:
             ahead=lambda read, counts: (_forked(read) if min(counts) >= _FORK_LINES
                                         else contextlib.nullcontext(read)))
     else:
-        samples = [ingest(f, skip_header=flags[0], skip_invalid=flags[1])[0] for f in files]
-        outcome = ks._decide_sources(*samples, args.alpha, args.phi, args.beta)
+        samples = [ingest(f, skip_header=flags[0], skip_invalid=flags[1]) for f in files]
+        outcome = ks._decide_sources(*samples, args.alpha, args.phi, args.beta,
+                                     known=lambda s: s[1],
+                                     read=lambda s, epsilon: _sealed(s[0], epsilon))
     print(outcome.to_json())
     if not outcome.decision_certain:
         print("sketchks: warning: the decision is not certain: a distance within "

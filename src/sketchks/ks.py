@@ -12,7 +12,7 @@ sqrt(n*m/(n+m)) * D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -343,6 +343,8 @@ def phi_for_test(alpha: float, beta: float, n: int, m: int) -> float:
     than this definition's values, and acceptance criterion 6b checks both
     that and this function against an independent inversion.
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     for g in (alpha + beta, alpha - beta):
@@ -462,73 +464,83 @@ def run_test(x, y, precision: TestPrecision) -> KsOutcome:
 def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
                     read=_sealed, ahead=None) -> KsOutcome:
     """The outcome at level alpha of sources x and y, planned at phi or,
-    given beta, at phi_for_test(alpha, beta, n, m), in at most two passes.
+    given beta, at phi_for_test(alpha, beta, N, M) of their bounds N and
+    M, reading each source once.
 
     x and y are inputs of one kind, arrays by default, which two functions
-    describe: known(s), the count of s before it is read (an array's size;
-    a file's line count, which bounds its values), raising OSError or
+    describe: known(s), an upper bound on the values of s before it is
+    read (an array's size; a file's line count), raising OSError or
     ValueError where it has none, and read(s, epsilon), a sealed sketch of
-    s at epsilon (an array's `_sealed`) that may count other than its plan's
-    n; each CDF is `build_cdf` of one, so a read elsewhere sends back only it.
+    s at epsilon (an array's `_sealed`); each CDF is `build_cdf` of one,
+    so a read elsewhere sends back only it.
 
-    One rule: a pass plans both sources from the counts it starts with,
-    drops each CDF made under another plan and reads each such source, x
-    then y, making its CDF and dropping its sketch before the next read.
-    The first pass plans from the known counts; where either has none, or
-    they or the precision admit no certified plan, it only counts both, x
-    then y, each by a read at _COUNT_EPSILON.  The second plans from the
-    counts found, raises the plan's error or reads again each source
-    whose plan moved (under beta a count moves phi, so it may read both),
-    and refuses as changed while read one whose count is still not its
-    plan's.  `ahead(read_y, counts)`, where given, is a context manager
-    around the first pass's reads, handed read_y, a call that returns y's
-    sealed sketch, and yielding one (`ks2` reads y in a forked worker).
-    Errors come in the order of reading both sources whole, then planning:
-    x's first, y's only after x's read succeeded, the plan's last.
+    Each source is planned once from its bound, read once, x then y, and
+    its CDF made under that plan at the count read, its sketch dropped
+    before the next read.  That certifies: the bound 1/(a-1) + eps of a
+    plan does not depend on n, and the knots' spacing (1 - 1/n)/(a-1)
+    only shrinks as n does, so a plan made for N values holds for any
+    n <= N values with a <= n.  A count above the bound is refused as
+    changed while read.  After both reads, a source whose count is below its
+    plan's a is planned again, at the same delta, from its count and read
+    again, until its count fills its knots (once, unless it shrinks
+    between reads).  Where a bound is missing, or the bounds or the
+    precision admit no certified plan, both are counted first, x then y,
+    each by a read at _COUNT_EPSILON, and planned from those counts.
+    `ahead(read_y, counts)`, where given, is a context manager around the
+    reads planned from the bounds, handed read_y, a call that returns y's
+    sealed sketch, and the bounds, and yielding one (`ks2` reads y in a
+    forked worker).  Errors come in the order of reading both sources
+    whole, then planning: x's first, y's only after x's read succeeded,
+    the plan's last.
 
     Under beta a decision is the exact test's at a level in [alpha - beta,
     alpha + beta].  With c(g) = d_crit(g, n, m) and p(d) = p_value(d, n,
-    m), c decreases, p(c(g)) = g up to d_crit's bisection tolerance, and p
-    does not increase, strictly where it is below 1.  phi = min(c(alpha) -
-    c(alpha + beta), c(alpha - beta) - c(alpha)) and each delta is phi/2,
-    so the exact distance D is within phi of d.  A rejection, p(d) <=
-    alpha, has d >= c(alpha), so D >= d - phi >= c(alpha + beta) and p(D)
-    <= alpha + beta; an acceptance has d < c(alpha), so D <= d + phi <
-    c(alpha - beta) and p(D) > alpha - beta.  A caller's phi has no band.
+    m) at the value counts the outcome reports, c decreases, p(c(g)) = g up
+    to d_crit's bisection tolerance, and p does not increase, strictly
+    where it is below 1.  d_crit(g, n, m) is one bisected lambda(g) times
+    sqrt(1/n + 1/m), so phi_for_test, planned from bounds N >= n and M >=
+    m, is at most phi' = min(c(alpha) - c(alpha + beta), c(alpha - beta) -
+    c(alpha)).  Each delta is phi/2, so the exact distance D is within phi
+    <= phi' of d.  A rejection, p(d) <= alpha, has d >= c(alpha), so D >=
+    d - phi' >= c(alpha + beta) and p(D) <= alpha + beta; an acceptance
+    has d < c(alpha), so D <= d + phi' < c(alpha - beta) and p(D) > alpha
+    - beta.  A caller's phi has no band.
     """
     sources, cdfs = (x, y), [None, None]
-    for second in (False, True):
+    for counted in (False, True):
         try:
-            if not second:
-                counts = [known(s) for s in sources]
+            counts = [read(s, _COUNT_EPSILON).count if counted else known(s)
+                      for s in sources]
             phi = phi if beta is None else phi_for_test(alpha, beta, *counts)
             TestPrecision(alpha=alpha, phi=phi)
             plans = [plan_from_phi(phi, c) for c in counts]
+            break
         except (OSError, ValueError):
-            if second:
+            if counted:
                 raise
-            counts = [read(s, _COUNT_EPSILON).count for s in sources]
-            continue
-        stale = [i for i in (0, 1) if cdfs[i] is None or cdfs[i].plan != plans[i]]
-        for i in stale:
-            cdfs[i] = None  # a stale CDF goes before the next read
-        if ahead and not second:  # both are stale: no CDF is made yet
-            with ahead(lambda: read(y, plans[1].epsilon), counts) as read_y:
-                counts[0], cdfs[0] = _counted_cdf(read(x, plans[0].epsilon), plans[0])
-                counts[1], cdfs[1] = _counted_cdf(read_y(), plans[1])
-        else:
-            for i in stale:
-                counts[i], cdfs[i] = _counted_cdf(read(sources[i], plans[i].epsilon),
-                                                  plans[i])
-                if cdfs[i] is None and second:
-                    raise ValueError(f"{sources[i]}: file changed while it was read")
+            ahead = None  # counts are exact: no hook
+    if ahead:
+        with ahead(lambda: read(y, plans[1].epsilon), counts) as read_y:
+            counts[0], cdfs[0] = _counted_cdf(read(x, plans[0].epsilon), plans[0], x)
+            counts[1], cdfs[1] = _counted_cdf(read_y(), plans[1], y)
+    else:
+        for i, s in enumerate(sources):
+            counts[i], cdfs[i] = _counted_cdf(read(s, plans[i].epsilon), plans[i], s)
+    for i, s in enumerate(sources):
+        while cdfs[i] is None:  # too few values for the knots planned
+            plan = plan_from_phi(phi, counts[i])
+            counts[i], cdfs[i] = _counted_cdf(read(s, plan.epsilon), plan, s)
     return decide(*cdfs, alpha)
 
 
-def _counted_cdf(sketch: QuantileSketch, plan: CdfPlan):
-    """The count of a read's sealed sketch, and its CDF under plan where
-    it holds plan.n values, else None; the caller drops the sketch here."""
-    return sketch.count, build_cdf(sketch, plan) if sketch.count == plan.n else None
+def _counted_cdf(sketch: QuantileSketch, plan: CdfPlan, source):
+    """The count of a read's sealed sketch of source, and its CDF under
+    plan at that count, or None where the count is below plan.a; a count
+    above plan.n is refused.  The caller drops the sketch here."""
+    if sketch.count > plan.n:
+        raise ValueError(f"{source}: file changed while it was read")
+    return sketch.count, (build_cdf(sketch, replace(plan, n=sketch.count))
+                          if sketch.count >= plan.a else None)
 
 
 def decide(cdf1: ApproxCdf, cdf2: ApproxCdf, alpha: float) -> KsOutcome:

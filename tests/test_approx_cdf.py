@@ -1,5 +1,6 @@
 """CDF approximation: parameter selection, construction, evaluation, bounds."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -398,6 +399,40 @@ def test_cdf_error_within_bound_property(data, a, eps):
     cdf = build_cdf(arr, plan)
     err = np.max(np.abs(eval_cdf(cdf, arr) - empirical_cdf(arr, arr)))
     assert err <= error_bound(plan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=20, max_value=3000),
+    excess=st.one_of(st.just(0), st.integers(min_value=1, max_value=3000)),
+    phi=st.sampled_from([0.003, 0.01, 0.03, 0.1, 0.3, 0.6]),
+    decimals=st.sampled_from([0, 1, 17]),  # 0 and 1: ties
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_bound_planned_cdf_is_within_delta_at_every_sample_value(
+        n, excess, phi, decimals, seed):
+    # planned as `ks._decide_sources` plans a file: from an upper bound
+    # n + excess on its values, again from n where a > n, and made at n.
+    # The bound delta holds at every sample value; between values, and at
+    # a left limit, the GK contract's floor can add up to 1/n
+    data = np.random.default_rng(seed).normal(size=n).round(decimals)
+    try:
+        plan = plan_from_phi(phi, n + excess)
+        if plan.a > n:
+            plan = plan_from_phi(phi, n)
+    except ValueError:  # no certified plan at this size
+        return
+    plan = dataclasses.replace(plan, n=n)
+    cdf = build_cdf(data, plan)
+    values = np.unique(data)
+
+    def err(xs):
+        return np.max(np.abs(eval_cdf(cdf, xs) - empirical_cdf(data, xs)))
+
+    assert err(values) <= plan.delta
+    assert err(np.nextafter(values, -np.inf)) <= plan.delta + 1 / n
+    if values.size > 1:
+        assert err((values[1:] + values[:-1]) / 2) <= plan.delta + 1 / n
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,7 @@
 """Command-line surface: ingestion, ks2 JSON, experiment/convergence/tables/cdf CSV."""
 
 import argparse
+import dataclasses
 import errno
 import gc
 import io
@@ -45,23 +46,24 @@ class TestIngest:
     def test_plain(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("1\n2\n3\n")
-        values, skipped = ingest(f)
+        values, lines = ingest(f)
         assert values.tolist() == [1, 2, 3]
-        assert skipped == 0
+        assert lines == 3
 
     def test_skip_header(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("value\n1\n2\n")
-        values, skipped = ingest(f, skip_header=True)
+        values, lines = ingest(f, skip_header=True)
         assert values.tolist() == [1, 2]
-        assert skipped == 1
+        assert lines == 2
 
     def test_skip_invalid_counts(self, tmp_path):
+        # a dropped line still counts: the line count bounds the values
         f = tmp_path / "d.txt"
         f.write_text("1\nNaN\n2\n")
-        values, skipped = ingest(f, skip_invalid=True)
+        values, lines = ingest(f, skip_invalid=True)
         assert values.tolist() == [1, 2]
-        assert skipped == 1
+        assert lines == 3
 
     def test_invalid_line_reports_number(self, tmp_path):
         f = tmp_path / "d.txt"
@@ -91,12 +93,12 @@ class TestIngest:
         monkeypatch.setattr(cli, "_BLOCK_LINES", 2)
         f = tmp_path / "d.txt"
         f.write_bytes(b"value\r\n 1.5\r\n-2e-3\t\n\x0c7\n")
-        values, skipped = ingest(f, skip_header=True, skip_invalid=True)
+        values, lines = ingest(f, skip_header=True, skip_invalid=True)
         assert values.tolist() == [1.5, -2e-3, 7.0]
-        assert skipped == 1
-        f.write_bytes(b"\n1\n2")  # a blank line 1 is no header
-        values, skipped = ingest(f, skip_header=True)
-        assert values.tolist() == [1.0, 2.0] and skipped == 0
+        assert lines == 3
+        f.write_bytes(b"\n1\n2")  # a blank line 1 holds no header, and is not counted
+        values, lines = ingest(f, skip_header=True)
+        assert values.tolist() == [1.0, 2.0] and lines == 2
 
     def test_not_utf8_reports_line(self, tmp_path):
         f = tmp_path / "d.txt"
@@ -113,17 +115,18 @@ class TestIngest:
 def reference_ingest(path, *, skip_header=False, skip_invalid=False):
     """The line-by-line parser `ingest` had before its numpy fast path,
     kept as an oracle for files that are UTF-8 text (a leading byte-order
-    mark is not data)."""
-    skipped = 0
+    mark is not data), with the count of the lines it read, less line 1
+    under skip_header."""
+    lines = 0
 
     def parsed(fh):
-        nonlocal skipped
+        nonlocal lines
         for lineno, line in enumerate(fh, start=1):
+            lines = lineno
             text = line.strip()
             if not text:
                 continue
             if skip_header and lineno == 1:
-                skipped += 1
                 continue
             try:
                 v = float(text)
@@ -131,7 +134,6 @@ def reference_ingest(path, *, skip_header=False, skip_invalid=False):
                 v = math.nan
             if not math.isfinite(v):
                 if skip_invalid:
-                    skipped += 1
                     continue
                 raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
             yield v
@@ -140,15 +142,15 @@ def reference_ingest(path, *, skip_header=False, skip_invalid=False):
         values = np.fromiter(parsed(fh), dtype=float)
     if not values.size:
         raise ValueError(f"{path}: no data values found")
-    return values, skipped
+    return values, max(lines - skip_header, 0)
 
 
 def _outcome(parse, path, **flags):
     try:
-        values, skipped = parse(path, **flags)
+        values, lines = parse(path, **flags)
     except ValueError as exc:
         return type(exc), str(exc)
-    return values.dtype, values.shape, values.tobytes(), skipped
+    return values.dtype, values.shape, values.tobytes(), lines
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -252,7 +254,7 @@ def test_one_call_conversion_falls_back_once_per_file(tmp_path, monkeypatch):
     # an unreadable line in every block: one failed attempt, and the file's
     # later blocks go straight to the resume loop
     dirty.write_text("".join("n/a\n" if j % 4 == 2 else v for j, v in enumerate(values)))
-    assert ingest(dirty, skip_invalid=True)[1] == 5
+    assert ingest(dirty, skip_invalid=True)[0].size == 15
     assert calls == [False]
     # the fallback is per file: a clean file read after it, and one whose
     # header float() cannot read, convert every block in one call
@@ -278,8 +280,8 @@ def test_scanner_reads_only_lines_float_cannot(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_BLOCK_LINES", 3)
     f = tmp_path / "d.txt"
     f.write_text("1\n\x1c2\x1f\n3\nnan\nx\n", encoding="utf-8")
-    values, skipped = ingest(f, skip_invalid=True)
-    assert values.tolist() == [1.0, 2.0, 3.0] and skipped == 2
+    values, lines = ingest(f, skip_invalid=True)
+    assert values.tolist() == [1.0, 2.0, 3.0] and lines == 5
     assert seen == [2, 4, 5]
 
 
@@ -288,8 +290,8 @@ def test_separator_wrapped_number_keeps_its_place(tmp_path):
     f = tmp_path / "d.txt"
     f.write_text("1\n\x1c2\x1f\n3\nx\n", encoding="utf-8")
     with mock.patch.object(cli, "_BLOCK_LINES", 3):
-        values, skipped = ingest(f, skip_invalid=True)
-    assert values.tolist() == [1.0, 2.0, 3.0] and skipped == 1
+        values, lines = ingest(f, skip_invalid=True)
+    assert values.tolist() == [1.0, 2.0, 3.0] and lines == 4
 
 
 class TestKs2Command:
@@ -358,18 +360,35 @@ UNCERTAIN = ("sketchks: warning: the decision is not certain: a distance within 
              "d_error_bound of d_ks decides the other way\n")
 
 
+def _planned(n, m, *, alpha, phi=None, beta=None):
+    """(phi, the two plans) for counts n and m, as `ks2` plans them."""
+    if beta is not None:
+        phi = ks.phi_for_test(alpha, beta, n, m)
+    ks.TestPrecision(alpha=alpha, phi=phi)
+    return phi, [plan_from_phi(phi, n), plan_from_phi(phi, m)]
+
+
 def reference_ks2(fx, fy, *, alpha, phi=None, beta=None, **flags):
     """`ks2` on both files `ingest`ed whole, planned, built and decided by
     hand, not by the planning loop that `ks2` and `run_test` share, kept as
-    an oracle for every route: (exit code, stdout, stderr)."""
+    an oracle for every route: (exit code, stdout, stderr).
+
+    Each file is planned from its line count, which bounds its values, or
+    both from their value counts where the line counts admit no plan; a
+    CDF is made under its plan at its value count, or planned again from
+    that count where its values cannot fill the knots."""
     try:
-        x, _ = ingest(fx, **flags)
-        y, _ = ingest(fy, **flags)
-        if beta is not None:
-            phi = ks.phi_for_test(alpha, beta, x.size, y.size)
-        ks.TestPrecision(alpha=alpha, phi=phi)
-        plans = [plan_from_phi(phi, s.size) for s in (x, y)]
-        outcome = ks.decide(build_cdf(x, plans[0]), build_cdf(y, plans[1]), alpha)
+        (x, lines_x), (y, lines_y) = (ingest(f, **flags) for f in (fx, fy))
+        try:
+            phi, plans = _planned(lines_x, lines_y, alpha=alpha, phi=phi, beta=beta)
+        except ValueError:
+            phi, plans = _planned(x.size, y.size, alpha=alpha, phi=phi, beta=beta)
+        cdfs = []
+        for sample, plan in zip((x, y), plans):
+            if sample.size < plan.a:
+                plan = plan_from_phi(phi, sample.size)
+            cdfs.append(build_cdf(sample, dataclasses.replace(plan, n=sample.size)))
+        outcome = ks.decide(*cdfs, alpha)
     except (ValueError, OSError) as exc:
         return 1, "", f"sketchks: error: {exc}\n"
     return 0, outcome.to_json() + "\n", "" if outcome.decision_certain else UNCERTAIN
@@ -411,7 +430,14 @@ def _value_file(draw):
 
 
 _HAS_FD = os.path.isdir("/dev/fd")
-_SIXTY = "".join(f"{v}\n" for v in range(60)).encode()
+
+
+def _integers(n):
+    """n lines holding 0, 1, ..., n - 1."""
+    return "".join(f"{v}\n" for v in range(n)).encode()
+
+
+_SIXTY = _integers(60)
 
 
 @settings(max_examples=200, deadline=None)
@@ -426,6 +452,15 @@ _SIXTY = "".join(f"{v}\n" for v in range(60)).encode()
          skip_invalid=True, block=4096, chunk=1 << 16, piped="", forked=True)
 @example(files=(_SIXTY, b"\n" * 60), precision={"phi": 0.3}, skip_header=False,
          skip_invalid=False, block=4096, chunk=1 << 16, piped="", forked=True)
+# x's 20 values cannot fill the 27 knots its 100 lines plan, so x is read twice
+@example(files=(b"\n" * 80 + _integers(20), _SIXTY), precision={"phi": 0.3},
+         skip_header=False, skip_invalid=False, block=4096, chunk=1 << 16, piped="",
+         forked=False)
+# y's blank lines shrink the phi that beta gives below what x's 25 lines can
+# plan, but not the value counts': both are counted, then read again
+@example(files=(_integers(25), _integers(25) + b"\n" * 100), precision={"beta": 0.45},
+         skip_header=False, skip_invalid=False, block=4096, chunk=1 << 16, piped="",
+         forked=True)
 @given(
     files=st.tuples(_value_file(), _value_file()),
     precision=st.sampled_from([{"phi": 0.3}, {"phi": 0.1},
@@ -480,7 +515,22 @@ def test_ks2_stdout_matches_run_test_on_ingested_files(
     err = err.replace(str(fx), names["x"]).replace(str(fy), names["y"])
     assert got == (rc, out, err)
     reads = Counter(log.read_text(encoding="utf-8").splitlines() if log.exists() else [])
-    assert max(reads.values(), default=0) <= 2  # each file read at most twice
+    reads = [reads[names["x"]], reads[names["y"]]]
+    if rc:  # an error stops the reads, and a forked worker's may or may not start
+        assert max(reads) <= 2
+        return
+    # each file once: a pipe ingested whole, or a regular file planned from
+    # its line count, read again only where its values cannot fill the
+    # knots planned; where the line counts admit no plan, counted first
+    want = [1, 1]
+    if not piped:
+        doc = json.loads(out)
+        try:
+            _, plans = _planned(*(cli._line_count(f, skip_header) for f in (fx, fy)), **test)
+            want = [1 + (n < plan.a) for n, plan in zip((doc["n"], doc["m"]), plans)]
+        except ValueError:
+            want = [2, 2]
+    assert reads == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -536,8 +586,9 @@ _VALUES = "".join(f"{v!r}\n" for v in np.linspace(-2, 2, 200).tolist()).encode()
     # on the forked route y's worker is running when x's bad line is met
     (b"1\nbogus\n" + _VALUES, _VALUES, ["--phi", "0.1"],
      "{x}:2: not a finite number: 'bogus'", 0),
-    # 100 lines plan x, whose 2 values then admit no plan: the second pass
-    # raises that, with both files parsed, and ingests neither whole
+    # 100 lines plan x's knots, which its 2 values cannot fill, and 2
+    # values admit no plan: that is raised with both files parsed, and
+    # neither is ingested whole
     (b"\n" * 98 + b"1\n2\n", _VALUES, ["--phi", "0.1"],
      "sample of 2 points cannot reach a CDF error bound of 0.05", 0),
     # one line a file admits no plan, so both are counted before it fails
@@ -545,7 +596,7 @@ _VALUES = "".join(f"{v!r}\n" for v in np.linspace(-2, 2, 200).tolist()).encode()
      "sample of 1 points cannot reach a CDF error bound of 0.025", 0),
 ], ids=["x-bad-before-y-missing", "x-empty", "x-blank-lines", "y-bad-unplanned",
         "y-bad-streamed", "beta-0-x-bad", "beta-0", "beta-unresolved",
-        "x-bad-y-streaming", "second-pass-unplanned", "one-line-files"])
+        "x-bad-y-streaming", "x-too-few-values", "one-line-files"])
 def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message, ingested):
     # `ingested`: the files ks2 parses whole, where an input is not a
     # regular file (a missing y); regular files it cannot plan from their
@@ -752,44 +803,49 @@ def _warm_up_ks2(normal_files):
     assert (rc, err) == (0, "")
 
 
-def test_ks2_second_pass_peak_memory(normal_files, monkeypatch, traced_peak):
+def test_ks2_blank_line_peak_memory(normal_files, monkeypatch, traced_peak):
     # the planned-file shape (phi from --beta gives summaries of ~1e4
-    # tuples and 40,580 knots) with a blank first line in x: its value
-    # count moves phi, so the second pass reads both files again.  That
-    # pass ends as a clean run does, x's CDF held while y is read, and
-    # peaks as high (1.56 MB): the chunk buffer and each block's lines are
-    # gone before a merge peaks, and the knots are queried in blocks, so
-    # no read holds a parsed file (1.6 MB).  x's first read makes no CDF
-    # and y's first CDF is stale by the second pass, so the first three
-    # reads start holding no more than the first did; a stale CDF or a
-    # sketch kept after its CDF is made would still be held.  In one
-    # process, as tracemalloc traces only the process it runs in
+    # tuples and 40,580 knots) with a blank first line in x: both files
+    # are planned from their line counts and read once, x's CDF made at
+    # its 200,000 values and held while y is read.  That peaks as a clean
+    # run does (1.56 MB): the chunk buffer and each block's lines are gone
+    # before a merge peaks, and the knots are queried in blocks, so no
+    # read holds a parsed file (1.6 MB).  y's read starts holding no more
+    # than x's CDF (~0.27 MB of run ends) over what x's did; a sketch kept
+    # after its CDF is made would still be held.  In one process, as
+    # tracemalloc traces only the process it runs in
     n = m = 200_000
     monkeypatch.setattr(cli, "_FORK_LINES", n + 1)
     _warm_up_ks2(normal_files)
     fx = normal_files("x.txt", 0, n, 31)
     fy = normal_files("y.txt", 0.01, m, 32)
     fx.write_bytes(b"\n" + fx.read_bytes())
-    file_sketch, reads, held = cli._file_sketch, [], []
+    file_sketch, reads, held, made = cli._file_sketch, [], [], []
 
     def counted(path, *rest):
         reads.append(str(path))
         held.append(tracemalloc.get_traced_memory()[0])
         return file_sketch(path, *rest)
 
+    def built(data, plan):
+        made.append(build_cdf(data, plan))
+        return made[-1]
+
     monkeypatch.setattr(cli, "_file_sketch", counted)
+    monkeypatch.setattr(ks, "build_cdf", built)
     argv = ["ks2", "--file-x", fx, "--file-y", fy, "--alpha", "0.05", "--beta", "0.025"]
     (rc, out, _), peak = traced_peak(_run, argv)
     assert rc == 0 and json.loads(out)["params"]["a_x"] == 40580
-    assert reads == [str(fx), str(fy)] * 2
-    assert max(held[:3]) - held[0] < 1e5, f"held {held} bytes"  # a sealed sketch is ~2.5e5
+    assert reads == [str(fx), str(fy)]
+    x_cdf = made[0].probs.nbytes + made[0].quantiles.nbytes
+    # a sealed sketch is ~2.5e5 bytes
+    assert held[1] - held[0] - x_cdf < 1e5, f"held {held} bytes, x's CDF {x_cdf}"
     assert peak <= 2.2e6, f"peak {peak} bytes"
 
 
 def test_ks2_unplanned_regular_files_peak_memory(normal_files, monkeypatch, traced_peak):
-    # --beta 0 admits no plan, so the first pass counts each regular
-    # file's values by a coarse streamed read and the second raises the
-    # plan's error: the peak is that read's chunk buffer, at both sizes
+    # --beta 0 admits no plan, so ks2 counts each regular file's values
+    # by a coarse streamed read, then raises the plan's error: the peak is that read's chunk buffer, at both sizes
     # below a planned run's (--beta 0.025), and does not grow with the
     # files.  In one process, as tracemalloc traces only the process it
     # runs in
@@ -836,6 +892,8 @@ def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
     cr_x.write_bytes(fx.read_bytes().replace(b"\n", b"\r"))
     bom_x = tmp_path / "bom_x.txt"  # a byte-order mark and CRLF newlines
     bom_x.write_bytes(b"\xef\xbb\xbf" + fx.read_bytes().replace(b"\n", b"\r\n"))
+    blank_x = tmp_path / "blank_x.txt"  # 200 values among 20,000 blank lines
+    blank_x.write_text("\n" * 20_000 + "".join(fx.read_text().splitlines(True)[:200]))
     floats, log = cli._floats, tmp_path / "parsed.log"
 
     def counting(lines, one_call):
@@ -845,17 +903,19 @@ def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
         return floats(lines, one_call)
 
     monkeypatch.setattr(cli, "_floats", counting)
-    # one table for both layouts: the first pass plans both files from
-    # their line counts and reads both; the second reads again each file
-    # whose plan moved, under --phi only a file whose count moved, under
-    # --beta, where that count moves phi, both files
+    # one table for both layouts: both files are planned from their line
+    # counts and each read once, a blank line or not, but for a file whose
+    # values cannot fill the knots its lines plan: 20,200 lines plan 900
+    # knots at phi 0.05, which blank_x's 200 values cannot fill, so it is
+    # planned again from 200 and read again
     table = [(fx, fy, {"phi": 0.05}, 6000), (fx, fy, {"beta": 0.025}, 6000),
              (cr_x, fy, {"beta": 0.025}, 6000),
              (bom_x, fy, {"beta": 0.025}, 6000),
-             (fx, dirty, {"phi": 0.05}, 3000 + 2 * 3001),
-             (fx, dirty, {"beta": 0.025}, 2 * 3000 + 2 * 3001),
-             (dirty_x, dirty, {"beta": 0.025}, 4 * 3001),
-             (dirty_x, fy, {"beta": 0.025}, 2 * 3001 + 2 * 3000)]
+             (fx, dirty, {"phi": 0.05}, 3000 + 3001),
+             (fx, dirty, {"beta": 0.025}, 3000 + 3001),
+             (dirty_x, dirty, {"beta": 0.025}, 2 * 3001),
+             (dirty_x, fy, {"beta": 0.025}, 3001 + 3000),
+             (blank_x, fy, {"phi": 0.05}, 2 * 20_200 + 3000)]
     layouts = [nullcontext()]  # in one process, then forked
     if _worker_starts():
         layouts.append(_forking())
@@ -866,34 +926,41 @@ def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
                 got = _run(_ks2_argv(x, y, alpha=0.05, **precision))
                 assert sum(map(int, log.read_text(encoding="utf-8").split())) == lines
                 assert got == reference_ks2(x, y, alpha=0.05, **precision)
-            if started is not None:  # only the first pass forks
+            if started is not None:  # only the read planned from line counts forks
                 assert started == [str(y) for _, y, _, _ in table]
 
 
 def test_ks2_refuses_a_file_that_changes_while_read(normal_files, monkeypatch):
-    # each read of a file finds one value fewer than its plan: the first
-    # pass re-plans from the counts found, the second refuses x
+    # each read of a file finds one value more, or one fewer, than its
+    # lines: more than the bound its plan was made for is refused; fewer
+    # is read at the count found, once
     fx, fy = normal_files("x.txt", 0, 500, 35), normal_files("y.txt", 0, 500, 36)
-    reads = Counter()
+    reads, change = Counter(), 1
 
-    def short(path, epsilon, *flags):
+    def changed(path, epsilon, *flags):
         reads[path] += 1
+        values = ingest(path)[0]
         sketch = gk_sketch.QuantileSketch(epsilon)
-        sketch.extend(ingest(path)[0][reads[path]:])
+        sketch.extend(np.append(values, 0.5) if change > 0 else values[1:])
         return sketch.seal()
 
-    monkeypatch.setattr(cli, "_file_sketch", short)
-    rc, out, err = _run(["ks2", "--file-x", fx, "--file-y", fy, "--phi", "0.1"])
-    assert (rc, out) == (1, "")
-    assert err == f"sketchks: error: {fx}: file changed while it was read\n"
-    assert reads == {str(fx): 2, str(fy): 1}
+    monkeypatch.setattr(cli, "_file_sketch", changed)
+    argv = ["ks2", "--file-x", fx, "--file-y", fy, "--phi", "0.1"]
+    assert _run(argv) == (1, "", f"sketchks: error: {fx}: file changed while it was read\n")
+    assert reads == {str(fx): 1}
+    reads.clear()
+    change = -1
+    rc, out, _ = _run(argv)
+    doc = json.loads(out)
+    assert (rc, doc["n"], doc["m"]) == (0, 499, 499)
+    assert reads == {str(fx): 1, str(fy): 1}
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 def test_ks2_reads_piped_stdin(tmp_path):
-    # a header, a blank line and CRLF: 501 counted lines hold 500 values, so
-    # the regular files are streamed twice under --beta; stdin is a pipe,
-    # ingested whole in a process of its own
+    # a header, a blank line and CRLF: 501 counted lines hold 500 values,
+    # and plan both regular files, each read once; stdin is a pipe,
+    # ingested whole in a process of its own and planned from its lines too
     fx, fy = tmp_path / "h0.txt", tmp_path / "h1.txt"
     for i, f in enumerate((fx, fy)):
         v = [f"{(7 * j) % 100 + i}" for j in range(500)]
@@ -939,9 +1006,9 @@ def test_ks2_streams_only_regular_files(tmp_path, kind, ingested):
 
 @pytest.mark.parametrize("route, calls", [
     ("run_test", 2), ("ks2", 2), ("ks2-forked", 2),
-    # x's first read finds 200 values, not its 201 lines, so under --beta
-    # the second pass reads both again and makes three CDFs in all
-    ("ks2-blank-line", 3),
+    # x's read finds 200 values under its 201 lines, whose plan makes its
+    # CDF at that count: two CDFs, under --beta too
+    ("ks2-blank-line", 2),
     ("ks2-pipe", 2),  # both ingested whole, then read as arrays
     ("convergence", 2 * 10),  # nine table rows and the exact one, twice
 ])

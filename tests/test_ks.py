@@ -434,6 +434,11 @@ class TestPhiForTest:
         for beta in (0.0, -0.01, float("nan")):
             with pytest.raises(ValueError, match="beta must be positive"):
                 ks.phi_for_test(0.05, beta, 100, 100)
+        # alpha itself is checked first, in the words `--phi` gives it
+        for alpha in (1.5, 0.0, -0.2, float("nan")):
+            with pytest.raises(ValueError) as info:
+                ks.phi_for_test(alpha, 0.025, 100, 100)
+            assert str(info.value) == f"alpha must be in (0, 1), got {alpha}"
 
     def test_level_below_q10_is_named_as_alpha_minus_beta(self):
         # alpha itself is above Q(10); alpha - beta, which d_crit is handed,
@@ -947,32 +952,80 @@ def test_doubling_and_swapping_are_identities(sizes, decimals, scale, eps, phi, 
     assert _decision(y, x, phi) == want
 
 
+def _bounded(x, y, excess):
+    """`_decide_sources`' known: each sample's size plus its excess, an
+    upper bound on its values as a file's line count is."""
+    return lambda s: s.size + excess[s is y]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     sizes=st.tuples(*[st.integers(min_value=400, max_value=4000)] * 2),
+    excess=st.tuples(*[st.integers(min_value=0, max_value=3000)] * 2),
     shift=st.sampled_from([0.0, 0.03, 0.06, 0.1]),
     decimals=st.sampled_from([0, 1, 17]),  # 0 and 1: ties within and across
     level=st.sampled_from([(0.05, 0.025), (0.1, 0.05), (0.2, 0.1), (0.5, 0.3),
                            (0.5, 0.45)]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# y's 400 values cannot fill the 974 knots its bound of 3,400 plans
+@example(sizes=(4000, 400), excess=(0, 3000), shift=0.0, decimals=17,
+         level=(0.5, 0.45), seed=0)
 def test_a_beta_planned_decision_is_the_exact_test_within_beta(
-        sizes, shift, decimals, level, seed):
-    # the band `_decide_sources` proves: planned from beta, a rejection has
-    # exact p <= alpha + beta and an acceptance exact p > alpha - beta.  The
-    # proof holds up to d_crit's bisection tolerance (it stops within
-    # min(1e-10, 1e-6*alpha) of each level), so the band is allowed 1e-9
+        sizes, excess, shift, decimals, level, seed):
+    # the band `_decide_sources` proves: planned from beta at bounds N >= n
+    # and M >= m, a rejection has exact p <= alpha + beta and an acceptance
+    # exact p > alpha - beta, both at the value counts.  The proof holds up
+    # to d_crit's bisection tolerance (it stops within min(1e-10,
+    # 1e-6*alpha) of each level), so the band is allowed 1e-9
     alpha, beta = level
     rng = np.random.default_rng(seed)
     x = rng.normal(size=sizes[0]).round(decimals)
     y = (rng.normal(size=sizes[1]) + shift).round(decimals)
+    bounds = (x.size + excess[0], y.size + excess[1])
     try:
-        out = ks._decide_sources(x, y, alpha, beta=beta)
+        out = ks._decide_sources(x, y, alpha, beta=beta, known=_bounded(x, y, excess))
     except ValueError:  # no certified plan at these sizes
         return
-    assert out.d_error_bound == ks.phi_for_test(alpha, beta, x.size, y.size)
+    try:
+        phi = ks.phi_for_test(alpha, beta, *bounds)
+        for b in bounds:
+            plan_from_phi(phi, b)
+    except ValueError:  # the bounds admit no plan: both are planned from their counts
+        bounds = sizes
+    assert out.d_error_bound == ks.phi_for_test(alpha, beta, *bounds)
+    assert (out.n, out.m) == sizes
     p_exact = ks.p_value(ks.exact_ks_distance(x, y), x.size, y.size)
     if out.reject:
         assert p_exact <= alpha + beta + 1e-9
     else:
         assert p_exact > alpha - beta - 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.tuples(*[st.integers(min_value=3, max_value=600)] * 2),
+    excess=st.tuples(*[st.integers(min_value=0, max_value=5000)] * 2),
+    shift=st.sampled_from([0.0, 0.3]),
+    decimals=st.sampled_from([0, 1, 17]),
+    phi=st.sampled_from([0.1, 0.2, 0.3, 0.6]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# x's 40 values cannot fill the 185 knots its bound of 5,040 plans at phi 0.3
+@example(sizes=(40, 500), excess=(5000, 0), shift=0.0, decimals=1, phi=0.3, seed=0)
+def test_a_phi_planned_distance_is_within_its_bound(sizes, excess, shift, decimals,
+                                                    phi, seed):
+    # planned at a caller's phi from bounds N >= n and M >= m, d is within
+    # d_error_bound of the exact distance at the value counts, also where a
+    # sample's values cannot fill the knots its bound plans and it is
+    # planned again from its count
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=sizes[0]).round(decimals)
+    y = (rng.normal(size=sizes[1]) + shift).round(decimals)
+    try:
+        out = ks._decide_sources(x, y, 0.05, phi, known=_bounded(x, y, excess))
+    except ValueError:  # no certified plan at these sizes
+        return
+    assert (out.n, out.m) == sizes
+    assert out.d_error_bound == phi
+    assert abs(out.d - ks.exact_ks_distance(x, y)) <= out.d_error_bound
