@@ -35,31 +35,27 @@ __all__ = ["main", "ingest"]
 
 _BLOCK_LINES = 1 << 12  # lines `_blocks` holds and parses at a time
 _COUNT_BYTES = 1 << 16  # bytes `_line_count` reads at a time
-# counted lines each `ks2` input needs before y is read in a forked worker.
-# On a 2-vCPU virtual machine (BENCH_fork_cutoff.json) a fork and its pipe
-# cost ~5 ms: one process was faster in every pair at 1,000 and 4,000 lines
-# a file, neither reliably from 8,000 to 24,000, and the fork in every pair
-# at 32,768 in both runs that measured it
-_FORK_LINES = 1 << 15
 
 
 def ingest(path, *, skip_header: bool = False, skip_invalid: bool = False):
     """Parse a file of newline-delimited decimals.
 
-    Returns (values array, line count), the count `_line_count` gives:
-    the file's lines, less the header line under skip_header, which
-    bound its values.  Without skip_invalid an unparsable or non-finite
-    line raises with its line number; blank lines and a leading
-    byte-order mark are always ignored, and a line that is not UTF-8
-    always raises with its line number.  The line scanner `_scan`
-    defines these rules, the header's too; `_blocks` reads the file through
-    `_open` and hands `_scan` line 1 under skip_header and each line
-    float() cannot read.
+    Returns (values array, the lines that held no value: blank lines and
+    lines dropped under skip_invalid).  The two add up to the count
+    `_line_count` gives, the file's lines less the header line under
+    skip_header, which bounds its values.  Without skip_invalid an
+    unparsable or non-finite line raises with its line number; blank
+    lines and a leading byte-order mark are always ignored, and a line
+    that is not UTF-8 always raises with its line number.  The line
+    scanner `_scan` defines these rules, the header's too; `_blocks`
+    reads the file through `_open` and hands `_scan` line 1 under
+    skip_header and each line float() cannot read.
     """
     parts = []
     for values, lines in _blocks(path, skip_header, skip_invalid):
         parts.append(values)
-    return np.concatenate(parts), lines
+    values = np.concatenate(parts)
+    return values, lines - values.size
 
 
 def _open(path):
@@ -278,9 +274,9 @@ def _forked(fn):
 
 def _cmd_ks2(args) -> int:
     """One test by `ks._decide_sources`, which plans each file from its
-    line count.  A regular file is streamed, never held whole; where each
-    counts _FORK_LINES lines or more, y's read runs in `_forked`, whose
-    worker sends back only the summary.  A pipe may not be read twice, so
+    line count.  Where both are regular files, each is streamed, never held
+    whole, and y's read runs in `_forked`, whose worker, where one starts,
+    sends back only the summary.  A pipe may not be read twice, so
     otherwise both files are ingested whole, x then y, and each read as
     its array of values."""
     if (args.phi is None) == (args.beta is None):
@@ -291,12 +287,11 @@ def _cmd_ks2(args) -> int:
             *files, args.alpha, args.phi, args.beta,
             known=lambda f: _line_count(f, args.skip_header),
             read=lambda f, epsilon: _file_sketch(f, epsilon, *flags),
-            ahead=lambda read, counts: (_forked(read) if min(counts) >= _FORK_LINES
-                                        else contextlib.nullcontext(read)))
+            ahead=_forked)
     else:
         samples = [ingest(f, skip_header=flags[0], skip_invalid=flags[1]) for f in files]
         outcome = ks._decide_sources(*samples, args.alpha, args.phi, args.beta,
-                                     known=lambda s: s[1],
+                                     known=lambda s: s[0].size + s[1],
                                      read=lambda s, epsilon: _sealed(s[0], epsilon))
     print(outcome.to_json())
     if not outcome.decision_certain:

@@ -11,6 +11,7 @@ sqrt(n*m/(n+m)) * D.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -462,7 +463,7 @@ def run_test(x, y, precision: TestPrecision) -> KsOutcome:
 
 
 def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
-                    read=_sealed, ahead=None) -> KsOutcome:
+                    read=_sealed, ahead=contextlib.nullcontext) -> KsOutcome:
     """The outcome at level alpha of sources x and y, planned at phi or,
     given beta, at phi_for_test(alpha, beta, N, M) of their bounds N and
     M, reading each source once.
@@ -486,12 +487,13 @@ def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
     between reads).  Where a bound is missing, or the bounds or the
     precision admit no certified plan, both are counted first, x then y,
     each by a read at _COUNT_EPSILON, and planned from those counts.
-    `ahead(read_y, counts)`, where given, is a context manager around the
-    reads planned from the bounds, handed read_y, a call that returns y's
-    sealed sketch, and the bounds, and yielding one (`ks2` reads y in a
-    forked worker).  Errors come in the order of reading both sources
-    whole, then planning: x's first, y's only after x's read succeeded,
-    the plan's last.
+    `ahead(read_y)` is a context manager around the first planned reads,
+    whether planned from the bounds or the counts: it is handed read_y, a
+    call that returns y's sealed sketch, and yields one (by default read_y
+    itself; `ks2` reads y in a forked worker).  A read again runs outside
+    it.  Errors come in the order of reading both sources whole, then
+    planning: x's first, y's only after x's read succeeded, the plan's
+    last.
 
     Under beta a decision is the exact test's at a level in [alpha - beta,
     alpha + beta].  With c(g) = d_crit(g, n, m) and p(d) = p_value(d, n,
@@ -518,14 +520,9 @@ def _decide_sources(x, y, alpha: float, phi=None, beta=None, *, known=np.size,
         except (OSError, ValueError):
             if counted:
                 raise
-            ahead = None  # counts are exact: no hook
-    if ahead:
-        with ahead(lambda: read(y, plans[1].epsilon), counts) as read_y:
-            counts[0], cdfs[0] = _counted_cdf(read(x, plans[0].epsilon), plans[0], x)
-            counts[1], cdfs[1] = _counted_cdf(read_y(), plans[1], y)
-    else:
-        for i, s in enumerate(sources):
-            counts[i], cdfs[i] = _counted_cdf(read(s, plans[i].epsilon), plans[i], s)
+    with ahead(lambda: read(y, plans[1].epsilon)) as read_y:
+        counts[0], cdfs[0] = _counted_cdf(read(x, plans[0].epsilon), plans[0], x)
+        counts[1], cdfs[1] = _counted_cdf(read_y(), plans[1], y)
     for i, s in enumerate(sources):
         while cdfs[i] is None:  # too few values for the knots planned
             plan = plan_from_phi(phi, counts[i])

@@ -46,24 +46,24 @@ class TestIngest:
     def test_plain(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("1\n2\n3\n")
-        values, lines = ingest(f)
+        values, no_value = ingest(f)
         assert values.tolist() == [1, 2, 3]
-        assert lines == 3
+        assert no_value == 0
 
     def test_skip_header(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("value\n1\n2\n")
-        values, lines = ingest(f, skip_header=True)
+        values, no_value = ingest(f, skip_header=True)
         assert values.tolist() == [1, 2]
-        assert lines == 2
+        assert no_value == 0  # the header is not counted
 
     def test_skip_invalid_counts(self, tmp_path):
-        # a dropped line still counts: the line count bounds the values
+        # a dropped line holds no value: with the values, the line count
         f = tmp_path / "d.txt"
         f.write_text("1\nNaN\n2\n")
-        values, lines = ingest(f, skip_invalid=True)
+        values, no_value = ingest(f, skip_invalid=True)
         assert values.tolist() == [1, 2]
-        assert lines == 3
+        assert no_value == 1
 
     def test_invalid_line_reports_number(self, tmp_path):
         f = tmp_path / "d.txt"
@@ -93,12 +93,12 @@ class TestIngest:
         monkeypatch.setattr(cli, "_BLOCK_LINES", 2)
         f = tmp_path / "d.txt"
         f.write_bytes(b"value\r\n 1.5\r\n-2e-3\t\n\x0c7\n")
-        values, lines = ingest(f, skip_header=True, skip_invalid=True)
+        values, no_value = ingest(f, skip_header=True, skip_invalid=True)
         assert values.tolist() == [1.5, -2e-3, 7.0]
-        assert lines == 3
+        assert no_value == 0
         f.write_bytes(b"\n1\n2")  # a blank line 1 holds no header, and is not counted
-        values, lines = ingest(f, skip_header=True)
-        assert values.tolist() == [1.0, 2.0] and lines == 2
+        values, no_value = ingest(f, skip_header=True)
+        assert values.tolist() == [1.0, 2.0] and no_value == 0
 
     def test_not_utf8_reports_line(self, tmp_path):
         f = tmp_path / "d.txt"
@@ -115,8 +115,8 @@ class TestIngest:
 def reference_ingest(path, *, skip_header=False, skip_invalid=False):
     """The line-by-line parser `ingest` had before its numpy fast path,
     kept as an oracle for files that are UTF-8 text (a leading byte-order
-    mark is not data), with the count of the lines it read, less line 1
-    under skip_header."""
+    mark is not data), with the count of the lines it read that held no
+    value, line 1 not counted under skip_header."""
     lines = 0
 
     def parsed(fh):
@@ -142,15 +142,15 @@ def reference_ingest(path, *, skip_header=False, skip_invalid=False):
         values = np.fromiter(parsed(fh), dtype=float)
     if not values.size:
         raise ValueError(f"{path}: no data values found")
-    return values, max(lines - skip_header, 0)
+    return values, max(lines - skip_header, 0) - values.size
 
 
 def _outcome(parse, path, **flags):
     try:
-        values, lines = parse(path, **flags)
+        values, no_value = parse(path, **flags)
     except ValueError as exc:
         return type(exc), str(exc)
-    return values.dtype, values.shape, values.tobytes(), lines
+    return values.dtype, values.shape, values.tobytes(), no_value
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -254,7 +254,7 @@ def test_one_call_conversion_falls_back_once_per_file(tmp_path, monkeypatch):
     # an unreadable line in every block: one failed attempt, and the file's
     # later blocks go straight to the resume loop
     dirty.write_text("".join("n/a\n" if j % 4 == 2 else v for j, v in enumerate(values)))
-    assert ingest(dirty, skip_invalid=True)[0].size == 15
+    assert ingest(dirty, skip_invalid=True)[1] == 5
     assert calls == [False]
     # the fallback is per file: a clean file read after it, and one whose
     # header float() cannot read, convert every block in one call
@@ -280,8 +280,8 @@ def test_scanner_reads_only_lines_float_cannot(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_BLOCK_LINES", 3)
     f = tmp_path / "d.txt"
     f.write_text("1\n\x1c2\x1f\n3\nnan\nx\n", encoding="utf-8")
-    values, lines = ingest(f, skip_invalid=True)
-    assert values.tolist() == [1.0, 2.0, 3.0] and lines == 5
+    values, no_value = ingest(f, skip_invalid=True)
+    assert values.tolist() == [1.0, 2.0, 3.0] and no_value == 2
     assert seen == [2, 4, 5]
 
 
@@ -290,8 +290,8 @@ def test_separator_wrapped_number_keeps_its_place(tmp_path):
     f = tmp_path / "d.txt"
     f.write_text("1\n\x1c2\x1f\n3\nx\n", encoding="utf-8")
     with mock.patch.object(cli, "_BLOCK_LINES", 3):
-        values, lines = ingest(f, skip_invalid=True)
-    assert values.tolist() == [1.0, 2.0, 3.0] and lines == 4
+        values, no_value = ingest(f, skip_invalid=True)
+    assert values.tolist() == [1.0, 2.0, 3.0] and no_value == 1
 
 
 class TestKs2Command:
@@ -378,9 +378,10 @@ def reference_ks2(fx, fy, *, alpha, phi=None, beta=None, **flags):
     CDF is made under its plan at its value count, or planned again from
     that count where its values cannot fill the knots."""
     try:
-        (x, lines_x), (y, lines_y) = (ingest(f, **flags) for f in (fx, fy))
+        (x, no_x), (y, no_y) = (ingest(f, **flags) for f in (fx, fy))
         try:
-            phi, plans = _planned(lines_x, lines_y, alpha=alpha, phi=phi, beta=beta)
+            phi, plans = _planned(x.size + no_x, y.size + no_y,
+                                  alpha=alpha, phi=phi, beta=beta)
         except ValueError:
             phi, plans = _planned(x.size, y.size, alpha=alpha, phi=phi, beta=beta)
         cdfs = []
@@ -476,7 +477,8 @@ def test_ks2_stdout_matches_run_test_on_ingested_files(
         tmp_path_factory, files, precision, skip_header, skip_invalid, block, chunk,
         piped, forked):
     # a piped side is not a regular file, so ks2 ingests both files whole;
-    # `forked` lets streamed files of any size read y in a forked worker
+    # streamed files read y through `cli._forked`, or, not `forked`, through
+    # `nullcontext`, its fallback, in this process
     workdir = tmp_path_factory.mktemp("ks2")
     fx, fy = workdir / "x.txt", workdir / "y.txt"
     fx.write_bytes(files[0])
@@ -505,7 +507,7 @@ def test_ks2_stdout_matches_run_test_on_ingested_files(
                 names[side] = f"/dev/fd/{r}"
         with mock.patch.object(cli, "_BLOCK_LINES", block), \
                 mock.patch.object(gk_sketch, "_CHUNK", chunk), \
-                mock.patch.object(cli, "_FORK_LINES", 0 if forked else cli._FORK_LINES):
+                mock.patch.object(cli, "_forked", cli._forked if forked else nullcontext):
             with mock.patch.object(cli, "_blocks", logged):
                 got = _run(_ks2_argv(names["x"], names["y"], **test, **flags))
             rc, out, err = reference_ks2(fx, fy, **test, **flags)
@@ -551,7 +553,7 @@ def test_ks2_with_its_files_swapped_prints_the_same_decision(
     files = [workdir / "a.txt", workdir / "b.txt"]
     for path, n in zip(files, sizes):
         path.write_text("".join(f"{v!r}\n" for v in rng.normal(size=n).round(decimals).tolist()))
-    with mock.patch.object(cli, "_FORK_LINES", 0 if forked else cli._FORK_LINES):
+    with mock.patch.object(cli, "_forked", cli._forked if forked else nullcontext):
         (rc, out, err), swapped = (_run(_ks2_argv(fx, fy, alpha=0.5, **precision))
                                    for fx, fy in (files, files[::-1]))
     assert swapped[0] == rc
@@ -606,8 +608,8 @@ def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message, ingeste
     if y is not None:
         fy.write_bytes(y)
     expected = (1, "", f"sketchks: error: {message.format(x=fx, y=fy)}\n")
-    for fork_lines in (cli._FORK_LINES, 0):  # in one process, then forked
-        with mock.patch.object(cli, "_FORK_LINES", fork_lines), \
+    for forked in (nullcontext, cli._forked):  # in one process, then forked
+        with mock.patch.object(cli, "_forked", forked), \
                 mock.patch.object(cli, "ingest", wraps=cli.ingest) as whole:
             assert _run(["ks2", "--file-x", fx, "--file-y", fy, *precision]) == expected
         assert whole.call_count == ingested
@@ -618,8 +620,8 @@ def test_ks2_errors_keep_their_order(tmp_path, x, y, precision, message, ingeste
 
 @contextmanager
 def _forking():
-    """ks2 reads y in a forked worker at any input size; yields the list
-    of the files the workers it starts read."""
+    """Records each read ks2 hands `cli._forked`: yields the list of the
+    files those reads parse, in a worker where one starts."""
     started, forked = [], cli._forked
 
     def starting(read):
@@ -628,8 +630,7 @@ def _forking():
             started.append(str(read()))
         return forked(read)
 
-    with mock.patch.object(cli, "_FORK_LINES", 0), \
-            mock.patch.object(cli, "_forked", starting):
+    with mock.patch.object(cli, "_forked", starting):
         yield started
 
 
@@ -706,7 +707,6 @@ def test_forked_worker_writes_no_output(tmp_path, fork_route, y_tail):
     fy.write_bytes(_VALUES + y_tail)
     script = ("import os, sys\n"
               "from sketchks import cli\n"
-              "cli._FORK_LINES = 0\n"
               "with cli._forked(os.getpid) as pid:\n"
               "    assert pid() != os.getpid()\n"
               "sys.stdout.write('pending\\n')\n"
@@ -723,21 +723,29 @@ def test_forked_worker_writes_no_output(tmp_path, fork_route, y_tail):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
 def test_forked_route_runs_here(tmp_path):
     # the forked route's tests skip where no worker starts; on Linux with
-    # two CPUs one must, as conftest.py keeps numpy to one thread.  ks2
-    # asks for one only where each file counts _FORK_LINES lines, which
-    # the 70,000-line files of CI's pinned console-script run do
-    assert cli._FORK_LINES <= 70_000, cli._FORK_LINES
+    # two CPUs one must, as conftest.py keeps numpy to one thread, and ks2
+    # then reads y in it at any size: here two 200-line files
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one usable CPU")
     assert _worker_starts()
     fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
     fx.write_bytes(_VALUES)
-    fy.write_bytes(b"0.5\n" + _VALUES)
-    with _forking() as started, mock.patch.object(cli, "_FORK_LINES", 201):
-        for x in (fx, fy):  # 200 lines, then 201
-            want = reference_ks2(x, fy, alpha=0.05, phi=0.1)
-            assert _run(_ks2_argv(x, fy, alpha=0.05, phi=0.1)) == want
-    assert started == [str(fy)]
+    fy.write_bytes("".join(f"{v + 0.5!r}\n" for v in np.linspace(-2, 2, 200)).encode())
+    file_sketch, log = cli._file_sketch, tmp_path / "reads.log"
+
+    def logged(path, *rest):
+        # a file, not a list in memory, so the worker's read is logged
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {path}\n")
+        return file_sketch(path, *rest)
+
+    with mock.patch.object(cli, "_file_sketch", logged):
+        assert _run(_ks2_argv(fx, fy, alpha=0.05, phi=0.1)) == reference_ks2(
+            fx, fy, alpha=0.05, phi=0.1)
+    (x_pid, x), (y_pid, y) = (
+        line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines())
+    assert (x, y, int(x_pid)) == (str(fx), str(fy), os.getpid())
+    assert int(y_pid) != os.getpid()
 
 
 @pytest.mark.parametrize("fails", ["pipe", "fork", "thread", "one-cpu", "no-proc"])
@@ -815,7 +823,7 @@ def test_ks2_blank_line_peak_memory(normal_files, monkeypatch, traced_peak):
     # after its CDF is made would still be held.  In one process, as
     # tracemalloc traces only the process it runs in
     n = m = 200_000
-    monkeypatch.setattr(cli, "_FORK_LINES", n + 1)
+    monkeypatch.setattr(cli, "_forked", nullcontext)
     _warm_up_ks2(normal_files)
     fx = normal_files("x.txt", 0, n, 31)
     fy = normal_files("y.txt", 0.01, m, 32)
@@ -849,7 +857,7 @@ def test_ks2_unplanned_regular_files_peak_memory(normal_files, monkeypatch, trac
     # below a planned run's (--beta 0.025), and does not grow with the
     # files.  In one process, as tracemalloc traces only the process it
     # runs in
-    monkeypatch.setattr(cli, "_FORK_LINES", 10**9)
+    monkeypatch.setattr(cli, "_forked", nullcontext)
     _warm_up_ks2(normal_files)
     peaks = {}
     for n in (20_000, 80_000):
@@ -916,17 +924,16 @@ def test_ks2_parses_a_clean_file_once(tmp_path, normal_files, monkeypatch):
              (dirty_x, dirty, {"beta": 0.025}, 2 * 3001),
              (dirty_x, fy, {"beta": 0.025}, 3001 + 3000),
              (blank_x, fy, {"phi": 0.05}, 2 * 20_200 + 3000)]
-    layouts = [nullcontext()]  # in one process, then forked
-    if _worker_starts():
-        layouts.append(_forking())
-    for layout in layouts:
+    # in one process, then forked
+    for forked in (False, True) if _worker_starts() else (False,):
+        layout = _forking() if forked else mock.patch.object(cli, "_forked", nullcontext)
         with layout as started:
             for x, y, precision, lines in table:
                 log.unlink(missing_ok=True)
                 got = _run(_ks2_argv(x, y, alpha=0.05, **precision))
                 assert sum(map(int, log.read_text(encoding="utf-8").split())) == lines
                 assert got == reference_ks2(x, y, alpha=0.05, **precision)
-            if started is not None:  # only the read planned from line counts forks
+            if forked:  # y's read forks; blank_x's second read runs here
                 assert started == [str(y) for _, y, _, _ in table]
 
 
@@ -945,6 +952,7 @@ def test_ks2_refuses_a_file_that_changes_while_read(normal_files, monkeypatch):
         return sketch.seal()
 
     monkeypatch.setattr(cli, "_file_sketch", changed)
+    monkeypatch.setattr(cli, "_forked", nullcontext)  # `reads` counts in this process
     argv = ["ks2", "--file-x", fx, "--file-y", fy, "--phi", "0.1"]
     assert _run(argv) == (1, "", f"sketchks: error: {fx}: file changed while it was read\n")
     assert reads == {str(fx): 1}
@@ -997,8 +1005,8 @@ def test_ks2_streams_only_regular_files(tmp_path, kind, ingested):
         fx = Path(os.devnull)
     expected = reference_ks2(fx, fy, alpha=0.05, phi=0.1)
     assert expected[0] == (kind != "symlink")
-    for fork_lines in (cli._FORK_LINES, 0):  # in one process, then forked
-        with mock.patch.object(cli, "_FORK_LINES", fork_lines), \
+    for forked in (nullcontext, cli._forked):  # in one process, then forked
+        with mock.patch.object(cli, "_forked", forked), \
                 mock.patch.object(cli, "ingest", wraps=cli.ingest) as whole:
             assert _run(["ks2", "--file-x", fx, "--file-y", fy, "--phi", "0.1"]) == expected
         assert whole.call_count == ingested
@@ -1026,7 +1034,9 @@ def test_every_cdf_is_made_by_build_cdf(tmp_path, request, route, calls):
         return build_cdf(data, plan)
 
     with ExitStack() as stack:
-        if route == "ks2-forked":
+        if route == "ks2":  # in one process
+            stack.enter_context(mock.patch.object(cli, "_forked", nullcontext))
+        elif route == "ks2-forked":
             request.getfixturevalue("worker")  # skips where no worker starts
             started = stack.enter_context(_forking())
         elif route == "ks2-pipe":
